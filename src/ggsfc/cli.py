@@ -147,8 +147,9 @@ def _apply_config(args, hard_defaults: dict) -> None:
 
 def _history_echo(kind: str):
     def emit(row: training.HistoryRow) -> None:
+        # + 0.0 turns the -0.0 loss of a failed episode into 0
         print(f"{kind} {row.index}: success_rate {row.success_rate:.4f} "
-              f"mean_delay {row.mean_delay:.1f} loss {row.loss:.4f}")
+              f"mean_delay {row.mean_delay:.1f} loss {row.loss + 0.0:.4f}")
     return emit
 
 

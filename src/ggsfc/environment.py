@@ -14,7 +14,7 @@ everywhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,11 +76,7 @@ class RewardConfig:
 
 @dataclass(frozen=True)
 class EnvState:
-    """Immutable episode state; step() returns the successor.
-
-    decoder_memory is an opaque slot owned by the policy (its recurrent
-    context rides along with the state); the environment never touches it.
-    """
+    """Immutable episode state; step() returns the successor."""
 
     request: SfcRequest
     current_node: int
@@ -89,7 +85,6 @@ class EnvState:
     path_so_far: PathResult
     done: bool
     max_steps: int
-    decoder_memory: object | None = None
 
     @property
     def pending_type(self) -> int | None:
@@ -97,9 +92,6 @@ class EnvState:
         if self.chain_index < len(self.request.chain):
             return self.request.chain[self.chain_index]
         return None
-
-    def with_memory(self, memory: object | None) -> "EnvState":
-        return replace(self, decoder_memory=memory)
 
 
 def validate_request(t: Topology, req: SfcRequest, allow_empty_chain: bool = False) -> None:
@@ -150,13 +142,7 @@ def valid_actions(s: EnvState, t: Topology) -> tuple[Action, ...]:
     return tuple(actions)
 
 
-def step(
-    s: EnvState,
-    a: Action,
-    t: Topology,
-    cfg: RewardConfig,
-    max_steps: int | None = None,
-) -> tuple[EnvState, float, bool]:
+def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvState, float, bool]:
     """Apply one action; returns (next state, reward, done).
 
     Success is checked after the move: at the destination with the chain
@@ -165,7 +151,6 @@ def step(
     """
     if s.done:
         raise InvalidActionError("step called on a finished episode")
-    limit = s.max_steps if max_steps is None else max_steps
     if not t.has_edge(s.current_node, a.next_node):
         raise InvalidActionError(
             f"no edge from node {s.current_node} to node {a.next_node}"
@@ -190,7 +175,7 @@ def step(
     total = s.path_so_far.total_delay + delay
     steps_taken = s.steps_taken + 1
     success = a.next_node == s.request.destination and chain_index == len(s.request.chain)
-    done = success or steps_taken >= limit
+    done = success or steps_taken >= s.max_steps
     path = PathResult(
         edge_uses=edge_uses,
         instance_uses=instance_uses,
@@ -205,8 +190,7 @@ def step(
         steps_taken=steps_taken,
         path_so_far=path,
         done=done,
-        max_steps=limit,
-        decoder_memory=s.decoder_memory,
+        max_steps=s.max_steps,
     )
     return nxt, reward, done
 
@@ -276,7 +260,6 @@ class EpisodeTrace:
     request: SfcRequest
     steps: tuple[TraceStep, ...]
     path: PathResult
-    max_steps: int
 
     @property
     def success(self) -> bool:

@@ -107,30 +107,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# affine
-
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """y = x @ w + b for 1-D or batched 2-D x."""
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(f"affine shape mismatch: x {x.shape} vs w {w.shape}")
-    return x @ w + b, (x, w)
-
-
-def affine_backward(
-    grad_y: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, w = cache
-    grad_x = grad_y @ w.T
-    if x.ndim == 1:
-        grad_w = np.outer(x, grad_y)
-        grad_b = grad_y.copy()
-    else:
-        grad_w = x.T @ grad_y
-        grad_b = grad_y.sum(axis=0)
-    return grad_x, grad_w, grad_b
-
-
-# ---------------------------------------------------------------------------
 # GRU cell (shared across time/nodes; parameters addressed by prefix)
 
 def gru_param_shapes(d_in: int, d_hidden: int) -> dict[str, tuple[int, ...]]:

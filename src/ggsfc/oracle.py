@@ -31,7 +31,7 @@ from .environment import (
     valid_actions,
     validate_request,
 )
-from .topology import Topology, TopologyPool
+from .topology import Topology, TopologyPool, as_topology_list
 
 DEFAULT_WORK_CAP = 10_000_000
 
@@ -242,14 +242,6 @@ class LabeledDataset:
         return len(self.examples)
 
 
-def _as_topology_list(topologies) -> list[Topology]:
-    if isinstance(topologies, Topology):
-        return [topologies]
-    if isinstance(topologies, TopologyPool):
-        return list(topologies.variants)
-    return list(topologies)
-
-
 def label_dataset(
     topologies: Topology | TopologyPool | Sequence[Topology],
     requests: Iterable[SfcRequest | tuple[int, SfcRequest]],
@@ -262,7 +254,7 @@ def label_dataset(
     counted, as are optima too long to replay inside the environment's
     default step budget.
     """
-    topo_list = _as_topology_list(topologies)
+    topo_list = as_topology_list(topologies)
     examples: list[LabeledExample] = []
     infeasible = 0
     over_budget = 0

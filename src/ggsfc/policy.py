@@ -23,7 +23,7 @@ the supervised cross-entropy loss and the policy-gradient update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -151,16 +151,6 @@ def encode_backward(
 # decoder
 
 @dataclass(frozen=True)
-class DecoderContext:
-    """Recurrent hidden state plus the decoder's three per-step inputs."""
-
-    hidden: np.ndarray          # (H,)
-    v_all: np.ndarray           # (K,) multi-hot of the remaining chain
-    v_now: np.ndarray           # (K,) one-hot of the pending type
-    node_embedding: np.ndarray  # (H,) encoder row of the current node
-
-
-@dataclass(frozen=True)
 class ActionDistribution:
     """Per-node move distribution and per-node process probabilities."""
 
@@ -199,18 +189,20 @@ def action_log_prob(dist: ActionDistribution, a: Action) -> float:
 
 def decode_step(
     enc_h: np.ndarray,
-    ctx: DecoderContext,
+    hidden: np.ndarray,
+    x: np.ndarray,
     move_mask: np.ndarray,
     process_mask: np.ndarray,
     params: ParamSet,
-) -> tuple[ActionDistribution, DecoderContext, tuple]:
+) -> tuple[ActionDistribution, np.ndarray, tuple]:
     """One decoder step: advance the GRU, score nodes, mask, normalize.
 
-    Returns the action distribution, the context with the advanced hidden
-    state, and a cache for the backward pass.
+    x is the step input [v_all | v_now | node_embedding]: the remaining
+    chain as a multi-hot, the pending type as a one-hot, and the encoder
+    row of the current node.  Returns the action distribution, the advanced
+    hidden state, and a cache for the backward pass.
     """
-    x = np.concatenate([ctx.v_all, ctx.v_now, ctx.node_embedding])
-    hidden, gru_cache = nn.gru_cell(x, ctx.hidden, params, prefix="dec.")
+    hidden, gru_cache = nn.gru_cell(x, hidden, params, prefix="dec.")
     s_pre = enc_h @ params["score.W_emb"] + hidden @ params["score.W_hid"]
     s = np.tanh(s_pre)
     node_logits = s @ params["score.v"]
@@ -225,7 +217,7 @@ def decode_step(
         process_logits=process_logits,
     )
     cache = (enc_h, hidden, s, gru_cache, dist)
-    return dist, replace(ctx, hidden=hidden), cache
+    return dist, hidden, cache
 
 
 def decode_step_backward(
@@ -278,14 +270,16 @@ def decode_step_backward(
 # ---------------------------------------------------------------------------
 # episode driver
 
-def _chain_inputs(req: SfcRequest, chain_index: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _decoder_input(
+    req: SfcRequest, chain_index: int, k: int, node_embedding: np.ndarray
+) -> np.ndarray:
     v_all = np.zeros(k)
     v_now = np.zeros(k)
     for entry in req.chain[chain_index:]:
         v_all[entry] = 1.0
     if chain_index < len(req.chain):
         v_now[req.chain[chain_index]] = 1.0
-    return v_all, v_now
+    return np.concatenate([v_all, v_now, node_embedding])
 
 
 def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[Action, ...]]:
@@ -302,8 +296,8 @@ def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[
 @dataclass
 class _EpisodeRun:
     trace: EpisodeTrace
-    step_caches: list          # (cache, segment_id, coeff slot) per step
-    segments: list             # (enc_caches, n) per encoder run
+    step_caches: list          # (cache, segment_id, current node) per step
+    segments: list             # encoder caches (or None) per encoder run
     log_probs: list[float]
 
 
@@ -314,7 +308,7 @@ def _run_episode(
     req: SfcRequest,
     reward_cfg: RewardConfig,
     max_steps: int | None,
-    select,                    # (dist, acts, state) -> Action
+    select,                    # (dist, acts) -> Action
     want_caches: bool,
 ) -> _EpisodeRun:
     a_matrix = adjacency_matrix(t)
@@ -335,17 +329,11 @@ def _run_episode(
             enc_h, enc_caches = encode(h0, a_matrix, cfg.t_prop, params)
             segments.append(enc_caches if want_caches else None)
         move_mask, proc_mask, acts = _masks(state, t)
-        v_all, v_now = _chain_inputs(req, state.chain_index, cfg.vnf_type_count)
-        ctx = DecoderContext(
-            hidden=hidden,
-            v_all=v_all,
-            v_now=v_now,
-            node_embedding=enc_h[state.current_node],
-        )
-        dist, ctx, cache = decode_step(enc_h, ctx, move_mask, proc_mask, params)
-        hidden = ctx.hidden
+        x = _decoder_input(req, state.chain_index, cfg.vnf_type_count,
+                           enc_h[state.current_node])
+        dist, hidden, cache = decode_step(enc_h, hidden, x, move_mask, proc_mask, params)
 
-        action = select(dist, acts, state)
+        action = select(dist, acts)
         logp = action_log_prob(dist, action)
         log_probs.append(logp)
         if want_caches:
@@ -353,7 +341,6 @@ def _run_episode(
 
         prev_node, prev_index = state.current_node, state.chain_index
         state, reward, _ = env_step(state, action, t, reward_cfg)
-        state = state.with_memory(hidden)
         trace_steps.append(
             TraceStep(
                 node=prev_node,
@@ -369,7 +356,6 @@ def _run_episode(
         request=req,
         steps=tuple(trace_steps),
         path=state.path_so_far,
-        max_steps=state.max_steps,
     )
     return _EpisodeRun(trace=trace, step_caches=step_caches, segments=segments, log_probs=log_probs)
 
@@ -397,7 +383,6 @@ def rollout(
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
     epsilon: float = 0.01,
-    max_steps: int | None = None,
 ) -> EpisodeTrace:
     """Run one episode under the policy.
 
@@ -414,7 +399,7 @@ def rollout(
     if reward_cfg is None:
         reward_cfg = RewardConfig()
 
-    def select(dist: ActionDistribution, acts: tuple[Action, ...], state: EnvState) -> Action:
+    def select(dist: ActionDistribution, acts: tuple[Action, ...]) -> Action:
         if mode == "greedy":
             return _greedy_action(dist)
         if mode == "sample":
@@ -423,7 +408,7 @@ def rollout(
             return acts[int(rng.integers(len(acts)))]
         return _greedy_action(dist)
 
-    run = _run_episode(params, cfg, t, req, reward_cfg, max_steps, select, want_caches=False)
+    run = _run_episode(params, cfg, t, req, reward_cfg, None, select, want_caches=False)
     return run.trace
 
 
@@ -434,28 +419,24 @@ def episode_gradients(
     req: SfcRequest,
     actions: tuple[Action, ...],
     coeffs: np.ndarray | list[float],
-    max_steps: int | None = None,
-    reward_cfg: RewardConfig | None = None,
 ) -> tuple[list[float], GradSet]:
     """Forward-replay the action sequence and backprop sum_t coeff_t*log pi(a_t).
 
     The returned log-probs are computed by the exact code path rollouts use,
-    so replaying a recorded trace reproduces its log-probs bit-for-bit.
+    so replaying a recorded trace reproduces its log-probs bit-for-bit.  The
+    replay's step budget is the action count, so a walk that would end
+    earlier is refused.
     """
-    if reward_cfg is None:
-        reward_cfg = RewardConfig()
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if len(coeffs) != len(actions):
         raise ValueError(f"{len(actions)} actions but {len(coeffs)} coefficients")
     it = iter(actions)
 
-    def select(dist: ActionDistribution, acts, state) -> Action:
+    def select(dist: ActionDistribution, acts) -> Action:
         return next(it)
 
     run = _run_episode(
-        params, cfg, t, req, reward_cfg,
-        max_steps if max_steps is not None else len(actions),
-        select, want_caches=True,
+        params, cfg, t, req, RewardConfig(), len(actions), select, want_caches=True
     )
     if len(run.trace.steps) != len(actions):
         raise ValueError(

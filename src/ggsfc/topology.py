@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -458,6 +459,18 @@ class TopologyPool:
     variants: tuple[Topology, ...]
     strategy: str
     seed: int
+
+
+def as_topology_list(
+    topologies: Topology | TopologyPool | Sequence[Topology],
+) -> list[Topology]:
+    """A single topology, a pool's variants, or an explicit sequence, as a list
+    indexed by dataset topology ids."""
+    if isinstance(topologies, Topology):
+        return [topologies]
+    if isinstance(topologies, TopologyPool):
+        return list(topologies.variants)
+    return list(topologies)
 
 
 def generate_pool(

@@ -27,7 +27,7 @@ from .environment import (
 from .nn import GradSet, NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset
 from .policy import PolicyConfig, episode_gradients, rollout
-from .topology import Topology, TopologyPool
+from .topology import Topology, TopologyPool, as_topology_list
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +73,8 @@ def save_history(rows: Sequence[HistoryRow], path: str | Path, index_name: str) 
     """CSV of the training curve; index_name is 'epoch' (SL) or 'episode' (RL)."""
     lines = [f"{index_name},success_rate,mean_delay,loss"]
     for r in rows:
-        lines.append(f"{r.index},{r.success_rate:.6g},{r.mean_delay:.6g},{r.loss:.6g}")
+        # + 0.0 turns the -0.0 loss of a failed episode into 0
+        lines.append(f"{r.index},{r.success_rate:.6g},{r.mean_delay:.6g},{r.loss + 0.0:.6g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -103,8 +104,7 @@ def reinforce_update(
         return params
     actions = tuple(s.action for s in trace.steps)
     log_probs, grads = episode_gradients(
-        params, cfg, trace.topology, trace.request, actions, returns,
-        max_steps=trace.max_steps, reward_cfg=hp.reward_config(),
+        params, cfg, trace.topology, trace.request, actions, returns
     )
     recorded = [s.log_prob for s in trace.steps]
     if log_probs != recorded:
@@ -122,15 +122,13 @@ def reinforce_update(
 # ---------------------------------------------------------------------------
 # supervised learning
 
-def _holdout_pairs(
-    holdout: LabeledDataset | Sequence[tuple[int, SfcRequest]] | None,
-    topo_list: list[Topology],
-) -> list[tuple[Topology, SfcRequest]]:
-    if holdout is None:
-        return []
-    if isinstance(holdout, LabeledDataset):
-        return [(topo_list[ex.topology_id], ex.request) for ex in holdout.examples]
-    return [(topo_list[tid], req) for tid, req in holdout]
+def _check_topology_ids(ds: LabeledDataset, count: int, name: str) -> None:
+    for ex in ds.examples:
+        if not 0 <= ex.topology_id < count:
+            raise ValueError(
+                f"{name} topology_id {ex.topology_id} is out of range: "
+                f"expected 0 <= id < {count}, the number of topologies given"
+            )
 
 
 def greedy_failure_ratio(
@@ -156,10 +154,10 @@ def greedy_failure_ratio(
 def train_sl(
     params: ParamSet,
     cfg: PolicyConfig,
-    topologies: Topology | Sequence[Topology],
+    topologies: Topology | TopologyPool | Sequence[Topology],
     dataset: LabeledDataset,
     hp: HyperParams,
-    holdout: LabeledDataset | Sequence[tuple[int, SfcRequest]] | None = None,
+    holdout: LabeledDataset | None = None,
     stop_failure_ratio: float | None = None,
     progress: Callable[[HistoryRow], None] | None = None,
 ) -> tuple[ParamSet, list[HistoryRow]]:
@@ -169,11 +167,16 @@ def train_sl(
     loss = -sum_t log pi(label action_t).  History rows carry the epoch mean
     loss and the greedy failure ratio on the holdout (nan without one).
     stop_failure_ratio ends training early once the holdout is good enough.
+    Topology ids index ``topologies`` as ``label_dataset`` assigned them.
     """
     if not dataset.examples:
         raise ValueError("dataset is empty")
-    topo_list = [topologies] if isinstance(topologies, Topology) else list(topologies)
-    pairs = _holdout_pairs(holdout, topo_list)
+    topo_list = as_topology_list(topologies)
+    _check_topology_ids(dataset, len(topo_list), "dataset")
+    pairs = []
+    if holdout is not None:
+        _check_topology_ids(holdout, len(topo_list), "holdout")
+        pairs = [(topo_list[ex.topology_id], ex.request) for ex in holdout.examples]
     rng = np.random.default_rng(hp.seed)
     history: list[HistoryRow] = []
 
@@ -186,8 +189,7 @@ def train_sl(
             # coefficients of -1 make episode_gradients produce the loss
             # gradient directly
             log_probs, grads = episode_gradients(
-                params, cfg, t, ex.request, ex.actions,
-                -np.ones(len(ex.actions)), max_steps=len(ex.actions),
+                params, cfg, t, ex.request, ex.actions, -np.ones(len(ex.actions))
             )
             losses[j] = -sum(log_probs)
             try:
@@ -217,7 +219,6 @@ def train_rl(
     topologies: Topology | TopologyPool | Sequence[Topology],
     hp: HyperParams,
     cfg: PolicyConfig,
-    request_fn: Callable[[Topology, np.random.Generator], SfcRequest] | None = None,
     chain_len_range: tuple[int, int] = DEFAULT_CHAIN_LEN_RANGE,
     rolling_window: int = DEFAULT_ROLLING_WINDOW,
     stop_success_rate: float | None = None,
@@ -233,12 +234,7 @@ def train_rl(
     -sum_t G_t log pi(a_t).  stop_success_rate ends training early once the
     rolling window is full and good enough.
     """
-    if isinstance(topologies, Topology):
-        topos: Sequence[Topology] = [topologies]
-    elif isinstance(topologies, TopologyPool):
-        topos = topologies.variants
-    else:
-        topos = list(topologies)
+    topos = as_topology_list(topologies)
     if not topos:
         raise ValueError("no topologies to train on")
 
@@ -250,7 +246,7 @@ def train_rl(
 
     for episode in range(1, hp.episodes + 1):
         t = topos[int(rng.integers(len(topos)))]
-        req = request_fn(t, rng) if request_fn else generate_requests(t, 1, chain_len_range, rng)[0]
+        req = generate_requests(t, 1, chain_len_range, rng)[0]
         trace = rollout(
             params, cfg, t, req, reward_cfg,
             mode="epsilon_greedy", rng=rng, epsilon=hp.epsilon,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ggsfc.cli import main
+from ggsfc.cli import _history_echo, main
 from ggsfc.oracle import load_dataset_file
 from ggsfc.topology import (
     MutationParams,
@@ -15,6 +15,7 @@ from ggsfc.topology import (
     mutate_cs1,
     topology_sha256,
 )
+from ggsfc.training import HistoryRow
 
 
 def run(*argv):
@@ -119,6 +120,29 @@ def test_train_sl_without_dataset_fails_cleanly(tmp_path, capsys):
     rc = run("train", "sl", "--fixture", "--out", str(tmp_path / "sl"))
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_train_sl_rejects_an_out_of_range_topology_id(tmp_path, capsys):
+    ds = tmp_path / "ds.json"
+    run("dataset", "--fixture", "--count", "3", "--seed", "1",
+        "--chain-max", "2", "--out", str(ds))
+    doc = json.loads(ds.read_text())
+    doc["examples"][-1]["topology_id"] = 5
+    ds.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run("train", "sl", "--fixture", "--dataset", str(ds),
+             "--epochs", "1", "--out", str(tmp_path / "sl"))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "topology_id 5" in captured.err and "< 1" in captured.err
+    assert not (tmp_path / "sl" / "sl.ckpt").exists()
+
+
+def test_history_echo_prints_a_failed_episode_loss_as_zero(capsys):
+    _history_echo("episode")(HistoryRow(index=1, success_rate=0.0,
+                                        mean_delay=float("nan"), loss=-0.0))
+    assert capsys.readouterr().out.endswith(" loss 0.0000\n")
 
 
 def test_train_rl_from_checkpoint(sl_run, tmp_path, capsys):

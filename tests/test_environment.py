@@ -229,15 +229,6 @@ def test_reward_config_validation():
         RewardConfig(lam=-1.0)
 
 
-def test_with_memory_changes_only_the_memory_slot():
-    t = tiny_topology()
-    s = reset(t, SfcRequest(0, 3, (0,)))
-    s2 = s.with_memory(("hidden",))
-    assert s2.decoder_memory == ("hidden",)
-    assert (s2.current_node, s2.chain_index, s2.steps_taken) == (0, 0, 0)
-    assert s.decoder_memory is None
-
-
 def test_pending_type_walks_the_chain():
     t = tiny_topology()
     req = SfcRequest(0, 3, (0, 1))

@@ -7,8 +7,6 @@ from ggsfc.nn import (
     GradSet,
     NonFiniteGradientError,
     ParamSet,
-    affine,
-    affine_backward,
     finite_diff_check,
     gru_cell,
     gru_cell_backward,
@@ -87,50 +85,6 @@ def test_sigmoid_matches_definition_and_is_stable():
     assert out[0] == pytest.approx(0.0, abs=1e-300)
     assert out[1] == pytest.approx(1.0)
     assert np.allclose(sigmoid(x) + sigmoid(-x), 1.0)
-
-
-def test_affine_forward_values():
-    y, _ = affine(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 3.0]]),
-                  np.array([10.0, 20.0]))
-    assert np.array_equal(y, [11.0, 26.0])
-    with pytest.raises(ValueError, match="mismatch"):
-        affine(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
-
-
-def test_affine_backward_matches_finite_differences():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=5)
-    v = rng.normal(size=3)
-    params = ParamSet({"w": rng.normal(size=(5, 3)), "b": rng.normal(size=3)})
-
-    def f(p):
-        y, cache = affine(x, p["w"], p["b"])
-        value = float(v @ y)
-        _, gw, gb = affine_backward(v, cache)
-        g = GradSet(p)
-        g.add_all({"w": gw, "b": gb})
-        return value, g
-
-    report = finite_diff_check(f, params, tolerance=UNIT_TOL)
-    assert report.passed, str(report)
-
-
-def test_affine_backward_batched_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    x = rng.normal(size=(4, 5))
-    v = rng.normal(size=(4, 3))
-    params = ParamSet({"w": rng.normal(size=(5, 3)), "b": rng.normal(size=3)})
-
-    def f(p):
-        y, cache = affine(x, p["w"], p["b"])
-        value = float((v * y).sum())
-        _, gw, gb = affine_backward(v, cache)
-        g = GradSet(p)
-        g.add_all({"w": gw, "b": gb})
-        return value, g
-
-    report = finite_diff_check(f, params, tolerance=UNIT_TOL)
-    assert report.passed, str(report)
 
 
 def test_gru_cell_stays_inside_the_hidden_range():

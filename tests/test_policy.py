@@ -7,7 +7,6 @@ from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_request
 from ggsfc.nn import GradSet, finite_diff_check
 from ggsfc.policy import (
     ActionDistribution,
-    DecoderContext,
     PolicyConfig,
     action_log_prob,
     annotate,
@@ -155,18 +154,14 @@ def run_one_decode(seed=0):
     enc_h, _ = encode(h0, adjacency_matrix(t), cfg.t_prop, params)
     move = np.array([False, True, False, True])
     proc = np.array([False, True, False, False])
-    ctx = DecoderContext(
-        hidden=np.zeros(8),
-        v_all=np.array([1.0, 0.0]),
-        v_now=np.array([1.0, 0.0]),
-        node_embedding=enc_h[0],
-    )
-    dist, ctx2, _ = decode_step(enc_h, ctx, move, proc, params)
-    return dist, ctx, ctx2
+    hidden = np.zeros(8)
+    x = np.concatenate([[1.0, 0.0], [1.0, 0.0], enc_h[0]])  # v_all, v_now, node row
+    dist, hidden2, _ = decode_step(enc_h, hidden, x, move, proc, params)
+    return dist, hidden, hidden2
 
 
 def test_decode_step_masks_and_normalizes():
-    dist, ctx, ctx2 = run_one_decode()
+    dist, hidden, hidden2 = run_one_decode()
     assert dist.node_probs[0] == 0.0 and dist.node_probs[2] == 0.0
     assert dist.node_probs.sum() == pytest.approx(1.0)
     assert np.all(dist.node_probs[[1, 3]] > 0)
@@ -174,7 +169,7 @@ def test_decode_step_masks_and_normalizes():
     assert dist.process_prob[0] == 0.0 and dist.process_prob[3] == 0.0
     assert 0.0 < dist.process_prob[1] < 1.0
     # the recurrent state advanced
-    assert not np.array_equal(ctx.hidden, ctx2.hidden)
+    assert not np.array_equal(hidden, hidden2)
 
 
 def test_action_probs_sum_to_one_over_valid_actions():
@@ -281,8 +276,7 @@ def test_replayed_log_probs_are_bit_identical():
         trace = rollout(params, cfg, t, req, mode="sample", rng=rng)
         actions = tuple(s.action for s in trace.steps)
         log_probs, _ = episode_gradients(
-            params, cfg, t, req, actions, np.zeros(len(actions)),
-            max_steps=trace.max_steps,
+            params, cfg, t, req, actions, np.zeros(len(actions))
         )
         assert log_probs == [s.log_prob for s in trace.steps]  # exact
 
@@ -298,9 +292,7 @@ def test_episode_gradients_match_finite_differences():
     coeffs = rng.normal(size=len(actions))
 
     def f(p):
-        log_probs, grads = episode_gradients(
-            p, cfg, t, req, actions, coeffs, max_steps=trace.max_steps
-        )
+        log_probs, grads = episode_gradients(p, cfg, t, req, actions, coeffs)
         return float(np.dot(coeffs, log_probs)), grads
 
     report = finite_diff_check(

@@ -1,5 +1,7 @@
 """Returns, REINFORCE updates, and the two training loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,7 @@ def test_update_raises_weighted_log_likelihood():
     actions = tuple(s.action for s in trace.steps)
 
     def weighted(p):
-        log_probs, _ = episode_gradients(
-            p, cfg, t, trace.request, actions, returns,
-            max_steps=trace.max_steps, reward_cfg=hp.reward_config(),
-        )
+        log_probs, _ = episode_gradients(p, cfg, t, trace.request, actions, returns)
         return float(np.dot(returns, log_probs))
 
     before = weighted(params)
@@ -204,6 +203,36 @@ def test_train_sl_holdout_and_early_stop():
     assert 0.0 <= history[0].success_rate <= 1.0
 
 
+def test_train_sl_on_a_pool_labelled_dataset():
+    pool = generate_pool(internet2_fixture(), "cs2", pool_size=3, seed=2)
+    rng = np.random.default_rng(4)
+    requests = []
+    for tid, t in enumerate(pool.variants):
+        requests += [(tid, req) for req in generate_requests(t, 3, (1, 2), rng)]
+    dataset = label_dataset(pool, requests)
+    assert {ex.topology_id for ex in dataset.examples} == {0, 1, 2}
+    cfg = PolicyConfig()
+    params, history = train_sl(
+        init_policy_params(cfg, seed=0), cfg, pool, dataset,
+        HyperParams(sl_epochs=1, seed=0), holdout=dataset,
+    )
+    assert len(history) == 1 and np.isfinite(history[0].loss)
+    assert 0.0 <= history[0].success_rate <= 1.0
+
+
+def test_train_sl_rejects_topology_ids_outside_the_list():
+    t, dataset = fixture_sl_setup(3)
+    cfg = PolicyConfig()
+    bad = type(dataset)(
+        examples=dataset.examples[:-1] + (replace(dataset.examples[-1], topology_id=-1),),
+        dropped_infeasible=0, dropped_over_budget=0,
+    )
+    for ds, holdout, name in ((bad, None, "dataset"), (dataset, bad, "holdout")):
+        with pytest.raises(ValueError, match=f"{name} topology_id -1 .* < 1"):
+            train_sl(init_policy_params(cfg, seed=0), cfg, t, ds,
+                     HyperParams(sl_epochs=1), holdout=holdout)
+
+
 def test_train_sl_is_deterministic():
     t, dataset = fixture_sl_setup(12)
     cfg = PolicyConfig()
@@ -268,17 +297,18 @@ def test_train_rl_zero_episodes_is_a_no_op():
     assert all(np.array_equal(out[n], params[n]) for n in params.names())
 
 
-def test_train_rl_draws_from_pool_variants():
+def test_train_rl_draws_from_pool_variants(monkeypatch):
     pool = generate_pool(internet2_fixture(), "cs1", pool_size=5, seed=9)
     cfg = PolicyConfig()
     seen = []
 
-    def spy_requests(topo, rng):
+    def spy_requests(topo, *args):
         seen.append(topo)
-        return generate_requests(topo, 1, (1, 1), rng)[0]
+        return generate_requests(topo, *args)
 
+    monkeypatch.setattr(training, "generate_requests", spy_requests)
     train_rl(init_policy_params(cfg, seed=0), pool,
-             HyperParams(episodes=25, seed=4), cfg, request_fn=spy_requests)
+             HyperParams(episodes=25, seed=4), cfg, chain_len_range=(1, 1))
     assert len(seen) == 25
     assert len({id(t) for t in seen}) > 1  # more than one variant drawn
 
@@ -326,3 +356,10 @@ def test_save_history_format(tmp_path):
         "1,0.5,12,3.25\n"
         "2,0.875,10.5,-41000\n"
     )
+
+
+def test_save_history_writes_a_failed_episode_loss_as_zero(tmp_path):
+    path = tmp_path / "curve.csv"
+    save_history([HistoryRow(index=1, success_rate=0.0, mean_delay=float("nan"), loss=-0.0)],
+                 path, "episode")
+    assert path.read_text().splitlines()[1] == "1,0,nan,0"
