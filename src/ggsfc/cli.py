@@ -3,8 +3,8 @@
 Subcommands wire the library end to end: fixture/pool generation, dataset
 labeling, SL and RL training, the three-test evaluation, single-request
 solving, and the full desk-scale experiment pipeline.  Every run is
-determined by its flags plus seed, and every output directory gets the
-resolved configuration echoed into config.json.
+determined by its flags plus seed, and the output directory of every
+finished run gets the resolved configuration echoed into config.json.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import environment, evaluation, oracle, topology, training
 from .policy import PolicyConfig, init_policy_params, load_policy, save_policy
-from .topology import MutationParams, TopologyError
+from .topology import TopologyError
 
 
 def _write_config_echo(directory: Path, config: dict) -> None:
@@ -31,19 +31,19 @@ def _write_config_echo(directory: Path, config: dict) -> None:
 
 
 def _load_base_topology(args) -> topology.Topology:
-    if getattr(args, "fixture", False):
+    if args.fixture:
         return topology.internet2_fixture()
     return topology.load_topology_file(args.topology)
+
+
+def _topology_desc(args) -> str:
+    return "fixture" if args.fixture else str(args.topology)
 
 
 def _prepare_out_file(path_str: str) -> Path:
     out = Path(path_str)
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _chain_len_range(args) -> tuple[int, int]:
-    return (args.chain_min, args.chain_max)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def cmd_topo_mutate(args) -> int:
     t = _load_base_topology(args)
     rng = np.random.default_rng(args.seed)
     mutate = topology.mutate_cs1 if args.strategy == "cs1" else topology.mutate_cs2
-    m = mutate(t, rng, MutationParams())
+    m = mutate(t, rng)
     topology.save_topology_file(m, _prepare_out_file(args.out))
     print(f"wrote {args.out}: {m.num_nodes} nodes, {len(m.edges)} edges, "
           f"{len(m.instances)} instances, connected")
@@ -88,18 +88,15 @@ def cmd_topo_pool(args) -> int:
 
 def cmd_dataset(args) -> int:
     rng = np.random.default_rng(args.seed)
+    chain_len_range = (args.chain_min, args.chain_max)
     if args.pool:
         pool = topology.load_pool(args.pool)
-        pairs = []
-        for _ in range(args.count):
-            tid = int(rng.integers(len(pool.variants)))
-            t = pool.variants[tid]
-            req = environment.generate_requests(t, 1, _chain_len_range(args), rng)[0]
-            pairs.append((tid, req))
+        pairs = environment.generate_pool_requests(pool.variants, args.count,
+                                                   chain_len_range, rng)
         ds = oracle.label_dataset(pool, pairs)
     else:
         t = _load_base_topology(args)
-        requests = environment.generate_requests(t, args.count, _chain_len_range(args), rng)
+        requests = environment.generate_requests(t, args.count, chain_len_range, rng)
         ds = oracle.label_dataset(t, requests)
     oracle.save_dataset_file(ds, _prepare_out_file(args.out))
     print(f"wrote {args.out}: {len(ds)} examples "
@@ -111,38 +108,26 @@ def cmd_dataset(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-# Flags a --config file may supply.  The flags below parse with SUPPRESS
-# defaults, so a missing attribute means "not given on the command line" and
-# the precedence is: explicit flag > config file > hard default.
+# Flags a --config file may supply, by argparse dest.  main() installs the
+# file's values as the train subparser's defaults and parses again, so the
+# precedence is: explicit flag > config file > library default.
 CONFIG_KEYS = frozenset({
     "dataset", "holdout", "epochs", "alpha_sl", "stop_failure_ratio",
     "init", "lam", "episodes", "alpha_rl", "gamma", "epsilon",
     "stop_success_rate", "hidden_dim", "t_prop", "seed", "out",
 })
 
-SL_DEFAULTS = {
-    "dataset": None, "holdout": None, "epochs": 30, "alpha_sl": 0.001,
-    "stop_failure_ratio": None, "hidden_dim": 32, "t_prop": 5,
-    "seed": 0, "out": None,
-}
 
-RL_DEFAULTS = {
-    "init": None, "lam": 0.0, "episodes": 5000, "alpha_rl": 0.00001,
-    "gamma": 0.999, "epsilon": 0.01, "stop_success_rate": None,
-    "hidden_dim": 32, "t_prop": 5, "seed": 0, "out": None,
-}
-
-
-def _apply_config(args, hard_defaults: dict) -> None:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-        unknown = set(config) - CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, default in hard_defaults.items():
-        if not hasattr(args, key):
-            setattr(args, key, config.get(key, default))
+def _load_config(path: str) -> dict:
+    """A --config file's values, as strings for the flags' own types to parse;
+    a null value is left out, so its flag keeps the library default."""
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(config) - CONFIG_KEYS
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return {key: str(value) for key, value in config.items() if value is not None}
 
 
 def _history_echo(kind: str):
@@ -154,7 +139,6 @@ def _history_echo(kind: str):
 
 
 def cmd_train_sl(args) -> int:
-    _apply_config(args, SL_DEFAULTS)
     if not args.dataset or not args.out:
         raise ValueError("sl training needs --dataset and --out (flag or config)")
     t = _load_base_topology(args)
@@ -165,19 +149,19 @@ def cmd_train_sl(args) -> int:
     hp = training.HyperParams(alpha_sl=args.alpha_sl, sl_epochs=args.epochs, seed=args.seed)
     params = init_policy_params(cfg, seed=args.seed)
 
-    out = Path(args.out)
-    _write_config_echo(out, {
-        "mode": "sl", "dataset": str(args.dataset), "holdout": args.holdout,
-        "topology": "fixture" if args.fixture else str(args.topology),
-        "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop, "K": cfg.vnf_type_count,
-        "alpha_sl": hp.alpha_sl, "epochs": hp.sl_epochs, "seed": hp.seed,
-        "stop_failure_ratio": args.stop_failure_ratio,
-    })
     params, history = training.train_sl(
         params, cfg, t, ds, hp, holdout=holdout,
         stop_failure_ratio=args.stop_failure_ratio,
         progress=_history_echo("epoch"),
     )
+    out = Path(args.out)
+    _write_config_echo(out, {
+        "mode": "sl", "dataset": str(args.dataset), "holdout": args.holdout,
+        "topology": _topology_desc(args),
+        "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop, "K": cfg.vnf_type_count,
+        "alpha_sl": hp.alpha_sl, "epochs": hp.sl_epochs, "seed": hp.seed,
+        "stop_failure_ratio": args.stop_failure_ratio,
+    })
     save_policy(params, cfg, out / "sl.ckpt", seed=hp.seed, training_stage="sl")
     training.save_history(history, out / "history.csv", index_name="epoch")
     print(f"wrote {out / 'sl.ckpt'} and history.csv ({len(history)} epochs)")
@@ -185,7 +169,6 @@ def cmd_train_sl(args) -> int:
 
 
 def cmd_train_rl(args) -> int:
-    _apply_config(args, RL_DEFAULTS)
     if not args.out:
         raise ValueError("rl training needs --out (flag or config)")
     if args.pool:
@@ -193,7 +176,7 @@ def cmd_train_rl(args) -> int:
         topo_desc = str(args.pool)
     else:
         topos = _load_base_topology(args)
-        topo_desc = "fixture" if args.fixture else str(args.topology)
+        topo_desc = _topology_desc(args)
 
     if args.init:
         params, cfg, _ = load_policy(args.init)
@@ -208,15 +191,6 @@ def cmd_train_rl(args) -> int:
     hp = training.HyperParams(alpha_rl=args.alpha_rl, gamma=args.gamma,
                               epsilon=args.epsilon, lam=args.lam,
                               episodes=args.episodes, seed=args.seed)
-    out = Path(args.out)
-    _write_config_echo(out, {
-        "mode": "rl", "init": args.init, "from_scratch": args.from_scratch,
-        "topologies": topo_desc, "lam": hp.lam, "alpha_rl": hp.alpha_rl,
-        "gamma": hp.gamma, "epsilon": hp.epsilon, "episodes": hp.episodes,
-        "stop_success_rate": args.stop_success_rate,
-        "seed": hp.seed, "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop,
-        "K": cfg.vnf_type_count,
-    })
 
     every = max(1, args.episodes // 20)
     def progress(row: training.HistoryRow) -> None:
@@ -227,6 +201,15 @@ def cmd_train_rl(args) -> int:
         params, topos, hp, cfg,
         stop_success_rate=args.stop_success_rate, progress=progress,
     )
+    out = Path(args.out)
+    _write_config_echo(out, {
+        "mode": "rl", "init": args.init, "from_scratch": args.from_scratch,
+        "topologies": topo_desc, "lam": hp.lam, "alpha_rl": hp.alpha_rl,
+        "gamma": hp.gamma, "epsilon": hp.epsilon, "episodes": hp.episodes,
+        "stop_success_rate": args.stop_success_rate,
+        "seed": hp.seed, "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop,
+        "K": cfg.vnf_type_count,
+    })
     save_policy(params, cfg, out / "rl.ckpt", seed=hp.seed, training_stage="rl")
     training.save_history(history, out / "history.csv", index_name="episode")
     print(f"wrote {out / 'rl.ckpt'} and history.csv ({len(history)} episodes)")
@@ -258,12 +241,12 @@ def cmd_eval(args) -> int:
     report = evaluation.run_experiment(
         checkpoints, fixture, pools,
         request_count=args.requests, seed=args.seed,
-        chain_len_range=_chain_len_range(args), actors=actors,
+        chain_len_range=(args.chain_min, args.chain_max), actors=actors,
     )
     out = Path(args.out)
     _write_config_echo(out, {
         "checkpoints": list(args.checkpoint),
-        "topology": "fixture" if args.fixture else str(args.topology),
+        "topology": _topology_desc(args),
         "pool_cs1": str(args.pool_cs1), "pool_cs2": str(args.pool_cs2),
         "requests": args.requests, "seed": args.seed,
         "chain_min": args.chain_min, "chain_max": args.chain_max,
@@ -440,6 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "paths, train and evaluate a graph-neural routing policy.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    hp, pc = training.HyperParams(), PolicyConfig()
+    dflt = "default %(default)s"
 
     topo = sub.add_parser("topo", help="topology files and pools")
     topo_sub = topo.add_subparsers(dest="subcommand", required=True)
@@ -474,40 +459,39 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="supervised or policy-gradient training")
     train_sub = train.add_subparsers(dest="subcommand", required=True)
 
-    s = argparse.SUPPRESS  # absent attr = flag not given, see _apply_config
+    config_help = "JSON file of defaults for these flags"
     p = train_sub.add_parser("sl", help="teacher-forced training on labels")
     _add_topology_source(p)
-    p.add_argument("--config", default=None, help="JSON file of defaults for these flags")
-    p.add_argument("--dataset", default=s)
-    p.add_argument("--holdout", default=s,
-                   help="labeled dataset for per-epoch greedy evaluation")
-    p.add_argument("--epochs", type=int, default=s, help="default 30")
-    p.add_argument("--alpha-sl", type=float, default=s, help="default 0.001")
-    p.add_argument("--stop-failure-ratio", type=float, default=s)
-    p.add_argument("--hidden-dim", type=int, default=s, help="default 32")
-    p.add_argument("--t-prop", type=int, default=s, help="default 5")
-    p.add_argument("--seed", type=int, default=s, help="default 0")
-    p.add_argument("--out", default=s)
-    p.set_defaults(func=cmd_train_sl)
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--dataset")
+    p.add_argument("--holdout", help="labeled dataset for per-epoch greedy evaluation")
+    p.add_argument("--epochs", type=int, default=hp.sl_epochs, help=dflt)
+    p.add_argument("--alpha-sl", type=float, default=hp.alpha_sl, help=dflt)
+    p.add_argument("--stop-failure-ratio", type=float)
+    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim, help=dflt)
+    p.add_argument("--t-prop", type=int, default=pc.t_prop, help=dflt)
+    p.add_argument("--seed", type=int, default=hp.seed, help=dflt)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_train_sl, config_parser=p)
 
     p = train_sub.add_parser("rl", help="REINFORCE fine-tuning")
     _add_topology_source(p, with_pool=True)
-    p.add_argument("--config", default=None, help="JSON file of defaults for these flags")
-    p.add_argument("--init", default=s, help="checkpoint to start from (the SL model)")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--init", help="checkpoint to start from (the SL model)")
     p.add_argument("--from-scratch", action="store_true")
-    p.add_argument("--lambda", "--lam", dest="lam", type=float, default=s,
-                   help="delay-penalty weight in the reward (default 0)")
-    p.add_argument("--episodes", type=int, default=s, help="default 5000")
-    p.add_argument("--alpha-rl", type=float, default=s, help="default 1e-5")
-    p.add_argument("--gamma", type=float, default=s, help="default 0.999")
-    p.add_argument("--epsilon", type=float, default=s, help="default 0.01")
-    p.add_argument("--stop-success-rate", type=float, default=s,
+    p.add_argument("--lambda", "--lam", dest="lam", type=float, default=hp.lam,
+                   help="delay-penalty weight in the reward (default %(default)s)")
+    p.add_argument("--episodes", type=int, default=hp.episodes, help=dflt)
+    p.add_argument("--alpha-rl", type=float, default=hp.alpha_rl, help=dflt)
+    p.add_argument("--gamma", type=float, default=hp.gamma, help=dflt)
+    p.add_argument("--epsilon", type=float, default=hp.epsilon, help=dflt)
+    p.add_argument("--stop-success-rate", type=float,
                    help="end training once the rolling success rate reaches this")
-    p.add_argument("--hidden-dim", type=int, default=s, help="default 32")
-    p.add_argument("--t-prop", type=int, default=s, help="default 5")
-    p.add_argument("--seed", type=int, default=s, help="default 0")
-    p.add_argument("--out", default=s)
-    p.set_defaults(func=cmd_train_rl)
+    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim, help=dflt)
+    p.add_argument("--t-prop", type=int, default=pc.t_prop, help=dflt)
+    p.add_argument("--seed", type=int, default=hp.seed, help=dflt)
+    p.add_argument("--out")
+    p.set_defaults(func=cmd_train_rl, config_parser=p)
 
     p = sub.add_parser("eval", help="three-test evaluation of checkpoints")
     _add_topology_source(p)
@@ -542,15 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-size", type=int, default=2000)
     p.add_argument("--holdout-size", type=int, default=500)
     p.add_argument("--sl-epochs", type=int, default=10)
-    p.add_argument("--episodes", type=int, default=5000,
+    p.add_argument("--episodes", type=int, default=hp.episodes,
                    help="episode cap for the fixture-trained rows")
     p.add_argument("--episodes-pool", type=int, default=8000,
                    help="episodes for the pool-trained rows")
     p.add_argument("--requests", type=int, default=1000)
-    p.add_argument("--hidden-dim", type=int, default=32)
-    p.add_argument("--t-prop", type=int, default=5)
-    p.add_argument("--alpha-sl", type=float, default=0.001)
-    p.add_argument("--alpha-rl", type=float, default=0.00001)
+    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim)
+    p.add_argument("--t-prop", type=int, default=pc.t_prop)
+    p.add_argument("--alpha-sl", type=float, default=hp.alpha_sl)
+    p.add_argument("--alpha-rl", type=float, default=hp.alpha_rl)
     p.add_argument("--alpha-rl-pool", type=float, default=0.000001,
                    help="learning rate for the pool-trained rows")
     p.add_argument("--stop-failure-ratio", type=float, default=0.01)
@@ -570,6 +554,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
+        if getattr(ns, "config", None):
+            ns.config_parser.set_defaults(**_load_config(ns.config))
+            ns = parser.parse_args(argv)
         return ns.func(ns)
     except (TopologyError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

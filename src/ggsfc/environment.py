@@ -8,13 +8,14 @@ walk stands at the destination; it fails when the step budget runs out.
 
 Total delay of a walk is the sum of traversed edge delays (with
 multiplicity) plus the processing delays of the instances used.  Reward is
-sparse: success_base - lam * total_delay on the success-terminal step, zero
-everywhere else.
+sparse: DEFAULT_SUCCESS_BASE - lam * total_delay on the success-terminal
+step, zero everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,12 +65,9 @@ EMPTY_PATH = PathResult(edge_uses=(), instance_uses=(), total_delay=0, success=F
 @dataclass(frozen=True)
 class RewardConfig:
     # lam is the delay-penalty weight (0 rewards any success equally)
-    success_base: float = DEFAULT_SUCCESS_BASE
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.success_base <= 0:
-            raise ValueError(f"success_base must be > 0, got {self.success_base}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
@@ -146,8 +144,8 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
     """Apply one action; returns (next state, reward, done).
 
     Success is checked after the move: at the destination with the chain
-    fully processed.  Reward is success_base - lam * total_delay then, 0 on
-    every other step including budget-exhaustion failure.
+    fully processed.  Reward is DEFAULT_SUCCESS_BASE - lam * total_delay
+    then, 0 on every other step including budget-exhaustion failure.
     """
     if s.done:
         raise InvalidActionError("step called on a finished episode")
@@ -182,7 +180,7 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
         total_delay=total,
         success=success,
     )
-    reward = cfg.success_base - cfg.lam * total if success else 0.0
+    reward = DEFAULT_SUCCESS_BASE - cfg.lam * total if success else 0.0
     nxt = EnvState(
         request=s.request,
         current_node=a.next_node,
@@ -238,15 +236,28 @@ def generate_requests(
     return requests
 
 
+def generate_pool_requests(
+    topologies: Sequence[Topology],
+    count: int,
+    chain_len_range: tuple[int, int],
+    rng: np.random.Generator,
+) -> list[tuple[int, SfcRequest]]:
+    """(topology index, request) pairs: each draws a topology uniformly,
+    then one request on it."""
+    pairs = []
+    for _ in range(count):
+        tid = int(rng.integers(len(topologies)))
+        pairs.append((tid, generate_requests(topologies[tid], 1, chain_len_range, rng)[0]))
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # episode traces (recorded rollouts; consumed by training)
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One transition: where the agent stood, what it did, what it got."""
+    """One transition: what the agent did and what it got."""
 
-    node: int
-    chain_index: int
     action: Action
     reward: float
     log_prob: float

@@ -23,13 +23,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .environment import DEFAULT_CHAIN_LEN_RANGE, SfcRequest, generate_requests
+from .environment import (
+    DEFAULT_CHAIN_LEN_RANGE,
+    SfcRequest,
+    generate_pool_requests,
+    generate_requests,
+)
 from .nn import ParamSet
 from .oracle import solve_optimal
 from .policy import PolicyConfig, rollout
 from .topology import Topology, TopologyPool
 
-TEST_ORIGINAL = "original"
 TEST_RANDOM = "random"
 TEST_RANDOM_VNFS = "random_vnfs"
 
@@ -166,11 +170,8 @@ def _pool_pairs(
     chain_len_range: tuple[int, int],
     rng: np.random.Generator,
 ) -> list[tuple[Topology, SfcRequest]]:
-    pairs = []
-    for _ in range(count):
-        t = pool.variants[int(rng.integers(len(pool.variants)))]
-        pairs.append((t, generate_requests(t, 1, chain_len_range, rng)[0]))
-    return pairs
+    pairs = generate_pool_requests(pool.variants, count, chain_len_range, rng)
+    return [(pool.variants[tid], req) for tid, req in pairs]
 
 
 def run_experiment(

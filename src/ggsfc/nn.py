@@ -54,9 +54,6 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         return ParamSet(self._tensors)
 
-    def size(self) -> int:
-        return sum(v.size for v in self._tensors.values())
-
 
 class GradSet:
     """Gradient accumulator shape-matched to a ParamSet."""
@@ -81,10 +78,6 @@ class GradSet:
     def add_all(self, grads: Mapping[str, np.ndarray]) -> None:
         for name, value in grads.items():
             self.add(name, value)
-
-    def scale(self, factor: float) -> None:
-        for v in self._tensors.values():
-            v *= factor
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(v)) for v in self._tensors.values())

@@ -44,7 +44,7 @@ from .nn import GradSet, ParamSet
 from .topology import Topology, adjacency_matrix
 
 SCORER_VARIANT = "additive-tanh"
-ROLLOUT_MODES = ("greedy", "sample", "epsilon_greedy")
+ROLLOUT_MODES = ("greedy", "epsilon_greedy")
 
 
 @dataclass(frozen=True)
@@ -339,17 +339,8 @@ def _run_episode(
         if want_caches:
             step_caches.append((cache, len(segments) - 1, state.current_node))
 
-        prev_node, prev_index = state.current_node, state.chain_index
         state, reward, _ = env_step(state, action, t, reward_cfg)
-        trace_steps.append(
-            TraceStep(
-                node=prev_node,
-                chain_index=prev_index,
-                action=action,
-                reward=reward,
-                log_prob=logp,
-            )
-        )
+        trace_steps.append(TraceStep(action=action, reward=reward, log_prob=logp))
 
     trace = EpisodeTrace(
         topology=t,
@@ -362,15 +353,7 @@ def _run_episode(
 
 def _greedy_action(dist: ActionDistribution) -> Action:
     node = int(np.argmax(dist.node_probs))
-    process = bool(dist.process_mask[node]) and dist.process_prob[node] >= 0.5
-    return Action(node, process)
-
-
-def _sample_action(dist: ActionDistribution, rng: np.random.Generator) -> Action:
-    node = int(rng.choice(len(dist.node_probs), p=dist.node_probs))
-    process = False
-    if dist.process_mask[node]:
-        process = bool(rng.random() < dist.process_prob[node])
+    process = bool(dist.process_mask[node] and dist.process_prob[node] >= 0.5)
     return Action(node, process)
 
 
@@ -387,7 +370,6 @@ def rollout(
     """Run one episode under the policy.
 
     greedy: argmax node, process iff its probability >= 0.5 (deterministic).
-    sample: draw node from the distribution, then the process coin.
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
     probability of the taken action.
@@ -402,8 +384,6 @@ def rollout(
     def select(dist: ActionDistribution, acts: tuple[Action, ...]) -> Action:
         if mode == "greedy":
             return _greedy_action(dist)
-        if mode == "sample":
-            return _sample_action(dist, rng)
         if rng.random() < epsilon:
             return acts[int(rng.integers(len(acts)))]
         return _greedy_action(dist)

@@ -31,6 +31,11 @@ EDGE_DELAY_RANGE = (1, 10)
 DEFAULT_POOL_SIZE = 100
 FIXTURE_SEED = 12
 
+# CS1 trial counts and per-trial success probabilities
+NODE_ADD_TRIALS, NODE_ADD_PROB = 12, 0.1
+EDGE_ADD_TRIALS, EDGE_ADD_PROB = 15, 0.3
+EDGE_REMOVE_TRIALS, EDGE_REMOVE_PROB = 30, 0.3
+
 
 class TopologyError(ValueError):
     """Malformed topology document or violated structural invariant."""
@@ -43,28 +48,6 @@ class VnfInstance:
     node: int
     vnf_type: int
     proc_delay: int
-
-
-@dataclass(frozen=True)
-class MutationParams:
-    """Trial counts and per-trial probabilities for topology changes."""
-
-    node_add_prob: float = 0.1
-    node_add_trials: int = 12
-    edge_add_prob: float = 0.3
-    edge_add_trials: int = 15
-    edge_remove_prob: float = 0.3
-    edge_remove_trials: int = 30
-
-    def __post_init__(self) -> None:
-        for name in ("node_add_prob", "edge_add_prob", "edge_remove_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        for name in ("node_add_trials", "edge_add_trials", "edge_remove_trials"):
-            n = getattr(self, name)
-            if n < 0:
-                raise ValueError(f"{name} must be >= 0, got {n}")
 
 
 @dataclass
@@ -351,10 +334,9 @@ def _connected_without(
 
 
 def mutate_cs1_stats(
-    t: Topology, rng: np.random.Generator, params: MutationParams | None = None
+    t: Topology, rng: np.random.Generator
 ) -> tuple[Topology, MutationStats]:
     """CS1 mutation with trial accounting; see :func:`mutate_cs1`."""
-    params = params or MutationParams()
     stats = MutationStats()
     lo, hi = EDGE_DELAY_RANGE
 
@@ -371,8 +353,8 @@ def mutate_cs1_stats(
         adj[v].add(u)
 
     # node additions: each new node is wired to two distinct existing nodes
-    for _ in range(params.node_add_trials):
-        if rng.random() < params.node_add_prob:
+    for _ in range(NODE_ADD_TRIALS):
+        if rng.random() < NODE_ADD_PROB:
             stats.node_add_successes += 1
             if n < 2:
                 continue
@@ -385,8 +367,8 @@ def mutate_cs1_stats(
 
     # edge additions between non-adjacent distinct pairs; an adjacent pair
     # dismisses the trial
-    for _ in range(params.edge_add_trials):
-        if rng.random() < params.edge_add_prob:
+    for _ in range(EDGE_ADD_TRIALS):
+        if rng.random() < EDGE_ADD_PROB:
             stats.edge_add_successes += 1
             u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
             if v not in adj[u]:
@@ -394,8 +376,8 @@ def mutate_cs1_stats(
                 stats.edge_add_applied += 1
 
     # edge removals, dismissed whenever the removal would disconnect
-    for _ in range(params.edge_remove_trials):
-        if rng.random() < params.edge_remove_prob:
+    for _ in range(EDGE_REMOVE_TRIALS):
+        if rng.random() < EDGE_REMOVE_PROB:
             stats.edge_remove_successes += 1
             if not edges:
                 continue
@@ -416,14 +398,12 @@ def mutate_cs1_stats(
     return mutated, stats
 
 
-def mutate_cs1(
-    t: Topology, rng: np.random.Generator, params: MutationParams | None = None
-) -> Topology:
+def mutate_cs1(t: Topology, rng: np.random.Generator) -> Topology:
     """Change strategy 1: random node/edge additions then guarded edge removals.
 
     VNF instances are untouched.  The result is always connected and simple.
     """
-    mutated, _ = mutate_cs1_stats(t, rng, params)
+    mutated, _ = mutate_cs1_stats(t, rng)
     return mutated
 
 
@@ -435,11 +415,9 @@ def relocate_instances(t: Topology, rng: np.random.Generator) -> Topology:
     return replace(t, instances=moved)
 
 
-def mutate_cs2(
-    t: Topology, rng: np.random.Generator, params: MutationParams | None = None
-) -> Topology:
+def mutate_cs2(t: Topology, rng: np.random.Generator) -> Topology:
     """Change strategy 2: CS1 followed by random relocation of all instances."""
-    return relocate_instances(mutate_cs1(t, rng, params), rng)
+    return relocate_instances(mutate_cs1(t, rng), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +456,6 @@ def generate_pool(
     strategy: str,
     pool_size: int = DEFAULT_POOL_SIZE,
     seed: int = 0,
-    params: MutationParams | None = None,
 ) -> TopologyPool:
     """Mutate ``base`` ``pool_size`` times; deterministic for a given seed."""
     if strategy not in _STRATEGIES:
@@ -487,7 +464,7 @@ def generate_pool(
         raise ValueError("pool_size must be >= 1")
     mutate = _STRATEGIES[strategy]
     rng = np.random.default_rng(seed)
-    variants = tuple(mutate(base, rng, params) for _ in range(pool_size))
+    variants = tuple(mutate(base, rng) for _ in range(pool_size))
     return TopologyPool(base=base, variants=variants, strategy=strategy, seed=seed)
 
 

@@ -5,14 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from ggsfc.cli import _history_echo, main
 from ggsfc.oracle import load_dataset_file
+from ggsfc.policy import PolicyConfig, init_policy_params, save_policy
 from ggsfc.topology import (
-    MutationParams,
     internet2_fixture,
     load_pool,
     load_topology_file,
     mutate_cs1,
+    save_topology_file,
     topology_sha256,
 )
 from ggsfc.training import HistoryRow
@@ -41,8 +44,7 @@ def test_topo_mutate_matches_library_call(tmp_path):
     out = tmp_path / "mut.json"
     assert run("topo", "mutate", "--fixture", "--strategy", "cs1",
                "--seed", "3", "--out", str(out)) == 0
-    expected = mutate_cs1(internet2_fixture(), np.random.default_rng(3),
-                          MutationParams())
+    expected = mutate_cs1(internet2_fixture(), np.random.default_rng(3))
     assert load_topology_file(out) == expected
 
 
@@ -137,6 +139,21 @@ def test_train_sl_rejects_an_out_of_range_topology_id(tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "topology_id 5" in captured.err and "< 1" in captured.err
     assert not (tmp_path / "sl" / "sl.ckpt").exists()
+    assert not (tmp_path / "sl" / "config.json").exists()
+
+
+def test_train_rl_refused_by_the_policy_writes_nothing(tmp_path, capsys):
+    topo = tmp_path / "k6.json"
+    save_topology_file(replace(internet2_fixture(), vnf_type_count=6), topo)
+    ckpt = tmp_path / "k5.ckpt"
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
+    out = tmp_path / "rl"
+    rc = run("train", "rl", "--topology", str(topo), "--init", str(ckpt),
+             "--episodes", "1", "--out", str(out))
+    assert rc == 1
+    assert "declares 6 VNF types, policy expects 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_history_echo_prints_a_failed_episode_loss_as_zero(capsys):
@@ -202,6 +219,45 @@ def test_explicit_flags_beat_the_config_file(sl_run, tmp_path):
                "--episodes", "1") == 0
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 2
+
+
+def test_config_values_parse_like_their_flags(sl_run, tmp_path):
+    _, _, sl_out = sl_run
+    out = tmp_path / "rl"
+    config = tmp_path / "rl.json"
+    config.write_text(json.dumps({
+        "init": str(sl_out / "sl.ckpt"), "episodes": "2", "lam": 1, "gamma": None,
+        "out": str(out),
+    }))
+    assert run("train", "rl", "--fixture", "--config", str(config)) == 0
+    assert len((out / "history.csv").read_text().splitlines()) == 3
+    echo = json.loads((out / "config.json").read_text())
+    assert echo["episodes"] == 2 and echo["gamma"] == 0.999
+    assert echo["lam"] == 1.0 and isinstance(echo["lam"], float)
+
+
+def test_a_config_value_its_flag_refuses_is_a_usage_error(sl_run, tmp_path, capsys):
+    _, _, sl_out = sl_run
+    out = tmp_path / "rl"
+    config = tmp_path / "rl.json"
+    config.write_text(json.dumps({
+        "init": str(sl_out / "sl.ckpt"), "episodes": 2.5, "out": str(out),
+    }))
+    with pytest.raises(SystemExit) as exc:
+        run("train", "rl", "--fixture", "--config", str(config))
+    assert exc.value.code == 2
+    assert "--episodes: invalid int value: '2.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [3, [], "episodes"])
+def test_a_config_that_is_not_an_object_is_rejected(tmp_path, capsys, doc):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    rc = run("train", "sl", "--fixture", "--config", str(config))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):

@@ -223,8 +223,6 @@ def test_total_delay_rejects_foreign_instances():
 
 
 def test_reward_config_validation():
-    with pytest.raises(ValueError, match="success_base"):
-        RewardConfig(success_base=0.0)
     with pytest.raises(ValueError, match="lam"):
         RewardConfig(lam=-1.0)
 

@@ -1,5 +1,7 @@
 """Encoder/decoder policy: annotations, distributions, rollouts, gradients."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,8 +214,10 @@ def test_sample_rollout_is_seeded():
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=1)
     req = SfcRequest(2, 9, (0, 3))
-    a = rollout(params, cfg, t, req, mode="sample", rng=np.random.default_rng(4))
-    b = rollout(params, cfg, t, req, mode="sample", rng=np.random.default_rng(4))
+    a = rollout(params, cfg, t, req, mode="epsilon_greedy",
+                rng=np.random.default_rng(4), epsilon=0.5)
+    b = rollout(params, cfg, t, req, mode="epsilon_greedy",
+                rng=np.random.default_rng(4), epsilon=0.5)
     assert [s.action for s in a.steps] == [s.action for s in b.steps]
 
 
@@ -236,7 +240,7 @@ def test_rollout_argument_validation():
     with pytest.raises(ValueError, match="mode"):
         rollout(params, cfg, t, req, mode="thermal")
     with pytest.raises(ValueError, match="rng"):
-        rollout(params, cfg, t, req, mode="sample")
+        rollout(params, cfg, t, req, mode="epsilon_greedy")
 
 
 def test_rollout_log_probs_are_log_probabilities():
@@ -244,8 +248,19 @@ def test_rollout_log_probs_are_log_probabilities():
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=2)
     req = SfcRequest(1, 10, (0, 4))
-    trace = rollout(params, cfg, t, req, mode="sample", rng=np.random.default_rng(8))
+    trace = rollout(params, cfg, t, req, mode="epsilon_greedy",
+                    rng=np.random.default_rng(8), epsilon=0.5)
     assert all(s.log_prob <= 0.0 for s in trace.steps)
+
+
+def test_greedy_actions_carry_plain_bools():
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=0)  # greedy picks process-capable nodes
+    for req in generate_requests(t, 5, (1, 4), np.random.default_rng(0)):
+        trace = rollout(params, cfg, t, req, mode="greedy")
+        assert all(type(s.action.process) is bool for s in trace.steps)
+        json.dumps([[s.action.next_node, s.action.process] for s in trace.steps])
 
 
 def test_one_parameter_set_runs_on_different_graph_sizes():
@@ -273,7 +288,7 @@ def test_replayed_log_probs_are_bit_identical():
     params = init_policy_params(cfg, seed=5)
     rng = np.random.default_rng(12)
     for req in generate_requests(t, 5, (1, 3), rng):
-        trace = rollout(params, cfg, t, req, mode="sample", rng=rng)
+        trace = rollout(params, cfg, t, req, mode="epsilon_greedy", rng=rng, epsilon=0.5)
         actions = tuple(s.action for s in trace.steps)
         log_probs, _ = episode_gradients(
             params, cfg, t, req, actions, np.zeros(len(actions))
@@ -286,7 +301,8 @@ def test_episode_gradients_match_finite_differences():
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=7)
     req = SfcRequest(0, 3, (0, 1))
-    trace = rollout(params, cfg, t, req, mode="sample", rng=np.random.default_rng(3))
+    trace = rollout(params, cfg, t, req, mode="epsilon_greedy",
+                    rng=np.random.default_rng(3), epsilon=0.5)
     actions = tuple(s.action for s in trace.steps)
     rng = np.random.default_rng(9)
     coeffs = rng.normal(size=len(actions))

@@ -8,7 +8,6 @@ import pytest
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
     FIXTURE_SEED,
-    MutationParams,
     Topology,
     TopologyError,
     VnfInstance,
@@ -276,19 +275,6 @@ def test_cs1_is_deterministic_for_a_seed():
     a = mutate_cs1(t, np.random.default_rng(42))
     b = mutate_cs1(t, np.random.default_rng(42))
     assert a == b
-
-
-def test_cs1_zero_probability_params_change_nothing():
-    t = internet2_fixture()
-    params = MutationParams(node_add_prob=0.0, edge_add_prob=0.0, edge_remove_prob=0.0)
-    assert mutate_cs1(t, np.random.default_rng(0), params) == t
-
-
-def test_mutation_params_validation():
-    with pytest.raises(ValueError, match="node_add_prob"):
-        MutationParams(node_add_prob=1.5)
-    with pytest.raises(ValueError, match="edge_add_trials"):
-        MutationParams(edge_add_trials=-1)
 
 
 def test_cs2_relocates_but_preserves_type_delay_multiset():
