@@ -14,20 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from . import environment, evaluation, oracle, topology, training
+from . import environment, evaluation, experiment, oracle, topology, training
 from .policy import PolicyConfig, init_policy_params, load_policy, save_policy
 from .topology import TopologyError
-
-
-def _write_config_echo(directory: Path, config: dict) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n"
-    )
 
 
 def _load_base_topology(args) -> topology.Topology:
@@ -108,34 +102,27 @@ def cmd_dataset(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-# Flags a --config file may supply, by argparse dest.  main() installs the
-# file's values as the train subparser's defaults and parses again, so the
+# Flags a --config file may supply, by train verb and argparse dest.  main()
+# installs the file's values as the verb's defaults and parses again, so the
 # precedence is: explicit flag > config file > library default.
-CONFIG_KEYS = frozenset({
-    "dataset", "holdout", "epochs", "alpha_sl", "stop_failure_ratio",
-    "init", "lam", "episodes", "alpha_rl", "gamma", "epsilon",
-    "stop_success_rate", "hidden_dim", "t_prop", "seed", "out",
-})
+CONFIG_KEYS = {
+    "sl": frozenset({"dataset", "holdout", "epochs", "alpha_sl", "stop_failure_ratio",
+                     "hidden_dim", "t_prop", "seed", "out"}),
+    "rl": frozenset({"init", "lam", "episodes", "alpha_rl", "gamma", "epsilon",
+                     "stop_success_rate", "hidden_dim", "t_prop", "seed", "out"}),
+}
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, verb: str) -> dict:
     """A --config file's values, as strings for the flags' own types to parse;
     a null value is left out, so its flag keeps the library default."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(config) - CONFIG_KEYS
+    unknown = set(config) - CONFIG_KEYS[verb]
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys for train {verb}: {sorted(unknown)}")
     return {key: str(value) for key, value in config.items() if value is not None}
-
-
-def _history_echo(kind: str):
-    def emit(row: training.HistoryRow) -> None:
-        # + 0.0 turns the -0.0 loss of a failed episode into 0
-        print(f"{kind} {row.index}: success_rate {row.success_rate:.4f} "
-              f"mean_delay {row.mean_delay:.1f} loss {row.loss + 0.0:.4f}")
-    return emit
 
 
 def cmd_train_sl(args) -> int:
@@ -152,10 +139,10 @@ def cmd_train_sl(args) -> int:
     params, history = training.train_sl(
         params, cfg, t, ds, hp, holdout=holdout,
         stop_failure_ratio=args.stop_failure_ratio,
-        progress=_history_echo("epoch"),
+        progress=lambda row: print(training.format_history_row("epoch", row)),
     )
     out = Path(args.out)
-    _write_config_echo(out, {
+    experiment.write_config_echo(out, {
         "mode": "sl", "dataset": str(args.dataset), "holdout": args.holdout,
         "topology": _topology_desc(args),
         "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop, "K": cfg.vnf_type_count,
@@ -178,12 +165,18 @@ def cmd_train_rl(args) -> int:
         topos = _load_base_topology(args)
         topo_desc = _topology_desc(args)
 
+    # the architecture flags asked for explicitly (by flag or config)
+    arch = {k: v for k, v in (("hidden_dim", args.hidden_dim), ("t_prop", args.t_prop))
+            if v is not None}
     if args.init:
         params, cfg, _ = load_policy(args.init)
+        for key, value in arch.items():
+            if getattr(cfg, key) != value:
+                raise ValueError(f"--{key.replace('_', '-')} {value} differs from "
+                                 f"the --init checkpoint's {getattr(cfg, key)}")
     elif args.from_scratch:
         base = topos.base if isinstance(topos, topology.TopologyPool) else topos
-        cfg = PolicyConfig(hidden_dim=args.hidden_dim, vnf_type_count=base.vnf_type_count,
-                           t_prop=args.t_prop)
+        cfg = PolicyConfig(vnf_type_count=base.vnf_type_count, **arch)
         params = init_policy_params(cfg, seed=args.seed)
     else:
         raise ValueError("rl training needs --init CHECKPOINT (or --from-scratch)")
@@ -195,14 +188,14 @@ def cmd_train_rl(args) -> int:
     every = max(1, args.episodes // 20)
     def progress(row: training.HistoryRow) -> None:
         if row.index % every == 0 or row.index == args.episodes:
-            _history_echo("episode")(row)
+            print(training.format_history_row("episode", row))
 
     params, history = training.train_rl(
         params, topos, hp, cfg,
         stop_success_rate=args.stop_success_rate, progress=progress,
     )
     out = Path(args.out)
-    _write_config_echo(out, {
+    experiment.write_config_echo(out, {
         "mode": "rl", "init": args.init, "from_scratch": args.from_scratch,
         "topologies": topo_desc, "lam": hp.lam, "alpha_rl": hp.alpha_rl,
         "gamma": hp.gamma, "epsilon": hp.epsilon, "episodes": hp.episodes,
@@ -244,7 +237,7 @@ def cmd_eval(args) -> int:
         chain_len_range=(args.chain_min, args.chain_max), actors=actors,
     )
     out = Path(args.out)
-    _write_config_echo(out, {
+    experiment.write_config_echo(out, {
         "checkpoints": list(args.checkpoint),
         "topology": _topology_desc(args),
         "pool_cs1": str(args.pool_cs1), "pool_cs2": str(args.pool_cs2),
@@ -278,124 +271,16 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # exp table1: the whole desk-scale pipeline in one command
 
-# Stage seeds are fixed offsets from the experiment seed so that each stage
-# draws from its own stream and reruns are reproducible.
-STAGE_SEEDS = {
-    "cs1_train": 101, "cs1_test": 202, "cs2_train": 303, "cs2_test": 404,
-    "dataset": 100, "sl_init": 7, "sl_train": 11, "eval": 20,
-}
-
-
-def _parse_rl_seeds(spec: str) -> list[int]:
-    parts = [p.strip() for p in spec.split(",")]
-    if len(parts) != 6:
-        raise ValueError(f"--rl-seeds needs 6 comma-separated integers, got {spec!r}")
-    return [int(p) for p in parts]
+def _table1_config(args) -> experiment.Table1Config:
+    settings = {f.name: getattr(args, f.name) for f in fields(experiment.Table1Config)}
+    settings["rl_seeds"] = tuple(int(p) for p in args.rl_seeds.split(","))
+    return experiment.Table1Config(**settings)
 
 
 def cmd_exp_table1(args) -> int:
-    out = Path(args.out)
-    fixture = topology.internet2_fixture()
-    seed = args.seed
-    rl_seeds = _parse_rl_seeds(args.rl_seeds)
-    _write_config_echo(out, {
-        "experiment": "table1", "seed": seed,
-        "pool_size": args.pool_size, "dataset_size": args.dataset_size,
-        "holdout_size": args.holdout_size, "sl_epochs": args.sl_epochs,
-        "episodes": args.episodes, "episodes_pool": args.episodes_pool,
-        "requests": args.requests,
-        "hidden_dim": args.hidden_dim, "t_prop": args.t_prop,
-        "alpha_sl": args.alpha_sl, "alpha_rl": args.alpha_rl,
-        "alpha_rl_pool": args.alpha_rl_pool,
-        "stop_failure_ratio": args.stop_failure_ratio,
-        "stop_success_rate": args.stop_success_rate,
-        "rl_seeds": rl_seeds,
-    })
-
-    print("== pools ==")
-    pools = {}
-    for name, strategy in (
-        ("cs1_train", "cs1"), ("cs1_test", "cs1"),
-        ("cs2_train", "cs2"), ("cs2_test", "cs2"),
-    ):
-        pool = topology.generate_pool(fixture, strategy, pool_size=args.pool_size,
-                                      seed=seed + STAGE_SEEDS[name])
-        topology.save_pool(pool, out / "pools" / name)
-        pools[name] = pool
-        print(f"  {name}: {len(pool.variants)} variants")
-
-    print("== dataset ==")
-    rng = np.random.default_rng(seed + STAGE_SEEDS["dataset"])
-    train_reqs = environment.generate_requests(fixture, args.dataset_size, (1, 4), rng)
-    hold_reqs = environment.generate_requests(fixture, args.holdout_size, (1, 4), rng)
-    ds = oracle.label_dataset(fixture, train_reqs)
-    holdout = oracle.label_dataset(fixture, hold_reqs)
-    oracle.save_dataset_file(ds, out / "dataset.json")
-    oracle.save_dataset_file(holdout, out / "holdout.json")
-    print(f"  {len(ds)} train / {len(holdout)} holdout labeled "
-          f"(dropped {ds.dropped_infeasible + holdout.dropped_infeasible} infeasible, "
-          f"{ds.dropped_over_budget + holdout.dropped_over_budget} over budget)")
-
-    print("== supervised pre-training ==")
-    cfg = PolicyConfig(hidden_dim=args.hidden_dim, vnf_type_count=fixture.vnf_type_count,
-                       t_prop=args.t_prop)
-    params = init_policy_params(cfg, seed=seed + STAGE_SEEDS["sl_init"])
-    hp_sl = training.HyperParams(alpha_sl=args.alpha_sl, sl_epochs=args.sl_epochs,
-                                 seed=seed + STAGE_SEEDS["sl_train"])
-    sl_params, history = training.train_sl(
-        params, cfg, fixture, ds, hp_sl, holdout=holdout,
-        stop_failure_ratio=args.stop_failure_ratio,
-        progress=_history_echo("  epoch"),
-    )
-    ckpt_dir = out / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    save_policy(sl_params, cfg, ckpt_dir / "sl.ckpt", seed=hp_sl.seed, training_stage="sl")
-    training.save_history(history, out / "history_sl.csv", index_name="epoch")
-
-    # Pool rows run at a gentler learning rate for longer and skip the early
-    # stop: plain per-episode REINFORCE at this reward scale is metastable,
-    # and mutation pools both need and reward the extra training.
-    variants = [
-        ("RL(lam=0)", 0.0, None),
-        ("RL(lam=1)", 1.0, None),
-        ("RL(lam=0)+CS1", 0.0, "cs1_train"),
-        ("RL(lam=1)+CS1", 1.0, "cs1_train"),
-        ("RL(lam=0)+CS2", 0.0, "cs2_train"),
-        ("RL(lam=1)+CS2", 1.0, "cs2_train"),
-    ]
-    checkpoints = [("SL", sl_params, cfg)]
-    for i, (label, lam, pool_name) in enumerate(variants):
-        print(f"== {label} ==")
-        if pool_name:
-            topos: topology.Topology | topology.TopologyPool = pools[pool_name]
-            alpha, episodes, stop = args.alpha_rl_pool, args.episodes_pool, None
-        else:
-            topos = fixture
-            alpha, episodes, stop = args.alpha_rl, args.episodes, args.stop_success_rate
-        hp_rl = training.HyperParams(alpha_rl=alpha, lam=lam,
-                                     episodes=episodes, seed=seed + rl_seeds[i])
-        every = max(1, episodes // 5)
-        def progress(row, every=every):
-            if row.index % every == 0:
-                _history_echo("  episode")(row)
-        rl_params, history = training.train_rl(sl_params, topos, hp_rl, cfg,
-                                               stop_success_rate=stop,
-                                               progress=progress)
-        fname = label.replace("(", "_").replace(")", "").replace("=", "").replace("+", "_").lower()
-        save_policy(rl_params, cfg, ckpt_dir / f"{fname}.ckpt",
-                    seed=hp_rl.seed, training_stage="rl")
-        training.save_history(history, out / f"history_{fname}.csv", index_name="episode")
-        checkpoints.append((label, rl_params, cfg))
-
-    print("== evaluation ==")
-    report = evaluation.run_experiment(
-        checkpoints, fixture,
-        {"cs1": pools["cs1_test"], "cs2": pools["cs2_test"]},
-        request_count=args.requests, seed=seed + STAGE_SEEDS["eval"],
-    )
-    evaluation.save_report(report, out)
+    report = experiment.run_table1(_table1_config(args), args.out, progress=print)
     print(evaluation.format_report(report), end="")
-    print(f"wrote {out / 'report.csv'} and report.txt")
+    print(f"wrote {Path(args.out) / 'report.csv'} and report.txt")
     return 0
 
 
@@ -487,8 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=hp.epsilon, help=dflt)
     p.add_argument("--stop-success-rate", type=float,
                    help="end training once the rolling success rate reaches this")
-    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim, help=dflt)
-    p.add_argument("--t-prop", type=int, default=pc.t_prop, help=dflt)
+    arch_help = "default: the --init checkpoint's, else %s"
+    p.add_argument("--hidden-dim", type=int, help=arch_help % pc.hidden_dim)
+    p.add_argument("--t-prop", type=int, help=arch_help % pc.t_prop)
     p.add_argument("--seed", type=int, default=hp.seed, help=dflt)
     p.add_argument("--out")
     p.set_defaults(func=cmd_train_rl, config_parser=p)
@@ -520,29 +406,30 @@ def build_parser() -> argparse.ArgumentParser:
         "table1",
         help="fixture -> pools -> dataset -> SL -> 6 RL variants -> report",
     )
+    t1 = experiment.Table1Config()
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pool-size", type=int, default=100)
-    p.add_argument("--dataset-size", type=int, default=2000)
-    p.add_argument("--holdout-size", type=int, default=500)
-    p.add_argument("--sl-epochs", type=int, default=10)
-    p.add_argument("--episodes", type=int, default=hp.episodes,
-                   help="episode cap for the fixture-trained rows")
-    p.add_argument("--episodes-pool", type=int, default=8000,
-                   help="episodes for the pool-trained rows")
-    p.add_argument("--requests", type=int, default=1000)
-    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim)
-    p.add_argument("--t-prop", type=int, default=pc.t_prop)
-    p.add_argument("--alpha-sl", type=float, default=hp.alpha_sl)
-    p.add_argument("--alpha-rl", type=float, default=hp.alpha_rl)
-    p.add_argument("--alpha-rl-pool", type=float, default=0.000001,
-                   help="learning rate for the pool-trained rows")
-    p.add_argument("--stop-failure-ratio", type=float, default=0.01)
-    p.add_argument("--stop-success-rate", type=float, default=0.95,
-                   help="early stop for the fixture-trained rows")
-    p.add_argument("--rl-seeds", default="10,0,2,2,4,4",
-                   help="six seed offsets, one per RL row; the defaults are "
-                        "tuned so the desk-scale run converges at --seed 0")
+    p.add_argument("--seed", type=int, default=t1.seed, help=dflt)
+    p.add_argument("--pool-size", type=int, default=t1.pool_size, help=dflt)
+    p.add_argument("--dataset-size", type=int, default=t1.dataset_size, help=dflt)
+    p.add_argument("--holdout-size", type=int, default=t1.holdout_size, help=dflt)
+    p.add_argument("--sl-epochs", type=int, default=t1.sl_epochs, help=dflt)
+    p.add_argument("--episodes", type=int, default=t1.episodes,
+                   help="episode cap for the fixture-trained rows (default %(default)s)")
+    p.add_argument("--episodes-pool", type=int, default=t1.episodes_pool,
+                   help="episodes for the pool-trained rows (default %(default)s)")
+    p.add_argument("--requests", type=int, default=t1.requests, help=dflt)
+    p.add_argument("--hidden-dim", type=int, default=t1.hidden_dim, help=dflt)
+    p.add_argument("--t-prop", type=int, default=t1.t_prop, help=dflt)
+    p.add_argument("--alpha-sl", type=float, default=t1.alpha_sl, help=dflt)
+    p.add_argument("--alpha-rl", type=float, default=t1.alpha_rl, help=dflt)
+    p.add_argument("--alpha-rl-pool", type=float, default=t1.alpha_rl_pool,
+                   help="learning rate for the pool-trained rows (default %(default)s)")
+    p.add_argument("--stop-failure-ratio", type=float, default=t1.stop_failure_ratio, help=dflt)
+    p.add_argument("--stop-success-rate", type=float, default=t1.stop_success_rate,
+                   help="early stop for the fixture-trained rows (default %(default)s)")
+    p.add_argument("--rl-seeds", default=",".join(map(str, t1.rl_seeds)),
+                   help="six seed offsets, one per RL row; the defaults are tuned "
+                        "so the desk-scale run converges at --seed 0 (default %(default)s)")
     p.set_defaults(func=cmd_exp_table1)
 
     return parser
@@ -555,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         if getattr(ns, "config", None):
-            ns.config_parser.set_defaults(**_load_config(ns.config))
+            ns.config_parser.set_defaults(**_load_config(ns.config, ns.subcommand))
             ns = parser.parse_args(argv)
         return ns.func(ns)
     except (TopologyError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

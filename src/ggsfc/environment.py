@@ -92,13 +92,11 @@ class EnvState:
         return None
 
 
-def validate_request(t: Topology, req: SfcRequest, allow_empty_chain: bool = False) -> None:
+def validate_request(t: Topology, req: SfcRequest) -> None:
     if not 0 <= req.source < t.num_nodes:
         raise ValueError(f"request source {req.source} is not a node of the topology")
     if not 0 <= req.destination < t.num_nodes:
         raise ValueError(f"request destination {req.destination} is not a node of the topology")
-    if not req.chain and not allow_empty_chain:
-        raise ValueError("request chain must have at least one entry")
     for k in req.chain:
         if not 0 <= k < t.vnf_type_count:
             raise ValueError(f"request chain entry {k} is not a VNF type (K={t.vnf_type_count})")
@@ -209,14 +207,12 @@ def total_delay(p: PathResult, t: Topology) -> int:
 def generate_requests(
     t: Topology,
     count: int,
-    chain_len_range: tuple[int, int] = DEFAULT_CHAIN_LEN_RANGE,
-    rng: np.random.Generator | None = None,
+    chain_len_range: tuple[int, int],
+    rng: np.random.Generator,
 ) -> list[SfcRequest]:
     """Uniform random requests: distinct source/destination, chain lengths
     uniform in the inclusive range, chain entries uniform over the types
     actually deployed in the topology."""
-    if rng is None:
-        rng = np.random.default_rng()
     if count < 0:
         raise ValueError("count must be >= 0")
     if t.num_nodes < 2:

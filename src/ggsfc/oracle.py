@@ -65,20 +65,6 @@ def _result_from_actions(
     t: Topology, req: SfcRequest, actions: tuple[Action, ...], expected_delay: int
 ) -> OracleResult:
     """Build the PathResult by replaying the actions through the environment."""
-    if not req.chain:
-        # episodes require a chain, so assemble the usage records directly
-        edge_uses: list[tuple[int, int]] = []
-        delay = 0
-        node = req.source
-        for a in actions:
-            delay += t.edge_delay(node, a.next_node)
-            edge_uses.append((node, a.next_node))
-            node = a.next_node
-        if node != req.destination or delay != expected_delay:
-            raise AssertionError("solver emitted an inconsistent chainless walk")
-        return OracleResult(
-            path=PathResult(tuple(edge_uses), (), delay, True), actions=actions
-        )
     s = reset(t, req, max_steps=len(actions))
     cfg = RewardConfig()
     for a in actions:
@@ -91,7 +77,7 @@ def _result_from_actions(
 
 def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     """Minimum-delay environment walk serving the request, or infeasible."""
-    validate_request(t, req, allow_empty_chain=True)
+    validate_request(t, req)
     chain = req.chain
     length = len(chain)
     if length == 0 and req.source == req.destination:
@@ -143,10 +129,10 @@ def brute_force_optimal(
     sufficient: an optimal walk never revisits a layered state (positive
     delays), so longer sequences are never optimal.
     """
-    validate_request(t, req, allow_empty_chain=True)
+    validate_request(t, req)
     length = len(req.chain)
-    if length == 0:
-        return _brute_force_no_chain(t, req, walk_budget)
+    if length == 0 and req.source == req.destination:
+        return OracleResult(path=PathResult((), (), 0, True), actions=())
     if walk_budget is None:
         walk_budget = t.num_nodes * (length + 1)
     if walk_budget < 1:
@@ -179,38 +165,6 @@ def brute_force_optimal(
                 old = nxt.get(key)
                 if old is None or (d2, acts2) < (old[0], old[1]):
                     nxt[key] = (d2, acts2, s2)
-        frontier = nxt
-        if not frontier:
-            break
-    if best is None:
-        return INFEASIBLE
-    delay, _, acts = best
-    actions = tuple(Action(n, bool(p)) for n, p in acts)
-    return _result_from_actions(t, req, actions, delay)
-
-
-def _brute_force_no_chain(
-    t: Topology, req: SfcRequest, walk_budget: int | None
-) -> OracleResult:
-    if req.source == req.destination:
-        return OracleResult(path=PathResult((), (), 0, True), actions=())
-    budget = walk_budget if walk_budget is not None else t.num_nodes
-    frontier: dict[int, tuple[int, _ActionKey]] = {req.source: (0, ())}
-    best: tuple[int, int, _ActionKey] | None = None
-    for depth in range(1, budget + 1):
-        nxt: dict[int, tuple[int, _ActionKey]] = {}
-        for node, (delay, acts) in frontier.items():
-            for v in t.neighbors[node]:
-                d2 = delay + t.edge_delay(node, v)
-                acts2 = acts + ((v, 0),)
-                if v == req.destination:
-                    cand = (d2, depth, acts2)
-                    if best is None or cand < best:
-                        best = cand
-                    continue
-                old = nxt.get(v)
-                if old is None or (d2, acts2) < old:
-                    nxt[v] = (d2, acts2)
         frontier = nxt
         if not frontier:
             break

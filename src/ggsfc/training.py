@@ -69,6 +69,13 @@ class HistoryRow:
     loss: float
 
 
+def format_history_row(kind: str, row: HistoryRow) -> str:
+    """One progress line; kind is 'epoch' (SL) or 'episode' (RL)."""
+    # + 0.0 turns the -0.0 loss of a failed episode into 0
+    return (f"{kind} {row.index}: success_rate {row.success_rate:.4f} "
+            f"mean_delay {row.mean_delay:.1f} loss {row.loss + 0.0:.4f}")
+
+
 def save_history(rows: Sequence[HistoryRow], path: str | Path, index_name: str) -> None:
     """CSV of the training curve; index_name is 'epoch' (SL) or 'episode' (RL)."""
     lines = [f"{index_name},success_rate,mean_delay,loss"]

@@ -16,8 +16,8 @@ import pytest
 
 import ggsfc.nn as nn
 import ggsfc.training as training
-from ggsfc.cli import main
 from ggsfc.environment import SfcRequest, generate_requests
+from ggsfc.experiment import Table1Config, run_table1
 from ggsfc.evaluation import (
     delay_ratio,
     deterioration_rate,
@@ -421,13 +421,12 @@ def test_c09_one_checkpoint_serves_three_topology_sizes(sl_run):
 
 
 def test_c10_the_pipeline_is_bit_deterministic(tmp_path):
-    knobs = ["--pool-size", "2", "--dataset-size", "6", "--holdout-size", "3",
-             "--sl-epochs", "1", "--episodes", "2", "--episodes-pool", "2",
-             "--requests", "3", "--seed", "1"]
+    config = Table1Config(pool_size=2, dataset_size=6, holdout_size=3, sl_epochs=1,
+                          episodes=2, episodes_pool=2, requests=3, seed=1)
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["exp", "table1", "--out", str(out), *knobs]) == 0
+        run_table1(config, out)
         outs.append(out)
     for fname in ("report.csv", "report.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()

@@ -7,7 +7,8 @@ import pytest
 
 from dataclasses import replace
 
-from ggsfc.cli import _history_echo, main
+from ggsfc.cli import _table1_config, build_parser, main
+from ggsfc.experiment import Table1Config, run_table1
 from ggsfc.oracle import load_dataset_file
 from ggsfc.policy import PolicyConfig, init_policy_params, save_policy
 from ggsfc.topology import (
@@ -18,7 +19,7 @@ from ggsfc.topology import (
     save_topology_file,
     topology_sha256,
 )
-from ggsfc.training import HistoryRow
+from ggsfc.training import HistoryRow, format_history_row
 
 
 def run(*argv):
@@ -156,10 +157,9 @@ def test_train_rl_refused_by_the_policy_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_history_echo_prints_a_failed_episode_loss_as_zero(capsys):
-    _history_echo("episode")(HistoryRow(index=1, success_rate=0.0,
-                                        mean_delay=float("nan"), loss=-0.0))
-    assert capsys.readouterr().out.endswith(" loss 0.0000\n")
+def test_history_echo_prints_a_failed_episode_loss_as_zero():
+    row = HistoryRow(index=1, success_rate=0.0, mean_delay=float("nan"), loss=-0.0)
+    assert format_history_row("episode", row).endswith(" loss 0.0000")
 
 
 def test_train_rl_from_checkpoint(sl_run, tmp_path, capsys):
@@ -184,6 +184,22 @@ def test_train_rl_on_a_pool_from_scratch(tmp_path):
              "--episodes", "2", "--lambda", "1", "--out", str(out))
     assert rc == 0
     assert json.loads((out / "config.json").read_text())["lam"] == 1.0
+
+
+@pytest.mark.parametrize("flag, value, has", [("--hidden-dim", "64", "32"),
+                                              ("--t-prop", "1", "5")])
+def test_train_rl_refuses_an_architecture_its_init_checkpoint_lacks(
+        tmp_path, capsys, flag, value, has):
+    ckpt = tmp_path / "sl.ckpt"
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
+    out = tmp_path / "rl"
+    rc = run("train", "rl", "--fixture", "--init", str(ckpt), flag, value,
+             "--episodes", "1", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {value} differs from the --init checkpoint's {has}\n"
+    assert not out.exists()
 
 
 def test_train_rl_needs_an_initialization(tmp_path, capsys):
@@ -260,6 +276,19 @@ def test_a_config_that_is_not_an_object_is_rejected(tmp_path, capsys, doc):
     assert err.startswith("error:") and "JSON object" in err
 
 
+@pytest.mark.parametrize("verb, key", [("sl", "episodes"), ("sl", "init"),
+                                       ("rl", "dataset")])
+def test_config_keys_are_checked_against_the_verb(tmp_path, capsys, verb, key):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: "x"}))
+    out = tmp_path / "out"
+    rc = run("train", verb, "--fixture", "--config", str(config), "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+    assert not out.exists()
+
+
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"learning_rate": 0.1}))
@@ -325,11 +354,16 @@ TINY_EXP = (
 )
 
 
+TINY_CONFIG = Table1Config(pool_size=2, dataset_size=6, holdout_size=3, sl_epochs=1,
+                           episodes=2, episodes_pool=2, requests=3, seed=1)
+
+
 def test_exp_table1_pipeline_and_determinism(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert run("exp", "table1", "--out", str(out), *TINY_EXP) == 0
+        report = run_table1(TINY_CONFIG, out)
+        assert [row.approach for row in report.rows][:2] == ["SL", "RL(lam=0)"]
         outs.append(out)
 
     ckpts = {p.name for p in (outs[0] / "checkpoints").iterdir()}
@@ -353,6 +387,23 @@ def test_exp_table1_validates_rl_seeds(tmp_path, capsys):
              "--rl-seeds", "1,2", *TINY_EXP)
     assert rc == 1
     assert "6 comma-separated" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_exp_table1_refuses_a_bad_architecture_before_writing(tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = run("exp", "table1", "--out", str(out), "--hidden-dim", "4", *TINY_EXP)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: annotation width 8 (K+3) exceeds hidden_dim 4\n"
+    assert not out.exists()
+
+
+def test_exp_table1_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["exp", "table1", "--out", "x"])
+    assert _table1_config(args) == Table1Config()
+    assert _table1_config(build_parser().parse_args(
+        ["exp", "table1", "--out", "x", *TINY_EXP])) == TINY_CONFIG
 
 
 # ---------------------------------------------------------------------------

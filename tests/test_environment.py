@@ -72,7 +72,7 @@ def test_reset_rejects_nonpositive_budget():
     [
         (SfcRequest(9, 3, (0,)), "source"),
         (SfcRequest(0, -1, (0,)), "destination"),
-        (SfcRequest(0, 3, ()), "at least one"),
+        (SfcRequest(0, 3, (-1,)), "VNF type"),
         (SfcRequest(0, 3, (5,)), "VNF type"),
     ],
 )
@@ -81,8 +81,13 @@ def test_bad_requests_are_rejected(req, message):
         validate_request(tiny_topology(), req)
 
 
-def test_empty_chain_allowed_when_asked():
-    validate_request(tiny_topology(), SfcRequest(0, 3, ()), allow_empty_chain=True)
+def test_an_empty_chain_succeeds_at_the_destination():
+    t = tiny_topology()
+    s = reset(t, SfcRequest(0, 3, ()))
+    assert s.pending_type is None
+    assert valid_actions(s, t) == tuple(Action(v, False) for v in t.neighbors[0])
+    s, reward, done = step(s, Action(3, False), t, RewardConfig())
+    assert done and s.path_so_far.success and reward > 0
 
 
 def test_request_chain_coerces_to_ints():

@@ -160,6 +160,16 @@ def test_solver_matches_exhaustive_search_on_random_instances():
     assert checked > 80
 
 
+def test_solver_matches_exhaustive_search_on_chainless_requests():
+    rng = np.random.default_rng(29)
+    topologies = [internet2_fixture()] + [random_topology(rng) for _ in range(10)]
+    for t in topologies:
+        for src in range(t.num_nodes):
+            for dst in range(t.num_nodes):
+                req = SfcRequest(src, dst, ())
+                assert solve_optimal(t, req) == brute_force_optimal(t, req)
+
+
 def test_labels_replay_through_the_environment_exactly():
     t = internet2_fixture()
     rng = np.random.default_rng(23)
