@@ -34,6 +34,17 @@ def _topology_desc(args) -> str:
     return "fixture" if args.fixture else str(args.topology)
 
 
+def _load_training_topologies(args) -> tuple[topology.Topology | topology.TopologyPool,
+                                             topology.Topology]:
+    """What a train verb trains on (--fixture, --topology or --pool) and the
+    topology whose VNF type count the policy must match."""
+    if args.pool:
+        pool = topology.load_pool(args.pool)
+        return pool, pool.base
+    t = _load_base_topology(args)
+    return t, t
+
+
 def _prepare_out_file(path_str: str) -> Path:
     out = Path(path_str)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -128,23 +139,23 @@ def _load_config(path: str, verb: str) -> dict:
 def cmd_train_sl(args) -> int:
     if not args.dataset or not args.out:
         raise ValueError("sl training needs --dataset and --out (flag or config)")
-    t = _load_base_topology(args)
+    topos, base = _load_training_topologies(args)
     ds = oracle.load_dataset_file(args.dataset)
     holdout = oracle.load_dataset_file(args.holdout) if args.holdout else None
-    cfg = PolicyConfig(hidden_dim=args.hidden_dim, vnf_type_count=t.vnf_type_count,
+    cfg = PolicyConfig(hidden_dim=args.hidden_dim, vnf_type_count=base.vnf_type_count,
                        t_prop=args.t_prop)
     hp = training.HyperParams(alpha_sl=args.alpha_sl, sl_epochs=args.epochs, seed=args.seed)
     params = init_policy_params(cfg, seed=args.seed)
 
     params, history = training.train_sl(
-        params, cfg, t, ds, hp, holdout=holdout,
+        params, cfg, topos, ds, hp, holdout=holdout,
         stop_failure_ratio=args.stop_failure_ratio,
         progress=lambda row: print(training.format_history_row("epoch", row)),
     )
     out = Path(args.out)
     experiment.write_config_echo(out, {
         "mode": "sl", "dataset": str(args.dataset), "holdout": args.holdout,
-        "topology": _topology_desc(args),
+        "topology": None if args.pool else _topology_desc(args), "pool": args.pool,
         "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop, "K": cfg.vnf_type_count,
         "alpha_sl": hp.alpha_sl, "epochs": hp.sl_epochs, "seed": hp.seed,
         "stop_failure_ratio": args.stop_failure_ratio,
@@ -158,12 +169,8 @@ def cmd_train_sl(args) -> int:
 def cmd_train_rl(args) -> int:
     if not args.out:
         raise ValueError("rl training needs --out (flag or config)")
-    if args.pool:
-        topos: topology.Topology | topology.TopologyPool = topology.load_pool(args.pool)
-        topo_desc = str(args.pool)
-    else:
-        topos = _load_base_topology(args)
-        topo_desc = _topology_desc(args)
+    topos, base = _load_training_topologies(args)
+    topo_desc = str(args.pool) if args.pool else _topology_desc(args)
 
     # the architecture flags asked for explicitly (by flag or config)
     arch = {k: v for k, v in (("hidden_dim", args.hidden_dim), ("t_prop", args.t_prop))
@@ -175,7 +182,6 @@ def cmd_train_rl(args) -> int:
                 raise ValueError(f"--{key.replace('_', '-')} {value} differs from "
                                  f"the --init checkpoint's {getattr(cfg, key)}")
     elif args.from_scratch:
-        base = topos.base if isinstance(topos, topology.TopologyPool) else topos
         cfg = PolicyConfig(vnf_type_count=base.vnf_type_count, **arch)
         params = init_policy_params(cfg, seed=args.seed)
     else:
@@ -346,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     config_help = "JSON file of defaults for these flags"
     p = train_sub.add_parser("sl", help="teacher-forced training on labels")
-    _add_topology_source(p)
+    _add_topology_source(p, with_pool=True)
     p.add_argument("--config", help=config_help)
     p.add_argument("--dataset")
     p.add_argument("--holdout", help="labeled dataset for per-epoch greedy evaluation")

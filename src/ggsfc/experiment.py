@@ -66,10 +66,28 @@ class Table1Config:
             raise ValueError(f"rl_seeds needs {len(RL_ROWS)} comma-separated integers, "
                              f"got {','.join(map(str, self.rl_seeds))!r}")
         self.policy_config()
+        self.stage_hyper_params()
 
     def policy_config(self) -> PolicyConfig:
         return PolicyConfig(hidden_dim=self.hidden_dim, t_prop=self.t_prop,
                             vnf_type_count=topology.internet2_fixture().vnf_type_count)
+
+    def stage_hyper_params(self) -> tuple[training.HyperParams, list[training.HyperParams]]:
+        """HyperParams of the SL stage and of each RL_ROWS row, in order.
+
+        Pool rows run at a gentler learning rate for longer: plain
+        per-episode REINFORCE at this reward scale is metastable, and
+        mutation pools both need and reward the extra training.
+        """
+        sl = training.HyperParams(alpha_sl=self.alpha_sl, sl_epochs=self.sl_epochs,
+                                  seed=self.seed + STAGE_SEEDS["sl_train"])
+        rows = []
+        for (_, lam, pool_name, _), rl_seed in zip(RL_ROWS, self.rl_seeds):
+            alpha, episodes = ((self.alpha_rl_pool, self.episodes_pool) if pool_name
+                               else (self.alpha_rl, self.episodes))
+            rows.append(training.HyperParams(alpha_rl=alpha, lam=lam, episodes=episodes,
+                                             seed=self.seed + rl_seed))
+        return sl, rows
 
 
 def run_table1(config: Table1Config, out: str | Path,
@@ -106,9 +124,8 @@ def run_table1(config: Table1Config, out: str | Path,
 
     say("== supervised pre-training ==")
     cfg = config.policy_config()
+    hp_sl, hp_rows = config.stage_hyper_params()
     params = init_policy_params(cfg, seed=seed + STAGE_SEEDS["sl_init"])
-    hp_sl = training.HyperParams(alpha_sl=config.alpha_sl, sl_epochs=config.sl_epochs,
-                                 seed=seed + STAGE_SEEDS["sl_train"])
     sl_params, history = training.train_sl(
         params, cfg, fixture, ds, hp_sl, holdout=holdout,
         stop_failure_ratio=config.stop_failure_ratio,
@@ -119,21 +136,16 @@ def run_table1(config: Table1Config, out: str | Path,
     save_policy(sl_params, cfg, ckpt_dir / "sl.ckpt", seed=hp_sl.seed, training_stage="sl")
     training.save_history(history, out / "history_sl.csv", index_name="epoch")
 
-    # Pool rows run at a gentler learning rate for longer and skip the early
-    # stop: plain per-episode REINFORCE at this reward scale is metastable,
-    # and mutation pools both need and reward the extra training.
+    # pool rows skip the early stop (see Table1Config.stage_hyper_params)
     checkpoints = [("SL", sl_params, cfg)]
-    for (label, lam, pool_name, stem), rl_seed in zip(RL_ROWS, config.rl_seeds):
+    for (label, _, pool_name, stem), hp_rl in zip(RL_ROWS, hp_rows):
         say(f"== {label} ==")
         if pool_name:
             topos: topology.Topology | topology.TopologyPool = pools[pool_name]
-            alpha, episodes, stop = config.alpha_rl_pool, config.episodes_pool, None
+            stop = None
         else:
-            topos = fixture
-            alpha, episodes, stop = config.alpha_rl, config.episodes, config.stop_success_rate
-        hp_rl = training.HyperParams(alpha_rl=alpha, lam=lam,
-                                     episodes=episodes, seed=seed + rl_seed)
-        every = max(1, episodes // 5)
+            topos, stop = fixture, config.stop_success_rate
+        every = max(1, hp_rl.episodes // 5)
         def progress_rl(row):
             if row.index % every == 0:
                 say("  " + training.format_history_row("episode", row))

@@ -3,7 +3,19 @@ analytic backprop, plain SGD, and finite-difference gradient verification.
 
 Everything is float64.  Forward ops return (output, cache); the matching
 backward op consumes the cache and returns exact gradients.  The model
-sizes here are tiny, so clarity and verifiability win over speed.
+sizes here are tiny, so clarity and verifiability win over speed, except
+on the forward hot path, where speed is bought only with bit-identical
+results:
+
+- The GRU forward is fused.  ``fuse_gru`` concatenates the gate matrices
+  into ``[W_z|W_r|W_h]`` and ``[U_z|U_r]``; one product with each replaces
+  five, and the gates are sliced back out.  Each output element is still
+  the same dot product summed in the same order, so the bits equal those of
+  the separate products.
+- The GRU backward is not fused.  ``dx = da_h W_h^T + da_z W_z^T +
+  da_r W_r^T`` keeps its three products and their order: one product over
+  the concatenated gates would sum all 3H terms in one pass, a different
+  summation order, and so different bits in every trained parameter.
 """
 
 from __future__ import annotations
@@ -90,13 +102,14 @@ def uniform_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign for stability at large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), stable at large |x| and without branches.
+
+    With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below: the
+    same operations as splitting by sign, so the same bits.  min(x, -x) is
+    -|x| but passes a NaN through with its sign bit, as exp(x) did.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +136,39 @@ def init_gru_params(
     return out
 
 
+@dataclass(frozen=True)
+class GruWeights:
+    """One GRU's gate matrices fused for the forward pass (see the module
+    docstring), plus the parameter set and prefix the backward reads.
+
+    The fused arrays are copies: build them again after the parameters
+    change, e.g. once per episode.
+    """
+
+    W_x: np.ndarray   # [W_z | W_r | W_h]
+    U_zr: np.ndarray  # [U_z | U_r]
+    b_zr: np.ndarray  # [b_z | b_r]
+    U_h: np.ndarray
+    b_h: np.ndarray
+    params: Mapping[str, np.ndarray]
+    prefix: str
+
+
+def fuse_gru(params: Mapping[str, np.ndarray], prefix: str = "") -> GruWeights:
+    p = lambda name: params[prefix + name]
+    return GruWeights(
+        W_x=np.concatenate([p("W_z"), p("W_r"), p("W_h")], axis=1),
+        U_zr=np.concatenate([p("U_z"), p("U_r")], axis=1),
+        b_zr=np.concatenate([p("b_z"), p("b_r")]),
+        U_h=p("U_h"),
+        b_h=p("b_h"),
+        params=params,
+        prefix=prefix,
+    )
+
+
 def gru_cell(
-    x: np.ndarray, h_prev: np.ndarray, params: Mapping[str, np.ndarray], prefix: str = ""
+    x: np.ndarray, h_prev: np.ndarray, w: GruWeights
 ) -> tuple[np.ndarray, tuple]:
     """Standard GRU update; x and h_prev may be 1-D or batched 2-D.
 
@@ -133,13 +177,15 @@ def gru_cell(
     hbar = tanh(x W_h + (r*h) U_h + b_h)
     h_new = (1 - z) * h + z * hbar
     """
-    p = lambda name: params[prefix + name]
-    z = sigmoid(x @ p("W_z") + h_prev @ p("U_z") + p("b_z"))
-    r = sigmoid(x @ p("W_r") + h_prev @ p("U_r") + p("b_r"))
+    d = w.U_h.shape[0]
+    xw = x @ w.W_x
+    zr = sigmoid(xw[..., : 2 * d] + h_prev @ w.U_zr + w.b_zr)
+    z = zr[..., :d]
+    r = zr[..., d:]
     rh = r * h_prev
-    hbar = np.tanh(x @ p("W_h") + rh @ p("U_h") + p("b_h"))
+    hbar = np.tanh(xw[..., 2 * d :] + rh @ w.U_h + w.b_h)
     h_new = (1.0 - z) * h_prev + z * hbar
-    cache = (x, h_prev, z, r, rh, hbar, params, prefix)
+    cache = (x, h_prev, z, r, rh, hbar, w.params, w.prefix)
     return h_new, cache
 
 

@@ -117,9 +117,10 @@ def encode(
     annotations: np.ndarray,
     a: np.ndarray,
     t_prop: int,
-    params: ParamSet,
+    gru: nn.GruWeights,
 ) -> tuple[np.ndarray, list]:
-    """T_prop propagation rounds; returns final node embeddings and caches."""
+    """T_prop propagation rounds through the fused ``enc.`` GRU; returns
+    final node embeddings and caches."""
     n = annotations.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"adjacency shape {a.shape} does not match {n} annotations")
@@ -127,7 +128,7 @@ def encode(
     caches = []
     for _ in range(t_prop):
         msg = a @ h
-        h_new, gru_cache = nn.gru_cell(msg, h, params, prefix="enc.")
+        h_new, gru_cache = nn.gru_cell(msg, h, gru)
         caches.append((a, gru_cache))
         h = h_new
     return h, caches
@@ -189,21 +190,26 @@ def action_log_prob(dist: ActionDistribution, a: Action) -> float:
 
 def decode_step(
     enc_h: np.ndarray,
+    enc_scores: np.ndarray,
     hidden: np.ndarray,
     x: np.ndarray,
     move_mask: np.ndarray,
     process_mask: np.ndarray,
     params: ParamSet,
+    gru: nn.GruWeights,
 ) -> tuple[ActionDistribution, np.ndarray, tuple]:
-    """One decoder step: advance the GRU, score nodes, mask, normalize.
+    """One decoder step: advance the fused ``dec.`` GRU, score nodes, mask,
+    normalize.
 
-    x is the step input [v_all | v_now | node_embedding]: the remaining
-    chain as a multi-hot, the pending type as a one-hot, and the encoder
-    row of the current node.  Returns the action distribution, the advanced
-    hidden state, and a cache for the backward pass.
+    enc_scores is enc_h @ score.W_emb, which changes only with the encoder
+    segment.  x is the step input [v_all | v_now | node_embedding]: the
+    remaining chain as a multi-hot, the pending type as a one-hot, and the
+    encoder row of the current node.  The masks are kept, not copied.
+    Returns the action distribution, the advanced hidden state, and a cache
+    for the backward pass.
     """
-    hidden, gru_cache = nn.gru_cell(x, hidden, params, prefix="dec.")
-    s_pre = enc_h @ params["score.W_emb"] + hidden @ params["score.W_hid"]
+    hidden, gru_cache = nn.gru_cell(x, hidden, gru)
+    s_pre = enc_scores + hidden @ params["score.W_hid"]
     s = np.tanh(s_pre)
     node_logits = s @ params["score.v"]
     node_probs = nn.masked_softmax(node_logits, move_mask)
@@ -212,8 +218,8 @@ def decode_step(
     dist = ActionDistribution(
         node_probs=node_probs,
         process_prob=process_prob,
-        move_mask=move_mask.copy(),
-        process_mask=process_mask.copy(),
+        move_mask=move_mask,
+        process_mask=process_mask,
         process_logits=process_logits,
     )
     cache = (enc_h, hidden, s, gru_cache, dist)
@@ -270,19 +276,19 @@ def decode_step_backward(
 # ---------------------------------------------------------------------------
 # episode driver
 
-def _decoder_input(
-    req: SfcRequest, chain_index: int, k: int, node_embedding: np.ndarray
-) -> np.ndarray:
-    v_all = np.zeros(k)
-    v_now = np.zeros(k)
+def _decoder_head(req: SfcRequest, chain_index: int, k: int) -> np.ndarray:
+    """[v_all | v_now] of the decoder input; the node embedding follows."""
+    head = np.zeros(2 * k)
     for entry in req.chain[chain_index:]:
-        v_all[entry] = 1.0
+        head[entry] = 1.0
     if chain_index < len(req.chain):
-        v_now[req.chain[chain_index]] = 1.0
-    return np.concatenate([v_all, v_now, node_embedding])
+        head[k + req.chain[chain_index]] = 1.0
+    return head
 
 
 def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[Action, ...]]:
+    """Move and process masks plus the valid actions; the masks are
+    read-only, so one episode can reuse them at every visit."""
     acts = valid_actions(state, t)
     move = np.zeros(t.num_nodes, dtype=bool)
     proc = np.zeros(t.num_nodes, dtype=bool)
@@ -290,6 +296,8 @@ def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[
         move[a.next_node] = True
         if a.process:
             proc[a.next_node] = True
+    move.flags.writeable = False
+    proc.flags.writeable = False
     return move, proc, acts
 
 
@@ -312,6 +320,10 @@ def _run_episode(
     want_caches: bool,
 ) -> _EpisodeRun:
     a_matrix = adjacency_matrix(t)
+    # fused per episode, never stored: training replaces params after each
+    # update and finite_diff_check probes them in place
+    enc_gru = nn.fuse_gru(params, "enc.")
+    dec_gru = nn.fuse_gru(params, "dec.")
     state = reset(t, req, max_steps)
     hidden = np.zeros(cfg.hidden_dim)
 
@@ -319,19 +331,24 @@ def _run_episode(
     step_caches: list = []
     trace_steps: list[TraceStep] = []
     log_probs: list[float] = []
+    masks: dict[tuple[int, int], tuple] = {}  # by (current node, chain index)
 
     encoded_index = -1
-    enc_h = None
     while not state.done:
         if state.chain_index != encoded_index:
             encoded_index = state.chain_index
             h0 = annotate(t, req, encoded_index, cfg)
-            enc_h, enc_caches = encode(h0, a_matrix, cfg.t_prop, params)
+            enc_h, enc_caches = encode(h0, a_matrix, cfg.t_prop, enc_gru)
+            enc_scores = enc_h @ params["score.W_emb"]
+            head = _decoder_head(req, encoded_index, cfg.vnf_type_count)
             segments.append(enc_caches if want_caches else None)
-        move_mask, proc_mask, acts = _masks(state, t)
-        x = _decoder_input(req, state.chain_index, cfg.vnf_type_count,
-                           enc_h[state.current_node])
-        dist, hidden, cache = decode_step(enc_h, hidden, x, move_mask, proc_mask, params)
+        key = (state.current_node, state.chain_index)
+        if key not in masks:
+            masks[key] = _masks(state, t)
+        move_mask, proc_mask, acts = masks[key]
+        x = np.concatenate([head, enc_h[state.current_node]])
+        dist, hidden, cache = decode_step(enc_h, enc_scores, hidden, x, move_mask, proc_mask,
+                                          params, dec_gru)
 
         action = select(dist, acts)
         logp = action_log_prob(dist, action)

@@ -172,18 +172,24 @@ class Topology:
         return frozenset(i.vnf_type for i in self.instances if i.node == node)
 
     @cached_property
+    def _adjacency(self) -> np.ndarray:
+        a = np.zeros((self.num_nodes, self.num_nodes))
+        for u, v, _ in self.edges:
+            a[u, v] = 1.0
+            a[v, u] = 1.0
+        a.flags.writeable = False
+        return a
+
+    @cached_property
     def deployed_types(self) -> tuple[int, ...]:
         """Sorted VNF types that have at least one instance."""
         return tuple(sorted({i.vnf_type for i in self.instances}))
 
 
 def adjacency_matrix(t: Topology) -> np.ndarray:
-    """Symmetric binary N x N matrix with zero diagonal."""
-    a = np.zeros((t.num_nodes, t.num_nodes))
-    for u, v, _ in t.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+    """Symmetric binary N x N matrix with zero diagonal; built once per
+    topology and read-only."""
+    return t._adjacency
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def test_c02_analytic_gradients_match_finite_differences():
     p_gru = ParamSet(dict(nn.init_gru_params(3, 4, rng), x=xg, h=hg))
 
     def f_gru(ps):
-        h_new, cache = nn.gru_cell(ps["x"], ps["h"], ps)
+        h_new, cache = nn.gru_cell(ps["x"], ps["h"], nn.fuse_gru(ps))
         dx, dh, grads = nn.gru_cell_backward(vg, cache)
         g = GradSet(ps)
         g.add_all(dict(grads, x=dx, h=dh))
@@ -282,7 +282,7 @@ def test_c02_analytic_gradients_match_finite_differences():
                          if name.startswith("enc.")})
 
     def f_encoder(ps):
-        h, caches = encode(ann, a_matrix, cfg.t_prop, ps)
+        h, caches = encode(ann, a_matrix, cfg.t_prop, nn.fuse_gru(ps, "enc."))
         _, grads = encode_backward(probe, caches)
         g = GradSet(ps)
         g.add_all(grads)

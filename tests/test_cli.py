@@ -143,6 +143,22 @@ def test_train_sl_rejects_an_out_of_range_topology_id(tmp_path, capsys):
     assert not (tmp_path / "sl" / "config.json").exists()
 
 
+def test_train_sl_trains_on_a_labelled_pool(tmp_path, capsys):
+    pool, ds, out = tmp_path / "pool", tmp_path / "ds.json", tmp_path / "sl"
+    assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "2",
+               "--seed", "3", "--out", str(pool)) == 0
+    assert run("dataset", "--pool", str(pool), "--count", "6", "--seed", "1",
+               "--chain-max", "2", "--out", str(ds)) == 0
+    assert {ex.topology_id for ex in load_dataset_file(ds).examples} == {0, 1}
+    capsys.readouterr()
+    assert run("train", "sl", "--pool", str(pool), "--dataset", str(ds),
+               "--holdout", str(ds), "--epochs", "1", "--out", str(out)) == 0
+    assert capsys.readouterr().out.startswith("epoch 1: ")
+    assert (out / "sl.ckpt").exists()
+    config = json.loads((out / "config.json").read_text())
+    assert config["pool"] == str(pool) and config["topology"] is None
+
+
 def test_train_rl_refused_by_the_policy_writes_nothing(tmp_path, capsys):
     topo = tmp_path / "k6.json"
     save_topology_file(replace(internet2_fixture(), vnf_type_count=6), topo)
@@ -396,6 +412,15 @@ def test_exp_table1_refuses_a_bad_architecture_before_writing(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: annotation width 8 (K+3) exceeds hidden_dim 4\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--alpha-sl", "--alpha-rl", "--alpha-rl-pool"])
+def test_exp_table1_refuses_a_bad_stage_setting_before_writing(tmp_path, capsys, flag):
+    out = tmp_path / "x"
+    rc = run("exp", "table1", "--out", str(out), *TINY_EXP, flag, "0")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: learning rates must be > 0\n"
     assert not out.exists()
 
 

@@ -8,8 +8,10 @@ from ggsfc.nn import (
     NonFiniteGradientError,
     ParamSet,
     finite_diff_check,
+    fuse_gru,
     gru_cell,
     gru_cell_backward,
+    gru_param_shapes,
     init_gru_params,
     load_checkpoint,
     log_prob_grad,
@@ -19,6 +21,7 @@ from ggsfc.nn import (
     sigmoid,
     uniform_init,
 )
+from ggsfc.topology import generate_pool, internet2_fixture
 
 UNIT_TOL = 1e-6
 
@@ -93,7 +96,7 @@ def test_gru_cell_stays_inside_the_hidden_range():
     h = np.tanh(rng.normal(size=4))  # anything in [-1, 1]
     for _ in range(20):
         x = rng.normal(size=3)
-        h, _ = gru_cell(x, h, params, "g.")
+        h, _ = gru_cell(x, h, fuse_gru(params, "g."))
         assert np.all(np.abs(h) <= 1.0)
 
 
@@ -105,7 +108,7 @@ def test_gru_cell_gradients_match_finite_differences():
     params = ParamSet(init_gru_params(3, 4, rng, prefix="g."))
 
     def f(p):
-        h, cache = gru_cell(x, h0, p, "g.")
+        h, cache = gru_cell(x, h0, fuse_gru(p, "g."))
         value = float(v @ h)
         _, _, grads = gru_cell_backward(v, cache)
         g = GradSet(p)
@@ -124,7 +127,7 @@ def test_gru_cell_batched_gradients_match_finite_differences():
     params = ParamSet(init_gru_params(3, 4, rng, prefix="g."))
 
     def f(p):
-        h, cache = gru_cell(x, h0, p, "g.")
+        h, cache = gru_cell(x, h0, fuse_gru(p, "g."))
         value = float((v * h).sum())
         _, _, grads = gru_cell_backward(v, cache)
         g = GradSet(p)
@@ -138,12 +141,12 @@ def test_gru_cell_batched_gradients_match_finite_differences():
 def test_gru_input_and_state_gradients_match_finite_differences():
     # dx and dh_prev from the backward pass, probed by wrapping them as params
     rng = np.random.default_rng(6)
-    gru = init_gru_params(3, 4, rng, prefix="g.")
+    gru = fuse_gru(init_gru_params(3, 4, rng, prefix="g."), "g.")
     v = rng.normal(size=4)
     params = ParamSet({"x": rng.normal(size=3), "h0": rng.normal(size=4) * 0.5})
 
     def f(p):
-        h, cache = gru_cell(p["x"], p["h0"], gru, "g.")
+        h, cache = gru_cell(p["x"], p["h0"], gru)
         value = float(v @ h)
         dx, dh0, _ = gru_cell_backward(v, cache)
         g = GradSet(p)
@@ -152,6 +155,70 @@ def test_gru_input_and_state_gradients_match_finite_differences():
 
     report = finite_diff_check(f, params, tolerance=UNIT_TOL)
     assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# the fused forward is bit-identical to the textbook formulas
+#
+# These compare bytes, so like the golden files they hold for the numpy/BLAS
+# build they run on; the references are the formulas the kernels replaced.
+
+def reference_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_gru(x, h, params, prefix):
+    p = lambda name: params[prefix + name]
+    z = reference_sigmoid(x @ p("W_z") + h @ p("U_z") + p("b_z"))
+    r = reference_sigmoid(x @ p("W_r") + h @ p("U_r") + p("b_r"))
+    hbar = np.tanh(x @ p("W_h") + (r * h) @ p("U_h") + p("b_h"))
+    return (1.0 - z) * h + z * hbar, z, r, hbar
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-310, -1e-310, 36.0, -36.0, 710.0, -710.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+
+
+def test_sigmoid_is_bit_identical_to_the_sign_split():
+    """Byte-equal outputs, on this numpy build, at the edges (signed zeros,
+    subnormals, saturation, overflow of exp, infinities, NaN of either
+    sign) and on random values in 1-D and 2-D."""
+    rng = np.random.default_rng(11)
+    edges = np.array(SIGMOID_EDGES)
+    for x in (edges, edges.reshape(3, 4), rng.normal(scale=8.0, size=997),
+              rng.normal(scale=3.0, size=(40, 64))):
+        assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
+
+
+def _random_gru(d_in, d_hidden, rng, prefix):
+    return ParamSet({prefix + name: rng.normal(scale=0.5, size=shape)
+                     for name, shape in gru_param_shapes(d_in, d_hidden).items()})
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param(lambda: (42,), id="decoder-42x32"),
+    pytest.param(lambda: (internet2_fixture().num_nodes, 32), id="encoder-fixture"),
+    pytest.param(lambda: (max(v.num_nodes for v in generate_pool(
+        internet2_fixture(), "cs1", 3, seed=0).variants), 32), id="encoder-cs1"),
+])
+def test_fused_gru_cell_is_bit_identical_to_per_gate_products(shape):
+    """Byte-equal h_new, z, r and hbar, on this numpy build, at the
+    decoder's 1-D 42->32 step and the encoder's n x 32 step."""
+    shape = shape()
+    rng = np.random.default_rng(shape[0])
+    h_shape = shape[:-1] + (32,)
+    for _ in range(100):
+        params = _random_gru(shape[-1], 32, rng, "g.")
+        x = rng.normal(size=shape)
+        h = np.tanh(rng.normal(size=h_shape))
+        h_new, (_, _, z, r, _, hbar, _, _) = gru_cell(x, h, fuse_gru(params, "g."))
+        for got, want in zip((h_new, z, r, hbar), reference_gru(x, h, params, "g.")):
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

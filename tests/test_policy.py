@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests
-from ggsfc.nn import GradSet, finite_diff_check
+from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
+from ggsfc.nn import GradSet, finite_diff_check, fuse_gru
 from ggsfc.policy import (
     ActionDistribution,
     PolicyConfig,
+    _masks,
     action_log_prob,
     annotate,
     decode_step,
@@ -118,7 +119,7 @@ def test_encode_zero_rounds_returns_annotations():
     cfg = tiny_cfg(t_prop=0)
     params = init_policy_params(cfg, seed=0)
     h0 = annotate(t, SfcRequest(0, 3, (0,)), 0, cfg)
-    h, caches = encode(h0, adjacency_matrix(t), 0, params)
+    h, caches = encode(h0, adjacency_matrix(t), 0, fuse_gru(params, "enc."))
     assert np.array_equal(h, h0)
     assert caches == []
 
@@ -129,11 +130,12 @@ def test_encode_shape_and_determinism():
     params = init_policy_params(cfg, seed=0)
     h0 = annotate(t, SfcRequest(0, 3, (0,)), 0, cfg)
     a = adjacency_matrix(t)
-    h1, _ = encode(h0, a, cfg.t_prop, params)
-    h2, _ = encode(h0, a, cfg.t_prop, params)
+    gru = fuse_gru(params, "enc.")
+    h1, _ = encode(h0, a, cfg.t_prop, gru)
+    h2, _ = encode(h0, a, cfg.t_prop, gru)
     assert h1.shape == (4, 8)
     assert np.array_equal(h1, h2)
-    h3, _ = encode(h0, a, cfg.t_prop + 1, params)
+    h3, _ = encode(h0, a, cfg.t_prop + 1, gru)
     assert not np.array_equal(h1, h3)
 
 
@@ -141,7 +143,7 @@ def test_encode_rejects_adjacency_mismatch():
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=0)
     with pytest.raises(ValueError, match="adjacency"):
-        encode(np.zeros((4, 8)), np.zeros((3, 3)), 1, params)
+        encode(np.zeros((4, 8)), np.zeros((3, 3)), 1, fuse_gru(params, "enc."))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +155,13 @@ def run_one_decode(seed=0):
     params = init_policy_params(cfg, seed=seed)
     req = SfcRequest(0, 3, (0,))
     h0 = annotate(t, req, 0, cfg)
-    enc_h, _ = encode(h0, adjacency_matrix(t), cfg.t_prop, params)
+    enc_h, _ = encode(h0, adjacency_matrix(t), cfg.t_prop, fuse_gru(params, "enc."))
     move = np.array([False, True, False, True])
     proc = np.array([False, True, False, False])
     hidden = np.zeros(8)
     x = np.concatenate([[1.0, 0.0], [1.0, 0.0], enc_h[0]])  # v_all, v_now, node row
-    dist, hidden2, _ = decode_step(enc_h, hidden, x, move, proc, params)
+    dist, hidden2, _ = decode_step(enc_h, enc_h @ params["score.W_emb"], hidden, x,
+                                   move, proc, params, fuse_gru(params, "dec."))
     return dist, hidden, hidden2
 
 
@@ -172,6 +175,18 @@ def test_decode_step_masks_and_normalizes():
     assert 0.0 < dist.process_prob[1] < 1.0
     # the recurrent state advanced
     assert not np.array_equal(hidden, hidden2)
+
+
+def test_masks_are_read_only():
+    # one episode hands the same mask arrays to every visit of a node
+    t = tiny_topology()
+    move, proc, acts = _masks(reset(t, SfcRequest(0, 3, (0,))), t)
+    assert move.tolist() == [False, True, False, True]
+    assert proc.tolist() == [False, True, False, False]
+    assert len(acts) == 3
+    for mask in (move, proc):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = True
 
 
 def test_action_probs_sum_to_one_over_valid_actions():

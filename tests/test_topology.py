@@ -142,6 +142,14 @@ def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():
     assert a[0, 1] == 1.0 and a[0, 2] == 0.0
 
 
+def test_adjacency_matrix_is_built_once_and_read_only():
+    t = tiny_topology()
+    a = adjacency_matrix(t)
+    assert adjacency_matrix(t) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 2] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
