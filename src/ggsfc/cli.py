@@ -141,7 +141,11 @@ def cmd_train_sl(args) -> int:
         raise ValueError("sl training needs --dataset and --out (flag or config)")
     topos, base = _load_training_topologies(args)
     ds = oracle.load_dataset_file(args.dataset)
-    holdout = oracle.load_dataset_file(args.holdout) if args.holdout else None
+    oracle.check_labels(ds, topos, args.dataset)
+    holdout = None
+    if args.holdout:
+        holdout = oracle.load_dataset_file(args.holdout)
+        oracle.check_labels(holdout, topos, args.holdout)
     cfg = PolicyConfig(hidden_dim=args.hidden_dim, vnf_type_count=base.vnf_type_count,
                        t_prop=args.t_prop)
     hp = training.HyperParams(alpha_sl=args.alpha_sl, sl_epochs=args.epochs, seed=args.seed)

@@ -16,11 +16,25 @@ results:
   da_r W_r^T`` keeps its three products and their order: one product over
   the concatenated gates would sum all 3H terms in one pass, a different
   summation order, and so different bits in every trained parameter.
+- Stacking keeps bits only along a leading axis.  numpy runs an
+  ``(S, n, h) @ (h, k)`` stack as one BLAS product per 2-D slice, so each
+  slice gets the bits of the 2-D product on its own; likewise a
+  ``(B, 1, d) @ W`` stack gives each row the bits of the 1-D product
+  ``x @ W``.  A ``(B, d) @ W`` product does not: BLAS computes the rows of
+  a matrix product differently from a vector product, and 300 of 300 rows
+  of a 42 -> 96 product differed on this build.  Parameter gradients of a stack are per-slice products
+  (``swapaxes(x, -1, -2) @ da``, ``da.sum(axis=-2)``), which callers add one
+  slice at a time in the order the unstacked code did.
+- ``ParamSet`` and ``GradSet`` keep their tensors as views into one flat
+  buffer, so ``sgd_update`` is one elementwise step and one finiteness
+  check on each side; elementwise arithmetic gives the same bits whatever
+  the array's shape.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
@@ -34,16 +48,47 @@ class NonFiniteGradientError(ValueError):
     """A gradient contained NaN or inf; the update must be rejected."""
 
 
+_Layout = tuple[tuple[str, tuple[int, ...]], ...]  # (name, shape) in storage order
+
+
+def _views(flat: np.ndarray, layout: _Layout) -> dict[str, np.ndarray]:
+    """Each tensor of the layout as a view into its stretch of flat."""
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
 class ParamSet:
-    """Named float64 tensors with shapes frozen at construction."""
+    """Named float64 tensors with shapes frozen at construction.
+
+    The tensors are views into one flat buffer, in insertion order, so an
+    SGD step is one elementwise operation over the buffer.
+    """
 
     def __init__(self, tensors: Mapping[str, np.ndarray]):
-        self._tensors: dict[str, np.ndarray] = {}
-        for name, value in tensors.items():
-            arr = np.array(value, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name!r} has non-finite entries")
-            self._tensors[name] = arr
+        arrays = [(name, np.asarray(value, dtype=np.float64)) for name, value in tensors.items()]
+        self._layout: _Layout = tuple((name, arr.shape) for name, arr in arrays)
+        self._flat = (np.concatenate([arr.reshape(-1) for _, arr in arrays]) if arrays
+                      else np.empty(0))
+        self._tensors = _views(self._flat, self._layout)
+        self._check_finite()
+
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, layout: _Layout) -> "ParamSet":
+        """A ParamSet whose tensors are views into flat itself."""
+        params = cls.__new__(cls)
+        params._layout, params._flat, params._tensors = layout, flat, _views(flat, layout)
+        params._check_finite()
+        return params
+
+    def _check_finite(self) -> None:
+        if not np.isfinite(self._flat).all():
+            name = next(n for n, v in self._tensors.items() if not np.isfinite(v).all())
+            raise ValueError(f"parameter {name!r} has non-finite entries")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -61,17 +106,20 @@ class ParamSet:
         return self._tensors.items()
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {name: v.shape for name, v in self._tensors.items()}
+        return dict(self._layout)
 
     def copy(self) -> "ParamSet":
-        return ParamSet(self._tensors)
+        return ParamSet._from_flat(self._flat.copy(), self._layout)
 
 
 class GradSet:
-    """Gradient accumulator shape-matched to a ParamSet."""
+    """Gradient accumulator shape-matched to a ParamSet, with the same flat
+    layout."""
 
     def __init__(self, params: ParamSet):
-        self._tensors = {name: np.zeros_like(v) for name, v in params.items()}
+        self._flat = np.zeros_like(params._flat)
+        self._layout = params._layout
+        self._tensors = _views(self._flat, self._layout)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -92,7 +140,7 @@ class GradSet:
             self.add(name, value)
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self._tensors.values())
+        return bool(np.isfinite(self._flat).all())
 
 
 def uniform_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -170,7 +218,8 @@ def fuse_gru(params: Mapping[str, np.ndarray], prefix: str = "") -> GruWeights:
 def gru_cell(
     x: np.ndarray, h_prev: np.ndarray, w: GruWeights
 ) -> tuple[np.ndarray, tuple]:
-    """Standard GRU update; x and h_prev may be 1-D or batched 2-D.
+    """Standard GRU update; x and h_prev may be 1-D, batched 2-D, or an
+    (S, n, d) stack of batches.
 
     z = sigmoid(x W_z + h U_z + b_z)
     r = sigmoid(x W_r + h U_r + b_r)
@@ -192,7 +241,11 @@ def gru_cell(
 def gru_cell_backward(
     grad_h_new: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Returns (grad_x, grad_h_prev, param gradients keyed with the prefix)."""
+    """Returns (grad_x, grad_h_prev, param gradients keyed with the prefix).
+
+    x may be 1-D, a 2-D batch, or an (S, n, d) stack of batches; a stack
+    gets one parameter gradient per slice, stacked along the first axis.
+    """
     x, h_prev, z, r, rh, hbar, params, prefix = cache
     p = lambda name: params[prefix + name]
 
@@ -224,16 +277,19 @@ def gru_cell_backward(
             prefix + "b_h": da_h,
         }
     else:
+        # one gradient per 2-D slice of a stack (see the module docstring)
+        xt = np.swapaxes(x, -1, -2)
+        ht = np.swapaxes(h_prev, -1, -2)
         grads = {
-            prefix + "W_z": x.T @ da_z,
-            prefix + "U_z": h_prev.T @ da_z,
-            prefix + "b_z": da_z.sum(axis=0),
-            prefix + "W_r": x.T @ da_r,
-            prefix + "U_r": h_prev.T @ da_r,
-            prefix + "b_r": da_r.sum(axis=0),
-            prefix + "W_h": x.T @ da_h,
-            prefix + "U_h": rh.T @ da_h,
-            prefix + "b_h": da_h.sum(axis=0),
+            prefix + "W_z": xt @ da_z,
+            prefix + "U_z": ht @ da_z,
+            prefix + "b_z": da_z.sum(axis=-2),
+            prefix + "W_r": xt @ da_r,
+            prefix + "U_r": ht @ da_r,
+            prefix + "b_r": da_r.sum(axis=-2),
+            prefix + "W_h": xt @ da_h,
+            prefix + "U_h": np.swapaxes(rh, -1, -2) @ da_h,
+            prefix + "b_h": da_h.sum(axis=-2),
         }
     return dx, dh_prev, grads
 
@@ -287,14 +343,12 @@ def sgd_update(
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not grads.is_finite():
         raise NonFiniteGradientError("gradient has non-finite entries; update rejected")
+    if grads._layout != params._layout:
+        raise ValueError("gradient layout does not match the parameters")
     sign = 1.0 if direction == "ascend" else -1.0
-    new = {}
-    for name, value in params.items():
-        g = grads[name]
-        if g.shape != value.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        new[name] = value + sign * alpha * g
-    return ParamSet(new)
+    # one pass over the flat buffer; each element gets the same
+    # value + sign * alpha * g as a per-tensor update would
+    return ParamSet._from_flat(params._flat + sign * alpha * grads._flat, params._layout)
 
 
 # ---------------------------------------------------------------------------

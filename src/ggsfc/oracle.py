@@ -61,15 +61,21 @@ INFEASIBLE = OracleResult(path=None, actions=())
 _ActionKey = tuple[tuple[int, int], ...]
 
 
-def _result_from_actions(
-    t: Topology, req: SfcRequest, actions: tuple[Action, ...], expected_delay: int
-) -> OracleResult:
-    """Build the PathResult by replaying the actions through the environment."""
+def _replay(t: Topology, req: SfcRequest, actions: Sequence[Action]) -> PathResult:
+    """The environment's path after the actions, with a step budget of
+    exactly their count; an action the environment refuses raises."""
     s = reset(t, req, max_steps=len(actions))
     cfg = RewardConfig()
     for a in actions:
         s, _, _ = step(s, a, t, cfg)
-    p = s.path_so_far
+    return s.path_so_far
+
+
+def _result_from_actions(
+    t: Topology, req: SfcRequest, actions: tuple[Action, ...], expected_delay: int
+) -> OracleResult:
+    """Build the PathResult by replaying the actions through the environment."""
+    p = _replay(t, req, actions)
     if not (p.success and p.total_delay == expected_delay):
         raise AssertionError("solver emitted a walk the environment cannot replay")
     return OracleResult(path=p, actions=actions)
@@ -224,6 +230,33 @@ def label_dataset(
             continue
         examples.append(LabeledExample(tid, req, res.actions, res.optimal_delay))
     return LabeledDataset(tuple(examples), infeasible, over_budget)
+
+
+def check_labels(
+    ds: LabeledDataset,
+    topologies: Topology | TopologyPool | Sequence[Topology],
+    name: str,
+) -> None:
+    """Refuse labels that do not belong to these topologies.
+
+    Each example must replay, on the topology its id names, to a successful
+    walk with its recorded optimal_delay.  name (the dataset's file) leads
+    the error message, which also gives the example index and topology id.
+    """
+    topo_list = as_topology_list(topologies)
+    for i, ex in enumerate(ds.examples):
+        where = f"{name}: example {i} (topology_id {ex.topology_id})"
+        if not 0 <= ex.topology_id < len(topo_list):
+            raise ValueError(f"{where} is out of range: expected 0 <= id < "
+                             f"{len(topo_list)}, the number of topologies given")
+        try:
+            p = _replay(topo_list[ex.topology_id], ex.request, ex.actions)
+        except ValueError as exc:
+            raise ValueError(f"{where} does not replay on its topology: {exc}") from None
+        if not (p.success and p.total_delay == ex.optimal_delay):
+            got = f"delay {p.total_delay}" if p.success else "a failed walk"
+            raise ValueError(f"{where} replays to {got}, not its optimal_delay "
+                             f"{ex.optimal_delay}")
 
 
 def dataset_to_doc(ds: LabeledDataset) -> dict:

@@ -13,17 +13,22 @@ embedding.  Each candidate node u is scored additively,
 logit(u) = v . tanh(h_u W_emb + d W_hid), masked to the current neighbors,
 and softmaxed; a sigmoid head over the same joint features decides whether
 to process the pending VNF at u (forced to exactly 0 where invalid).  The
-encoder re-runs whenever chain progress changes, because the
-hosts-pending-type annotation depends on it.
+hosts-pending-type annotation depends on chain progress, so each chain
+index is its own encoder segment.  An episode annotates all len(chain)+1
+segments up front and encodes them once, as one (S, n, H) stack; each
+segment keeps the bits it would get encoded alone (see the ``nn``
+docstring), including segments the episode never reaches.
 
 All forward passes cache enough to run exact analytic backprop over a whole
 episode (sum of coefficient-weighted action log-probs), which serves both
-the supervised cross-entropy loss and the policy-gradient update.
+the supervised cross-entropy loss and the policy-gradient update.  An
+epsilon-greedy rollout returns its caches with the trace, so the update
+backprops through the rollout itself instead of replaying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -120,8 +125,12 @@ def encode(
     gru: nn.GruWeights,
 ) -> tuple[np.ndarray, list]:
     """T_prop propagation rounds through the fused ``enc.`` GRU; returns
-    final node embeddings and caches."""
-    n = annotations.shape[0]
+    final node embeddings and caches.
+
+    annotations are one segment's (n, H) node states or an (S, n, H) stack
+    of segments on the same graph.
+    """
+    n = annotations.shape[-2]
     if a.shape != (n, n):
         raise ValueError(f"adjacency shape {a.shape} does not match {n} annotations")
     h = annotations
@@ -137,7 +146,9 @@ def encode(
 def encode_backward(
     grad_h: np.ndarray, caches: list
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Backprop through the propagation rounds; returns (grad_annotations, param grads)."""
+    """Backprop through the propagation rounds; returns (grad_annotations,
+    param grads).  For a stack, each parameter gradient has one slice per
+    segment."""
     grads: dict[str, np.ndarray] = {}
     dh = grad_h
     for a, gru_cache in reversed(caches):
@@ -153,20 +164,14 @@ def encode_backward(
 
 @dataclass(frozen=True)
 class ActionDistribution:
-    """Per-node move distribution and per-node process probabilities."""
+    """Per-node move distribution and per-node process logits; the process
+    probability at u is sigmoid(process_logits[u]) where process_mask[u]
+    holds and 0 elsewhere."""
 
     node_probs: np.ndarray
-    process_prob: np.ndarray
     move_mask: np.ndarray
     process_mask: np.ndarray
-    process_logits: np.ndarray  # kept for numerically stable log-probs
-
-    def action_prob(self, a: Action) -> float:
-        node_p = self.node_probs[a.next_node]
-        if not self.process_mask[a.next_node]:
-            return float(node_p) if not a.process else 0.0
-        proc_p = self.process_prob[a.next_node]
-        return float(node_p * (proc_p if a.process else 1.0 - proc_p))
+    process_logits: np.ndarray
 
 
 def _log_sigmoid(x: float) -> float:
@@ -214,10 +219,8 @@ def decode_step(
     node_logits = s @ params["score.v"]
     node_probs = nn.masked_softmax(node_logits, move_mask)
     process_logits = s @ params["proc.w"] + params["proc.b"][0]
-    process_prob = np.where(process_mask, nn.sigmoid(process_logits), 0.0)
     dist = ActionDistribution(
         node_probs=node_probs,
-        process_prob=process_prob,
         move_mask=move_mask,
         process_mask=process_mask,
         process_logits=process_logits,
@@ -302,11 +305,25 @@ def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[
 
 
 @dataclass
-class _EpisodeRun:
-    trace: EpisodeTrace
-    step_caches: list          # (cache, segment_id, current node) per step
-    segments: list             # encoder caches (or None) per encoder run
+class EpisodeCaches:
+    """What backprop over one episode needs from its forward pass."""
+
+    params: ParamSet         # the parameters the forward pass ran with
+    segments: int            # chain segments encoded, reached or not
+    encoder: list            # their stacked encoder caches
+    steps: list              # (decode cache, segment, current node) per step
     log_probs: list[float]
+
+
+@dataclass(frozen=True)
+class CachedTrace(EpisodeTrace):
+    """An episode together with the caches of the forward pass that made it.
+
+    The caches do not refer back to the trace, so dropping the trace frees
+    both without waiting for the cycle collector.
+    """
+
+    caches: EpisodeCaches = field(repr=False, compare=False)
 
 
 def _run_episode(
@@ -318,7 +335,7 @@ def _run_episode(
     max_steps: int | None,
     select,                    # (dist, acts) -> Action
     want_caches: bool,
-) -> _EpisodeRun:
+) -> tuple[EpisodeTrace, EpisodeCaches]:
     a_matrix = adjacency_matrix(t)
     # fused per episode, never stored: training replaces params after each
     # update and finite_diff_check probes them in place
@@ -327,34 +344,32 @@ def _run_episode(
     state = reset(t, req, max_steps)
     hidden = np.zeros(cfg.hidden_dim)
 
-    segments: list = []
+    segments = range(len(req.chain) + 1)
+    h0 = np.stack([annotate(t, req, i, cfg) for i in segments])
+    enc_h, enc_caches = encode(h0, a_matrix, cfg.t_prop, enc_gru)
+    enc_scores = enc_h @ params["score.W_emb"]
+    heads = [_decoder_head(req, i, cfg.vnf_type_count) for i in segments]
+
     step_caches: list = []
     trace_steps: list[TraceStep] = []
     log_probs: list[float] = []
     masks: dict[tuple[int, int], tuple] = {}  # by (current node, chain index)
 
-    encoded_index = -1
     while not state.done:
-        if state.chain_index != encoded_index:
-            encoded_index = state.chain_index
-            h0 = annotate(t, req, encoded_index, cfg)
-            enc_h, enc_caches = encode(h0, a_matrix, cfg.t_prop, enc_gru)
-            enc_scores = enc_h @ params["score.W_emb"]
-            head = _decoder_head(req, encoded_index, cfg.vnf_type_count)
-            segments.append(enc_caches if want_caches else None)
-        key = (state.current_node, state.chain_index)
+        seg = state.chain_index
+        key = (state.current_node, seg)
         if key not in masks:
             masks[key] = _masks(state, t)
         move_mask, proc_mask, acts = masks[key]
-        x = np.concatenate([head, enc_h[state.current_node]])
-        dist, hidden, cache = decode_step(enc_h, enc_scores, hidden, x, move_mask, proc_mask,
-                                          params, dec_gru)
+        x = np.concatenate([heads[seg], enc_h[seg, state.current_node]])
+        dist, hidden, cache = decode_step(enc_h[seg], enc_scores[seg], hidden, x, move_mask,
+                                          proc_mask, params, dec_gru)
 
         action = select(dist, acts)
         logp = action_log_prob(dist, action)
         log_probs.append(logp)
         if want_caches:
-            step_caches.append((cache, len(segments) - 1, state.current_node))
+            step_caches.append((cache, seg, state.current_node))
 
         state, reward, _ = env_step(state, action, t, reward_cfg)
         trace_steps.append(TraceStep(action=action, reward=reward, log_prob=logp))
@@ -365,12 +380,17 @@ def _run_episode(
         steps=tuple(trace_steps),
         path=state.path_so_far,
     )
-    return _EpisodeRun(trace=trace, step_caches=step_caches, segments=segments, log_probs=log_probs)
+    caches = EpisodeCaches(params=params, segments=len(segments),
+                           encoder=enc_caches if want_caches else [],
+                           steps=step_caches, log_probs=log_probs)
+    return trace, caches
 
 
 def _greedy_action(dist: ActionDistribution) -> Action:
     node = int(np.argmax(dist.node_probs))
-    process = bool(dist.process_mask[node] and dist.process_prob[node] >= 0.5)
+    # the chosen node's sigmoid alone, as decode_step_backward takes it
+    process = bool(dist.process_mask[node]
+                   and nn.sigmoid(dist.process_logits[node : node + 1])[0] >= 0.5)
     return Action(node, process)
 
 
@@ -389,7 +409,8 @@ def rollout(
     greedy: argmax node, process iff its probability >= 0.5 (deterministic).
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
-    probability of the taken action.
+    probability of the taken action.  The trace is a CachedTrace, whose
+    caches ``episode_gradients`` can backprop through without a replay.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -397,16 +418,50 @@ def rollout(
         raise ValueError(f"mode {mode!r} needs an rng")
     if reward_cfg is None:
         reward_cfg = RewardConfig()
+    greedy = mode == "greedy"
 
     def select(dist: ActionDistribution, acts: tuple[Action, ...]) -> Action:
-        if mode == "greedy":
-            return _greedy_action(dist)
-        if rng.random() < epsilon:
+        if not greedy and rng.random() < epsilon:
             return acts[int(rng.integers(len(acts)))]
         return _greedy_action(dist)
 
-    run = _run_episode(params, cfg, t, req, reward_cfg, None, select, want_caches=False)
-    return run.trace
+    trace, caches = _run_episode(params, cfg, t, req, reward_cfg, None, select,
+                                 want_caches=not greedy)
+    if greedy:
+        return trace
+    return CachedTrace(trace.topology, trace.request, trace.steps, trace.path, caches)
+
+
+def _episode_backward(
+    params: ParamSet,
+    cfg: PolicyConfig,
+    n: int,
+    caches: EpisodeCaches,
+    actions: tuple[Action, ...],
+    coeffs: np.ndarray,
+) -> GradSet:
+    """Gradient of sum_t coeff_t * log pi(a_t) from an episode's caches."""
+    grads = GradSet(params)
+    grad_enc = np.zeros((caches.segments, n, cfg.hidden_dim))
+    dh_next: np.ndarray | None = None
+    for (cache, seg, cur_node), action, coeff in zip(
+        reversed(caches.steps), reversed(actions), reversed(coeffs)
+    ):
+        genc, dh_next, gnode, step_grads = decode_step_backward(
+            coeff, action, cache, params, grad_hidden_out=dh_next
+        )
+        grads.add_all(step_grads)
+        grad_enc[seg] += genc
+        grad_enc[seg][cur_node] += gnode
+
+    if caches.steps:
+        # segments past the last one reached get a zero gradient and are
+        # not added; the reached ones are added in order, as when each
+        # segment was encoded on its own
+        _, enc_grads = encode_backward(grad_enc, caches.encoder)
+        for seg in range(caches.steps[-1][1] + 1):
+            grads.add_all({name: g[seg] for name, g in enc_grads.items()})
+    return grads
 
 
 def episode_gradients(
@@ -416,48 +471,32 @@ def episode_gradients(
     req: SfcRequest,
     actions: tuple[Action, ...],
     coeffs: np.ndarray | list[float],
+    caches: EpisodeCaches | None = None,
 ) -> tuple[list[float], GradSet]:
-    """Forward-replay the action sequence and backprop sum_t coeff_t*log pi(a_t).
+    """Backprop sum_t coeff_t * log pi(a_t) along the action sequence.
 
-    The returned log-probs are computed by the exact code path rollouts use,
-    so replaying a recorded trace reproduces its log-probs bit-for-bit.  The
-    replay's step budget is the action count, so a walk that would end
-    earlier is refused.
+    Without caches, the actions are replayed forward (teacher forcing) by
+    the exact code path rollouts use, so replaying a recorded trace
+    reproduces its log-probs bit-for-bit; the replay's step budget is the
+    action count, so a walk that would end earlier is refused.  With the
+    caches of a CachedTrace that took these actions under these params,
+    the backward runs on them directly.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if len(coeffs) != len(actions):
         raise ValueError(f"{len(actions)} actions but {len(coeffs)} coefficients")
-    it = iter(actions)
-
-    def select(dist: ActionDistribution, acts) -> Action:
-        return next(it)
-
-    run = _run_episode(
-        params, cfg, t, req, RewardConfig(), len(actions), select, want_caches=True
-    )
-    if len(run.trace.steps) != len(actions):
-        raise ValueError(
-            f"episode terminated after {len(run.trace.steps)} of {len(actions)} actions"
-        )
-
-    grads = GradSet(params)
-    n = t.num_nodes
-    grad_enc_by_segment = [np.zeros((n, cfg.hidden_dim)) for _ in run.segments]
-    dh_next: np.ndarray | None = None
-    for (cache, seg_id, cur_node), action, coeff in zip(
-        reversed(run.step_caches), reversed(actions), reversed(coeffs)
-    ):
-        genc, dh_next, gnode, step_grads = decode_step_backward(
-            coeff, action, cache, params, grad_hidden_out=dh_next
-        )
-        grads.add_all(step_grads)
-        grad_enc_by_segment[seg_id] += genc
-        grad_enc_by_segment[seg_id][cur_node] += gnode
-
-    for seg_id, enc_caches in enumerate(run.segments):
-        _, enc_grads = encode_backward(grad_enc_by_segment[seg_id], enc_caches)
-        grads.add_all(enc_grads)
-    return run.log_probs, grads
+    if caches is None:
+        it = iter(actions)
+        trace, caches = _run_episode(params, cfg, t, req, RewardConfig(), len(actions),
+                                     lambda dist, acts: next(it), want_caches=True)
+        if len(trace.steps) != len(actions):
+            raise ValueError(
+                f"episode terminated after {len(trace.steps)} of {len(actions)} actions"
+            )
+    elif caches.params is not params or len(caches.steps) != len(actions):
+        raise ValueError("caches were recorded under other parameters or for another walk")
+    return caches.log_probs, _episode_backward(params, cfg, t.num_nodes, caches, actions,
+                                               coeffs)
 
 
 # ---------------------------------------------------------------------------

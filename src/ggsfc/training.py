@@ -3,8 +3,10 @@
 SL is teacher-forced cross-entropy down the label path, one example per SGD
 step, epochs shuffled.  RL is plain per-episode REINFORCE: rollout with
 epsilon-greedy exploration, discounted returns, one ascending step along
-sum_t G_t * grad log pi(a_t | s_t).  No baseline, no batching, no reward
-normalization; non-finite gradients reject the update and are logged.
+sum_t G_t * grad log pi(a_t | s_t), backpropagated through the rollout's
+own forward caches (the episode is decoded once).  No baseline, no
+batching, no reward normalization; non-finite gradients reject the update
+and are logged.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ import numpy as np
 
 from .environment import (
     DEFAULT_CHAIN_LEN_RANGE,
-    EpisodeTrace,
     RewardConfig,
     SfcRequest,
     generate_requests,
 )
 from .nn import GradSet, NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset
-from .policy import PolicyConfig, episode_gradients, rollout
+from .policy import CachedTrace, PolicyConfig, episode_gradients, rollout
 from .topology import Topology, TopologyPool, as_topology_list
 
 logger = logging.getLogger(__name__)
@@ -97,25 +98,23 @@ def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
 
 def reinforce_update(
     params: ParamSet,
-    trace: EpisodeTrace,
+    trace: CachedTrace,
     hp: HyperParams,
     cfg: PolicyConfig,
 ) -> ParamSet:
-    """One policy-gradient step from a recorded on-policy episode.
+    """One policy-gradient step from an epsilon-greedy rollout under params.
 
-    Failure episodes (all rewards zero) change nothing and skip the replay
-    entirely.  A non-finite gradient rejects the update and logs a warning.
+    The gradient comes from the rollout's own caches.  Failure episodes
+    (all rewards zero) change nothing and skip the backward entirely.  A
+    non-finite gradient rejects the update and logs a warning.
     """
     returns = compute_returns(trace.rewards, hp.gamma)
     if not returns.any():
         return params
     actions = tuple(s.action for s in trace.steps)
-    log_probs, grads = episode_gradients(
-        params, cfg, trace.topology, trace.request, actions, returns
+    _, grads = episode_gradients(
+        params, cfg, trace.topology, trace.request, actions, returns, caches=trace.caches
     )
-    recorded = [s.log_prob for s in trace.steps]
-    if log_probs != recorded:
-        raise AssertionError("replayed log-probs differ from the recorded rollout")
     try:
         return sgd_update(params, grads, hp.alpha_rl, direction="ascend")
     except NonFiniteGradientError:

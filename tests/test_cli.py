@@ -159,6 +159,27 @@ def test_train_sl_trains_on_a_labelled_pool(tmp_path, capsys):
     assert config["pool"] == str(pool) and config["topology"] is None
 
 
+@pytest.mark.parametrize("role", ["dataset", "holdout"])
+def test_train_sl_refuses_labels_from_another_topology(tmp_path, capsys, role):
+    pool, out = tmp_path / "pool", tmp_path / "sl"
+    fixture_ds, pool_ds = tmp_path / "fixture_ds.json", tmp_path / "pool_ds.json"
+    assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "2",
+               "--seed", "3", "--out", str(pool)) == 0
+    assert run("dataset", "--fixture", "--count", "20", "--seed", "1",
+               "--chain-max", "2", "--out", str(fixture_ds)) == 0
+    assert run("dataset", "--pool", str(pool), "--count", "6", "--seed", "1",
+               "--chain-max", "2", "--out", str(pool_ds)) == 0
+    capsys.readouterr()
+    dataset, holdout = (fixture_ds, pool_ds) if role == "dataset" else (pool_ds, fixture_ds)
+    rc = run("train", "sl", "--pool", str(pool), "--dataset", str(dataset),
+             "--holdout", str(holdout), "--epochs", "1", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {fixture_ds}: example 0 (topology_id 0) ")
+    assert not out.exists()
+
+
 def test_train_rl_refused_by_the_policy_writes_nothing(tmp_path, capsys):
     topo = tmp_path / "k6.json"
     save_topology_file(replace(internet2_fixture(), vnf_type_count=6), topo)

@@ -304,6 +304,38 @@ def test_sgd_update_validates_arguments():
         sgd_update(p, g, alpha=0.1, direction="sideways")
     with pytest.raises(ValueError, match="alpha"):
         sgd_update(p, g, alpha=0.0)
+    with pytest.raises(ValueError, match="layout"):
+        sgd_update(p, GradSet(ParamSet({"v": np.zeros(2)})), alpha=0.1)
+
+
+def test_sgd_update_refuses_a_step_that_overflows():
+    p = ParamSet({"w": np.array([1e308, 0.0])})
+    g = GradSet(p)
+    g.add("w", np.array([1e308, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="'w' has non-finite"):
+        sgd_update(p, g, alpha=10.0)
+
+
+def test_flat_sgd_update_is_bit_identical_to_per_tensor_steps():
+    """Byte-equal to value + sign * alpha * g per tensor, over mixed shapes,
+    magnitudes from 1e-300 to 1e30, signed zeros and both directions."""
+    rng = np.random.default_rng(13)
+    shapes = {"W": (32, 96), "b": (96,), "v": (32,), "s": (1,), "M": (3, 4, 5)}
+    for trial in range(20):
+        def draw(shape):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 30, size=shape)
+            specials = [0.0, -0.0, 5e-324][: x.size]
+            x.reshape(-1)[: len(specials)] = specials
+            return x
+        p = ParamSet({name: draw(shape) for name, shape in shapes.items()})
+        g = GradSet(p)
+        g.add_all({name: draw(shape) for name, shape in shapes.items()})
+        alpha = float(10.0 ** rng.uniform(-9, -1))
+        for direction, sign in (("ascend", 1.0), ("descend", -1.0)):
+            new = sgd_update(p, g, alpha, direction)
+            assert new.names() == p.names()
+            for name, value in p.items():
+                assert new[name].tobytes() == (value + sign * alpha * g[name]).tobytes()
 
 
 # ---------------------------------------------------------------------------

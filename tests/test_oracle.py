@@ -1,5 +1,7 @@
 """Exact solver vs. independent exhaustive search, plus dataset labeling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ggsfc.environment import (
 from ggsfc.oracle import (
     INFEASIBLE,
     brute_force_optimal,
+    check_labels,
     label_dataset,
     load_dataset,
     save_dataset,
@@ -267,3 +270,23 @@ def test_dataset_round_trip():
     ds = label_dataset(t, reqs)
     assert load_dataset(save_dataset(ds)) == ds
     assert save_dataset(ds) == save_dataset(ds)
+
+
+def test_check_labels_refuses_labels_that_do_not_replay():
+    t = internet2_fixture()
+    ds = label_dataset(t, generate_requests(t, 8, (1, 3), np.random.default_rng(4)))
+    check_labels(ds, t, "ds.json")
+
+    def edited(**change):
+        examples = list(ds.examples)
+        examples[3] = replace(examples[3], **change)
+        return replace(ds, examples=tuple(examples))
+
+    delay = ds.examples[3].optimal_delay
+    with pytest.raises(ValueError, match=rf"^ds.json: example 3 \(topology_id 0\) replays "
+                                         rf"to delay {delay}, not its optimal_delay {delay + 1}$"):
+        check_labels(edited(optimal_delay=delay + 1), t, "ds.json")
+    with pytest.raises(ValueError, match=r"example 3 \(topology_id 1\) is out of range"):
+        check_labels(edited(topology_id=1), t, "ds.json")
+    with pytest.raises(ValueError, match="replays to a failed walk"):
+        check_labels(edited(actions=ds.examples[3].actions[:-1]), t, "ds.json")

@@ -1,20 +1,25 @@
 """Encoder/decoder policy: annotations, distributions, rollouts, gradients."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
+from ggsfc import nn
 from ggsfc.nn import GradSet, finite_diff_check, fuse_gru
 from ggsfc.policy import (
     ActionDistribution,
     PolicyConfig,
+    _greedy_action,
     _masks,
     action_log_prob,
     annotate,
     decode_step,
     encode,
+    encode_backward,
     episode_gradients,
     init_policy_params,
     load_policy,
@@ -26,6 +31,7 @@ from ggsfc.topology import (
     VnfInstance,
     adjacency_matrix,
     deploy_vnfs,
+    generate_pool,
     internet2_fixture,
 )
 
@@ -139,6 +145,43 @@ def test_encode_shape_and_determinism():
     assert not np.array_equal(h1, h3)
 
 
+def _bench_graphs():
+    fixture = internet2_fixture()
+    return [fixture,
+            *generate_pool(fixture, "cs1", 2, seed=11).variants,
+            *generate_pool(fixture, "cs2", 2, seed=12).variants]
+
+
+def test_stacked_encoder_is_bit_identical_to_per_segment_calls():
+    """Byte-equal embeddings, input gradients and per-segment parameter
+    gradients, on this numpy build, at every chain index of requests on the
+    fixture and on cs1 and cs2 variants.  The reference is the per-segment
+    encode / encode_backward the episode ran before segments were stacked."""
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=4)
+    gru = fuse_gru(params, "enc.")
+    rng = np.random.default_rng(21)
+    segments = 0
+    for t in _bench_graphs():
+        a = adjacency_matrix(t)
+        for req in generate_requests(t, 3, (1, 4), rng):
+            n_seg = len(req.chain) + 1
+            h0 = np.stack([annotate(t, req, i, cfg) for i in range(n_seg)])
+            grad = rng.normal(size=h0.shape)
+            enc_h, caches = encode(h0, a, cfg.t_prop, gru)
+            d_h0, grads = encode_backward(grad, caches)
+            for i in range(n_seg):
+                ref_h, ref_caches = encode(h0[i], a, cfg.t_prop, gru)
+                ref_d_h0, ref_grads = encode_backward(grad[i], ref_caches)
+                assert enc_h[i].tobytes() == ref_h.tobytes()
+                assert d_h0[i].tobytes() == ref_d_h0.tobytes()
+                assert grads.keys() == ref_grads.keys()
+                for name, g in ref_grads.items():
+                    assert grads[name][i].tobytes() == g.tobytes(), name
+                segments += 1
+    assert segments > 40
+
+
 def test_encode_rejects_adjacency_mismatch():
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=0)
@@ -170,9 +213,10 @@ def test_decode_step_masks_and_normalizes():
     assert dist.node_probs[0] == 0.0 and dist.node_probs[2] == 0.0
     assert dist.node_probs.sum() == pytest.approx(1.0)
     assert np.all(dist.node_probs[[1, 3]] > 0)
-    # process probability is exactly zero wherever it is invalid
-    assert dist.process_prob[0] == 0.0 and dist.process_prob[3] == 0.0
-    assert 0.0 < dist.process_prob[1] < 1.0
+    # where processing is invalid, the move alone carries the whole log-prob
+    assert action_log_prob(dist, Action(3, False)) == np.log(dist.node_probs[3])
+    p_process = np.exp(action_log_prob(dist, Action(1, True))) / dist.node_probs[1]
+    assert 0.0 < p_process < 1.0
     # the recurrent state advanced
     assert not np.array_equal(hidden, hidden2)
 
@@ -192,14 +236,23 @@ def test_masks_are_read_only():
 def test_action_probs_sum_to_one_over_valid_actions():
     dist, _, _ = run_one_decode()
     acts = [Action(1, False), Action(1, True), Action(3, False)]
-    total = sum(dist.action_prob(a) for a in acts)
+    total = sum(np.exp(action_log_prob(dist, a)) for a in acts)
     assert total == pytest.approx(1.0)
+
+
+def _action_prob(dist, a):
+    """pi(a) from its definition: P(node) times P(process decision there)."""
+    node_p = dist.node_probs[a.next_node]
+    if not dist.process_mask[a.next_node]:
+        return node_p if not a.process else 0.0
+    proc_p = 1.0 / (1.0 + np.exp(-dist.process_logits[a.next_node]))
+    return node_p * (proc_p if a.process else 1.0 - proc_p)
 
 
 def test_action_log_prob_matches_action_prob():
     dist, _, _ = run_one_decode()
     for a in (Action(1, False), Action(1, True), Action(3, False)):
-        assert action_log_prob(dist, a) == pytest.approx(np.log(dist.action_prob(a)))
+        assert action_log_prob(dist, a) == pytest.approx(np.log(_action_prob(dist, a)))
 
 
 def test_action_log_prob_rejects_masked_actions():
@@ -208,6 +261,28 @@ def test_action_log_prob_rejects_masked_actions():
         action_log_prob(dist, Action(0, False))
     with pytest.raises(ValueError, match="masked"):
         action_log_prob(dist, Action(3, True))
+
+
+def test_greedy_process_decision_matches_the_full_width_sigmoid():
+    """The greedy action takes the chosen node's sigmoid alone; its process
+    decision equals the one read from a sigmoid over every node."""
+    rng = np.random.default_rng(5)
+    n = 12
+    move = np.ones(n, dtype=bool)
+    tiny = np.array([0.0, -0.0, 1e-17, -1e-17, 5e-324, -5e-324, 1e-300, -1e-300])
+    decisions = set()
+    for trial in range(400):
+        logits = rng.normal(scale=10.0 ** rng.integers(-18, 2), size=n)
+        logits[rng.integers(n, size=3)] = rng.choice(tiny, size=3)
+        proc = rng.random(n) < 0.7
+        for node in range(n):
+            node_probs = np.full(n, 0.5 / (n - 1))
+            node_probs[node] = 0.5
+            dist = ActionDistribution(node_probs, move, proc, logits)
+            full = np.where(proc, nn.sigmoid(logits), 0.0)
+            assert _greedy_action(dist) == Action(node, bool(full[node] >= 0.5))
+            decisions.add(_greedy_action(dist).process)
+    assert decisions == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +331,24 @@ def test_rollout_argument_validation():
         rollout(params, cfg, t, req, mode="thermal")
     with pytest.raises(ValueError, match="rng"):
         rollout(params, cfg, t, req, mode="epsilon_greedy")
+
+
+def test_an_epsilon_greedy_trace_is_freed_without_the_cycle_collector():
+    # its caches must not refer back to it, or every training episode's
+    # forward pass would live until the next gc cycle
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=2)
+    trace = rollout(params, cfg, t, SfcRequest(1, 10, (0, 4)), mode="epsilon_greedy",
+                    rng=np.random.default_rng(8), epsilon=0.5)
+    assert trace.caches.steps
+    refs = [weakref.ref(trace), weakref.ref(trace.caches)]
+    gc.disable()
+    try:
+        del trace
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_rollout_log_probs_are_log_probabilities():

@@ -141,6 +141,45 @@ def test_update_raises_weighted_log_likelihood():
     assert weighted(updated) > before
 
 
+def test_cache_based_update_is_bit_identical_to_a_replayed_one():
+    """reinforce_update backprops through the rollout's caches; its
+    parameters equal, byte for byte, those of a teacher-forced replay of the
+    same actions followed by the per-tensor step value + alpha * g."""
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    hp = HyperParams(alpha_rl=1e-3, lam=0.5)
+    checked = 0
+    for seed in range(3):
+        params = init_policy_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for req in generate_requests(t, 25, (1, 3), rng):
+            trace = rollout(params, cfg, t, req, hp.reward_config(),
+                            mode="epsilon_greedy", rng=rng, epsilon=0.3)
+            if not trace.success:
+                continue
+            returns = compute_returns(trace.rewards, hp.gamma)
+            actions = tuple(s.action for s in trace.steps)
+            _, grads = episode_gradients(params, cfg, t, req, actions, returns)
+            updated = reinforce_update(params, trace, hp, cfg)
+            for name, value in params.items():
+                expected = value + 1.0 * hp.alpha_rl * grads[name]
+                assert updated[name].tobytes() == expected.tobytes(), name
+            checked += 1
+    assert checked >= 15
+
+
+def test_cached_gradients_refuse_other_parameters():
+    t = tiny_topology()
+    cfg = tiny_cfg()
+    params = init_policy_params(cfg, seed=2)
+    trace = successful_trace(params, cfg, t)
+    actions = tuple(s.action for s in trace.steps)
+    other = params.copy()
+    with pytest.raises(ValueError, match="other parameters"):
+        episode_gradients(other, cfg, t, trace.request, actions, np.ones(len(actions)),
+                          caches=trace.caches)
+
+
 def test_update_rejects_non_finite_gradients(monkeypatch, caplog):
     t = tiny_topology()
     cfg = tiny_cfg()
