@@ -10,6 +10,9 @@ Total delay of a walk is the sum of traversed edge delays (with
 multiplicity) plus the processing delays of the instances used.  Reward is
 sparse: DEFAULT_SUCCESS_BASE - lam * total_delay on the success-terminal
 step, zero everywhere else.
+
+This module holds the rules alone; a recorded episode with the policy's
+log-probs is a ``policy.EpisodeTrace``.
 """
 
 from __future__ import annotations
@@ -245,56 +248,3 @@ def generate_pool_requests(
         tid = int(rng.integers(len(topologies)))
         pairs.append((tid, generate_requests(topologies[tid], 1, chain_len_range, rng)[0]))
     return pairs
-
-
-# ---------------------------------------------------------------------------
-# episode traces (recorded rollouts; consumed by training)
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One transition: what the agent did and what it got."""
-
-    action: Action
-    reward: float
-    log_prob: float
-
-
-@dataclass(frozen=True)
-class EpisodeTrace:
-    """A complete episode with enough context to replay it exactly."""
-
-    topology: Topology
-    request: SfcRequest
-    steps: tuple[TraceStep, ...]
-    path: PathResult
-
-    @property
-    def success(self) -> bool:
-        return self.path.success
-
-    @property
-    def total_delay(self) -> int:
-        return self.path.total_delay
-
-    @property
-    def rewards(self) -> tuple[float, ...]:
-        return tuple(s.reward for s in self.steps)
-
-
-def format_episode_log(trace: EpisodeTrace) -> str:
-    """Line-per-transition debug view: step, node, action, reward, cumulative delay."""
-    req = trace.request
-    lines = [f"request {req.source}->{req.destination} chain {list(req.chain)}"]
-    t = trace.topology
-    node, k, delay = req.source, 0, 0
-    for i, ts in enumerate(trace.steps):
-        a = ts.action
-        delay += t.edge_delay(node, a.next_node)
-        if a.process:
-            delay += t.best_instance(a.next_node, req.chain[k]).proc_delay
-            k += 1
-        mark = "+process" if a.process else ""
-        lines.append(f"step {i}: {node} -> {a.next_node}{mark} reward {ts.reward:g} delay {delay}")
-        node = a.next_node
-    lines.append(f"{'success' if trace.success else 'failure'} total_delay {trace.total_delay}")
-    return "\n".join(lines)

@@ -440,8 +440,13 @@ def save_checkpoint(params: ParamSet, metadata: dict, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict]:
     doc = json.loads(Path(path).read_text())
-    tensors = {
-        name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-        for name, rec in doc["tensors"].items()
-    }
+    try:
+        if not isinstance(doc["metadata"], dict) or not isinstance(doc["tensors"], dict):
+            raise TypeError("metadata and tensors must be JSON objects")
+        tensors = {
+            name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+            for name, rec in doc["tensors"].items()
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
     return ParamSet(tensors), doc["metadata"]

@@ -280,24 +280,27 @@ def dataset_to_doc(ds: LabeledDataset) -> dict:
 
 
 def dataset_from_doc(doc: dict) -> LabeledDataset:
-    examples = tuple(
-        LabeledExample(
-            topology_id=int(rec["topology_id"]),
-            request=SfcRequest(
-                source=int(rec["request"]["source"]),
-                destination=int(rec["request"]["destination"]),
-                chain=tuple(int(k) for k in rec["request"]["chain"]),
-            ),
-            actions=tuple(Action(int(n), bool(p)) for n, p in rec["action_sequence"]),
-            optimal_delay=int(rec["optimal_delay"]),
+    try:
+        examples = tuple(
+            LabeledExample(
+                topology_id=int(rec["topology_id"]),
+                request=SfcRequest(
+                    source=int(rec["request"]["source"]),
+                    destination=int(rec["request"]["destination"]),
+                    chain=tuple(int(k) for k in rec["request"]["chain"]),
+                ),
+                actions=tuple(Action(int(n), bool(p)) for n, p in rec["action_sequence"]),
+                optimal_delay=int(rec["optimal_delay"]),
+            )
+            for rec in doc["examples"]
         )
-        for rec in doc["examples"]
-    )
-    return LabeledDataset(
-        examples=examples,
-        dropped_infeasible=int(doc["dropped_infeasible"]),
-        dropped_over_budget=int(doc["dropped_over_budget"]),
-    )
+        return LabeledDataset(
+            examples=examples,
+            dropped_infeasible=int(doc["dropped_infeasible"]),
+            dropped_over_budget=int(doc["dropped_over_budget"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed dataset document: {exc}") from exc
 
 
 def save_dataset(ds: LabeledDataset) -> str:
@@ -313,4 +316,7 @@ def save_dataset_file(ds: LabeledDataset, path: str | Path) -> None:
 
 
 def load_dataset_file(path: str | Path) -> LabeledDataset:
-    return load_dataset(Path(path).read_text())
+    try:
+        return load_dataset(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -19,11 +19,12 @@ segments up front and encodes them once, as one (S, n, H) stack; each
 segment keeps the bits it would get encoded alone (see the ``nn``
 docstring), including segments the episode never reaches.
 
-All forward passes cache enough to run exact analytic backprop over a whole
-episode (sum of coefficient-weighted action log-probs), which serves both
-the supervised cross-entropy loss and the policy-gradient update.  An
-epsilon-greedy rollout returns its caches with the trace, so the update
-backprops through the rollout itself instead of replaying it.
+Every episode is one forward pass that returns one ``EpisodeTrace``: a
+``rollout`` picks its actions from the policy, ``teacher_force`` takes them
+from a label.  The trace carries the caches of that pass, and
+``episode_gradients`` is the backward over them alone: exact analytic
+backprop of the sum of coefficient-weighted action log-probs.  It serves
+the supervised cross-entropy loss and the policy-gradient update alike.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from . import nn
 from .environment import (
     Action,
     EnvState,
-    EpisodeTrace,
+    PathResult,
     RewardConfig,
     SfcRequest,
-    TraceStep,
     reset,
     step as env_step,
     valid_actions,
@@ -309,21 +309,45 @@ class EpisodeCaches:
     """What backprop over one episode needs from its forward pass."""
 
     params: ParamSet         # the parameters the forward pass ran with
-    segments: int            # chain segments encoded, reached or not
-    encoder: list            # their stacked encoder caches
+    encoder: list            # stacked encoder caches of every chain segment
     steps: list              # (decode cache, segment, current node) per step
-    log_probs: list[float]
 
 
 @dataclass(frozen=True)
-class CachedTrace(EpisodeTrace):
-    """An episode together with the caches of the forward pass that made it.
+class TraceStep:
+    """One transition: what the agent did and what it got."""
+
+    action: Action
+    reward: float
+    log_prob: float
+
+
+@dataclass(frozen=True)
+class EpisodeTrace:
+    """One episode under the policy, with the caches of the forward pass
+    that made it.
 
     The caches do not refer back to the trace, so dropping the trace frees
     both without waiting for the cycle collector.
     """
 
+    topology: Topology
+    request: SfcRequest
+    steps: tuple[TraceStep, ...]
+    path: PathResult
     caches: EpisodeCaches = field(repr=False, compare=False)
+
+    @property
+    def success(self) -> bool:
+        return self.path.success
+
+    @property
+    def total_delay(self) -> int:
+        return self.path.total_delay
+
+    @property
+    def rewards(self) -> tuple[float, ...]:
+        return tuple(s.reward for s in self.steps)
 
 
 def _run_episode(
@@ -334,8 +358,7 @@ def _run_episode(
     reward_cfg: RewardConfig,
     max_steps: int | None,
     select,                    # (dist, acts) -> Action
-    want_caches: bool,
-) -> tuple[EpisodeTrace, EpisodeCaches]:
+) -> EpisodeTrace:
     a_matrix = adjacency_matrix(t)
     # fused per episode, never stored: training replaces params after each
     # update and finite_diff_check probes them in place
@@ -352,7 +375,6 @@ def _run_episode(
 
     step_caches: list = []
     trace_steps: list[TraceStep] = []
-    log_probs: list[float] = []
     masks: dict[tuple[int, int], tuple] = {}  # by (current node, chain index)
 
     while not state.done:
@@ -367,23 +389,18 @@ def _run_episode(
 
         action = select(dist, acts)
         logp = action_log_prob(dist, action)
-        log_probs.append(logp)
-        if want_caches:
-            step_caches.append((cache, seg, state.current_node))
+        step_caches.append((cache, seg, state.current_node))
 
         state, reward, _ = env_step(state, action, t, reward_cfg)
         trace_steps.append(TraceStep(action=action, reward=reward, log_prob=logp))
 
-    trace = EpisodeTrace(
+    return EpisodeTrace(
         topology=t,
         request=req,
         steps=tuple(trace_steps),
         path=state.path_so_far,
+        caches=EpisodeCaches(params=params, encoder=enc_caches, steps=step_caches),
     )
-    caches = EpisodeCaches(params=params, segments=len(segments),
-                           encoder=enc_caches if want_caches else [],
-                           steps=step_caches, log_probs=log_probs)
-    return trace, caches
 
 
 def _greedy_action(dist: ActionDistribution) -> Action:
@@ -409,8 +426,7 @@ def rollout(
     greedy: argmax node, process iff its probability >= 0.5 (deterministic).
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
-    probability of the taken action.  The trace is a CachedTrace, whose
-    caches ``episode_gradients`` can backprop through without a replay.
+    probability of the taken action.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -425,78 +441,75 @@ def rollout(
             return acts[int(rng.integers(len(acts)))]
         return _greedy_action(dist)
 
-    trace, caches = _run_episode(params, cfg, t, req, reward_cfg, None, select,
-                                 want_caches=not greedy)
-    if greedy:
-        return trace
-    return CachedTrace(trace.topology, trace.request, trace.steps, trace.path, caches)
+    return _run_episode(params, cfg, t, req, reward_cfg, None, select)
 
 
-def _episode_backward(
-    params: ParamSet,
-    cfg: PolicyConfig,
-    n: int,
-    caches: EpisodeCaches,
-    actions: tuple[Action, ...],
-    coeffs: np.ndarray,
-) -> GradSet:
-    """Gradient of sum_t coeff_t * log pi(a_t) from an episode's caches."""
-    grads = GradSet(params)
-    grad_enc = np.zeros((caches.segments, n, cfg.hidden_dim))
-    dh_next: np.ndarray | None = None
-    for (cache, seg, cur_node), action, coeff in zip(
-        reversed(caches.steps), reversed(actions), reversed(coeffs)
-    ):
-        genc, dh_next, gnode, step_grads = decode_step_backward(
-            coeff, action, cache, params, grad_hidden_out=dh_next
-        )
-        grads.add_all(step_grads)
-        grad_enc[seg] += genc
-        grad_enc[seg][cur_node] += gnode
-
-    if caches.steps:
-        # segments past the last one reached get a zero gradient and are
-        # not added; the reached ones are added in order, as when each
-        # segment was encoded on its own
-        _, enc_grads = encode_backward(grad_enc, caches.encoder)
-        for seg in range(caches.steps[-1][1] + 1):
-            grads.add_all({name: g[seg] for name, g in enc_grads.items()})
-    return grads
-
-
-def episode_gradients(
+def teacher_force(
     params: ParamSet,
     cfg: PolicyConfig,
     t: Topology,
     req: SfcRequest,
     actions: tuple[Action, ...],
-    coeffs: np.ndarray | list[float],
-    caches: EpisodeCaches | None = None,
-) -> tuple[list[float], GradSet]:
-    """Backprop sum_t coeff_t * log pi(a_t) along the action sequence.
+) -> EpisodeTrace:
+    """Run the given actions (a solver label) through the policy.
 
-    Without caches, the actions are replayed forward (teacher forcing) by
-    the exact code path rollouts use, so replaying a recorded trace
-    reproduces its log-probs bit-for-bit; the replay's step budget is the
-    action count, so a walk that would end earlier is refused.  With the
-    caches of a CachedTrace that took these actions under these params,
-    the backward runs on them directly.
+    The forward pass is the one rollouts run, so forcing a recorded walk
+    reproduces its log-probs bit for bit.  The step budget is the action
+    count, so a walk that would end earlier is refused, and so is an action
+    the policy masks.
     """
+    it = iter(actions)
+    trace = _run_episode(params, cfg, t, req, RewardConfig(), len(actions),
+                         lambda dist, acts: next(it))
+    if len(trace.steps) != len(actions):
+        raise ValueError(
+            f"episode terminated after {len(trace.steps)} of {len(actions)} actions"
+        )
+    return trace
+
+
+def episode_gradients(
+    params: ParamSet,
+    cfg: PolicyConfig,
+    trace: EpisodeTrace,
+    coeffs: np.ndarray | list[float],
+) -> GradSet:
+    """Backprop sum_t coeff_t * log pi(a_t) through the trace's own caches.
+
+    The trace must come from a forward pass under these params.  Only the
+    segments the episode decoded from, 0 through the last step's, are
+    backpropagated through the encoder; each slice of the stack keeps its
+    bits (see the ``nn`` docstring) and is added in segment order, as when
+    each segment was encoded on its own.
+    """
+    caches = trace.caches
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if len(coeffs) != len(actions):
-        raise ValueError(f"{len(actions)} actions but {len(coeffs)} coefficients")
-    if caches is None:
-        it = iter(actions)
-        trace, caches = _run_episode(params, cfg, t, req, RewardConfig(), len(actions),
-                                     lambda dist, acts: next(it), want_caches=True)
-        if len(trace.steps) != len(actions):
-            raise ValueError(
-                f"episode terminated after {len(trace.steps)} of {len(actions)} actions"
-            )
-    elif caches.params is not params or len(caches.steps) != len(actions):
-        raise ValueError("caches were recorded under other parameters or for another walk")
-    return caches.log_probs, _episode_backward(params, cfg, t.num_nodes, caches, actions,
-                                               coeffs)
+    if caches.params is not params:
+        raise ValueError("the trace was recorded under other parameters")
+    if len(coeffs) != len(trace.steps):
+        raise ValueError(f"{len(trace.steps)} steps but {len(coeffs)} coefficients")
+
+    reached = caches.steps[-1][1] + 1
+    grads = GradSet(params)
+    grad_enc = np.zeros((reached, trace.topology.num_nodes, cfg.hidden_dim))
+    dh_next: np.ndarray | None = None
+    for (cache, seg, cur_node), step, coeff in zip(
+        reversed(caches.steps), reversed(trace.steps), reversed(coeffs)
+    ):
+        genc, dh_next, gnode, step_grads = decode_step_backward(
+            coeff, step.action, cache, params, grad_hidden_out=dh_next
+        )
+        grads.add_all(step_grads)
+        grad_enc[seg] += genc
+        grad_enc[seg][cur_node] += gnode
+
+    # each round's GRU cache arrays, cut to the reached segments
+    encoder = [(a, tuple(c[:reached] if isinstance(c, np.ndarray) else c for c in gru_cache))
+               for a, gru_cache in caches.encoder]
+    _, enc_grads = encode_backward(grad_enc, encoder)
+    for seg in range(reached):
+        grads.add_all({name: g[seg] for name, g in enc_grads.items()})
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +536,12 @@ def save_policy(
 
 def load_policy(path: str | Path) -> tuple[ParamSet, PolicyConfig, dict]:
     params, metadata = nn.load_checkpoint(path)
-    cfg = PolicyConfig(
-        hidden_dim=int(metadata["hidden_dim"]),
-        vnf_type_count=int(metadata["K"]),
-        t_prop=int(metadata.get("propagation_steps", metadata.get("T_prop"))),
-    )
+    try:
+        hidden_dim, k = int(metadata["hidden_dim"]), int(metadata["K"])
+        t_prop = int(metadata.get("propagation_steps", metadata.get("T_prop")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint metadata in {path}: {exc}") from exc
+    cfg = PolicyConfig(hidden_dim=hidden_dim, vnf_type_count=k, t_prop=t_prop)
     expected = init_policy_params(cfg, seed=0).shapes()
     actual = params.shapes()
     if expected != actual:

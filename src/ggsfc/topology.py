@@ -168,9 +168,6 @@ class Topology:
         """Lowest-processing-delay instance of ``vnf_type`` on ``node``, if any."""
         return self._instances_by_site.get((node, vnf_type))
 
-    def types_at(self, node: int) -> frozenset[int]:
-        return frozenset(i.vnf_type for i in self.instances if i.node == node)
-
     @cached_property
     def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.num_nodes, self.num_nodes))
@@ -505,13 +502,15 @@ def load_pool(dirpath: str | Path) -> TopologyPool:
         manifest = json.loads((d / "manifest.json").read_text())
     except FileNotFoundError:
         raise TopologyError(f"{d} is not a pool directory (missing manifest.json)") from None
-    base = load_topology_file(d / manifest["base_file"])
-    if topology_sha256(base) != manifest["base_sha256"]:
+    try:
+        base_file = d / manifest["base_file"]
+        variant_files = [d / name for name in manifest["variant_files"]]
+        strategy, seed = manifest["strategy"], int(manifest["seed"])
+        base_sha256 = manifest["base_sha256"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TopologyError(f"{d}: malformed pool manifest: {exc}") from exc
+    base = load_topology_file(base_file)
+    if topology_sha256(base) != base_sha256:
         raise TopologyError(f"{d}: base topology does not match manifest hash")
-    variants = tuple(load_topology_file(d / name) for name in manifest["variant_files"])
-    return TopologyPool(
-        base=base,
-        variants=variants,
-        strategy=manifest["strategy"],
-        seed=int(manifest["seed"]),
-    )
+    variants = tuple(load_topology_file(path) for path in variant_files)
+    return TopologyPool(base=base, variants=variants, strategy=strategy, seed=seed)

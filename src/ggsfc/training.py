@@ -3,10 +3,11 @@
 SL is teacher-forced cross-entropy down the label path, one example per SGD
 step, epochs shuffled.  RL is plain per-episode REINFORCE: rollout with
 epsilon-greedy exploration, discounted returns, one ascending step along
-sum_t G_t * grad log pi(a_t | s_t), backpropagated through the rollout's
-own forward caches (the episode is decoded once).  No baseline, no
-batching, no reward normalization; non-finite gradients reject the update
-and are logged.
+sum_t G_t * grad log pi(a_t | s_t).  Both updates are the one backward,
+``episode_gradients``, over the caches of the episode's own forward pass
+(``teacher_force`` or ``rollout``), so each episode is decoded once.  No
+baseline, no batching, no reward normalization; non-finite gradients
+reject the update and are logged.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .environment import (
 )
 from .nn import GradSet, NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset
-from .policy import CachedTrace, PolicyConfig, episode_gradients, rollout
+from .policy import EpisodeTrace, PolicyConfig, episode_gradients, rollout, teacher_force
 from .topology import Topology, TopologyPool, as_topology_list
 
 logger = logging.getLogger(__name__)
@@ -98,7 +99,7 @@ def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
 
 def reinforce_update(
     params: ParamSet,
-    trace: CachedTrace,
+    trace: EpisodeTrace,
     hp: HyperParams,
     cfg: PolicyConfig,
 ) -> ParamSet:
@@ -111,10 +112,7 @@ def reinforce_update(
     returns = compute_returns(trace.rewards, hp.gamma)
     if not returns.any():
         return params
-    actions = tuple(s.action for s in trace.steps)
-    _, grads = episode_gradients(
-        params, cfg, trace.topology, trace.request, actions, returns, caches=trace.caches
-    )
+    grads = episode_gradients(params, cfg, trace, returns)
     try:
         return sgd_update(params, grads, hp.alpha_rl, direction="ascend")
     except NonFiniteGradientError:
@@ -191,13 +189,12 @@ def train_sl(
         losses = np.empty(len(order))
         for j, idx in enumerate(order):
             ex = dataset.examples[idx]
-            t = topo_list[ex.topology_id]
+            trace = teacher_force(params, cfg, topo_list[ex.topology_id], ex.request,
+                                  ex.actions)
             # coefficients of -1 make episode_gradients produce the loss
             # gradient directly
-            log_probs, grads = episode_gradients(
-                params, cfg, t, ex.request, ex.actions, -np.ones(len(ex.actions))
-            )
-            losses[j] = -sum(log_probs)
+            grads = episode_gradients(params, cfg, trace, -np.ones(len(ex.actions)))
+            losses[j] = -sum(s.log_prob for s in trace.steps)
             try:
                 params = sgd_update(params, grads, hp.alpha_sl, direction="descend")
             except NonFiniteGradientError:

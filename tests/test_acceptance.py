@@ -35,6 +35,7 @@ from ggsfc.policy import (
     episode_gradients,
     init_policy_params,
     rollout,
+    teacher_force,
 )
 from ggsfc.topology import (
     Topology,
@@ -296,8 +297,8 @@ def test_c02_analytic_gradients_match_finite_differences():
     first = trace.steps[0].action
 
     def f_step(ps):
-        lps, grads = episode_gradients(ps, cfg, t, req, (first,), [1.0])
-        return lps[0], grads
+        forced = teacher_force(ps, cfg, t, req, (first,))
+        return forced.steps[0].log_prob, episode_gradients(ps, cfg, forced, [1.0])
 
     report = nn.finite_diff_check(f_step, params, tolerance=E2E_GRAD_TOL,
                                   max_coords_per_tensor=20, rng=fd_rng)
@@ -308,8 +309,9 @@ def test_c02_analytic_gradients_match_finite_differences():
     coeffs = np.ones(len(actions))
 
     def f_episode(ps):
-        lps, grads = episode_gradients(ps, cfg, t, req, actions, coeffs)
-        return float(np.sum(lps)), grads
+        forced = teacher_force(ps, cfg, t, req, actions)
+        lps = [s.log_prob for s in forced.steps]
+        return float(np.sum(lps)), episode_gradients(ps, cfg, forced, coeffs)
 
     report = nn.finite_diff_check(f_episode, params, tolerance=E2E_GRAD_TOL,
                                   max_coords_per_tensor=20, rng=fd_rng)

@@ -381,6 +381,43 @@ def test_eval_writes_report_with_oracle_row(sl_run, tmp_path, capsys):
     assert "approach" in capsys.readouterr().out
 
 
+CHECKPOINT_METADATA = {"hidden_dim": 32, "K": 5, "propagation_steps": 5, "seed": 0,
+                       "training_stage": "sl", "scorer_variant": "additive-tanh"}
+
+
+@pytest.mark.parametrize("argv, bad_file, doc", [
+    ("train sl --fixture --dataset {bad} --out {out}", "d.json",
+     {"dropped_infeasible": 0, "dropped_over_budget": 0, "examples": [1]}),
+    ("train sl --fixture --dataset {bad} --out {out}", "d.json", [1, 2]),
+    ("train rl --fixture --init {bad} --out {out}", "c.ckpt",
+     {"metadata": CHECKPOINT_METADATA, "tensors": []}),
+    ("eval --fixture --pool-cs1 {pool} --pool-cs2 {pool} --checkpoint {bad} --out {out}",
+     "c.ckpt", {"metadata": CHECKPOINT_METADATA, "tensors": []}),
+    ("train rl --fixture --init {bad} --out {out}", "c.ckpt",
+     {"metadata": {**CHECKPOINT_METADATA, "hidden_dim": None}, "tensors": {}}),
+    ("train rl --pool {bad_dir} --from-scratch --out {out}", "p/manifest.json", [1]),
+    ("eval --fixture --pool-cs1 {bad_dir} --pool-cs2 {pool} --checkpoint {ckpt} --out {out}",
+     "p/manifest.json", [1]),
+], ids=["dataset-examples", "dataset-list", "train-checkpoint", "eval-checkpoint",
+        "checkpoint-metadata", "train-pool", "eval-pool"])
+def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
+    pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
+    assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
+               "--seed", "3", "--out", str(pool)) == 0
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
+    bad = tmp_path / bad_file
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = run(*argv.format(bad=bad, bad_dir=bad.parent, pool=pool, ckpt=ckpt, out=out).split())
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "malformed" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exp table1
 

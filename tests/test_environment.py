@@ -11,7 +11,6 @@ from ggsfc.environment import (
     RewardConfig,
     SfcRequest,
     default_max_steps,
-    format_episode_log,
     generate_requests,
     reset,
     step,
@@ -283,20 +282,3 @@ def test_generate_requests_validation():
     single = Topology(1, (), (), 0)
     with pytest.raises(ValueError, match="2 nodes"):
         generate_requests(single, 1, (1, 2), rng)
-
-
-# ---------------------------------------------------------------------------
-# episode log formatting
-
-def test_format_episode_log_mentions_each_step():
-    from ggsfc.policy import PolicyConfig, init_policy_params, rollout
-
-    t = tiny_topology()
-    cfg = PolicyConfig(hidden_dim=16, vnf_type_count=2, t_prop=2)
-    params = init_policy_params(cfg, seed=0)
-    trace = rollout(params, cfg, t, SfcRequest(0, 3, (0,)), RewardConfig(),
-                    mode="greedy")
-    text = format_episode_log(trace)
-    assert "request 0->3 chain [0]" in text
-    assert text.count("step ") == len(trace.steps)
-    assert ("success" in text) == trace.success

@@ -17,7 +17,13 @@ import numpy as np
 
 from ggsfc.environment import SfcRequest, generate_requests
 from ggsfc.oracle import solve_optimal
-from ggsfc.policy import PolicyConfig, episode_gradients, init_policy_params, rollout
+from ggsfc.policy import (
+    PolicyConfig,
+    episode_gradients,
+    init_policy_params,
+    rollout,
+    teacher_force,
+)
 from ggsfc.topology import internet2_fixture
 
 GOLDEN = Path(__file__).with_name("golden_trace.json")
@@ -65,11 +71,11 @@ def snapshot(requests: list[SfcRequest]) -> dict:
         }
         if i < LABELED:
             label = solve_optimal(t, req).actions
-            log_probs, grads = episode_gradients(
-                params, cfg, t, req, label, -np.ones(len(label)))
+            forced = teacher_force(params, cfg, t, req, label)
+            grads = episode_gradients(params, cfg, forced, -np.ones(len(label)))
             entry["label"] = {
                 "actions": _actions(label),
-                "log_probs": [float.hex(x) for x in log_probs],
+                "log_probs": [float.hex(s.log_prob) for s in forced.steps],
                 "grad_sha256": _grad_sha256(grads),
             }
         episodes.append(entry)

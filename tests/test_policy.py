@@ -10,6 +10,7 @@ import pytest
 from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
 from ggsfc import nn
 from ggsfc.nn import GradSet, finite_diff_check, fuse_gru
+from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
     ActionDistribution,
     PolicyConfig,
@@ -18,6 +19,7 @@ from ggsfc.policy import (
     action_log_prob,
     annotate,
     decode_step,
+    decode_step_backward,
     encode,
     encode_backward,
     episode_gradients,
@@ -25,6 +27,7 @@ from ggsfc.policy import (
     load_policy,
     rollout,
     save_policy,
+    teacher_force,
 )
 from ggsfc.topology import (
     Topology,
@@ -333,14 +336,19 @@ def test_rollout_argument_validation():
         rollout(params, cfg, t, req, mode="epsilon_greedy")
 
 
-def test_an_epsilon_greedy_trace_is_freed_without_the_cycle_collector():
-    # its caches must not refer back to it, or every training episode's
-    # forward pass would live until the next gc cycle
+@pytest.mark.parametrize("kind", ["greedy", "epsilon_greedy", "teacher_forced"])
+def test_a_trace_is_freed_without_the_cycle_collector(kind):
+    # its caches must not refer back to it, or every episode's forward pass
+    # would live until the next gc cycle
     t = internet2_fixture()
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=2)
-    trace = rollout(params, cfg, t, SfcRequest(1, 10, (0, 4)), mode="epsilon_greedy",
-                    rng=np.random.default_rng(8), epsilon=0.5)
+    req = SfcRequest(1, 10, (0, 4))
+    if kind == "teacher_forced":
+        trace = teacher_force(params, cfg, t, req, solve_optimal(t, req).actions)
+    else:
+        trace = rollout(params, cfg, t, req, mode=kind,
+                        rng=np.random.default_rng(8), epsilon=0.5)
     assert trace.caches.steps
     refs = [weakref.ref(trace), weakref.ref(trace.caches)]
     gc.disable()
@@ -397,11 +405,8 @@ def test_replayed_log_probs_are_bit_identical():
     rng = np.random.default_rng(12)
     for req in generate_requests(t, 5, (1, 3), rng):
         trace = rollout(params, cfg, t, req, mode="epsilon_greedy", rng=rng, epsilon=0.5)
-        actions = tuple(s.action for s in trace.steps)
-        log_probs, _ = episode_gradients(
-            params, cfg, t, req, actions, np.zeros(len(actions))
-        )
-        assert log_probs == [s.log_prob for s in trace.steps]  # exact
+        forced = teacher_force(params, cfg, t, req, tuple(s.action for s in trace.steps))
+        assert [s.log_prob for s in forced.steps] == [s.log_prob for s in trace.steps]  # exact
 
 
 def test_episode_gradients_match_finite_differences():
@@ -416,8 +421,9 @@ def test_episode_gradients_match_finite_differences():
     coeffs = rng.normal(size=len(actions))
 
     def f(p):
-        log_probs, grads = episode_gradients(p, cfg, t, req, actions, coeffs)
-        return float(np.dot(coeffs, log_probs)), grads
+        forced = teacher_force(p, cfg, t, req, actions)
+        log_probs = [s.log_prob for s in forced.steps]
+        return float(np.dot(coeffs, log_probs)), episode_gradients(p, cfg, forced, coeffs)
 
     report = finite_diff_check(
         f, params, tolerance=E2E_TOL, max_coords_per_tensor=25,
@@ -430,20 +436,75 @@ def test_episode_gradients_validates_lengths():
     t = tiny_topology()
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=0)
-    req = SfcRequest(0, 3, (0,))
+    trace = teacher_force(params, cfg, t, SfcRequest(0, 3, (0,)), (Action(1, True),))
     with pytest.raises(ValueError, match="coefficients"):
-        episode_gradients(params, cfg, t, req, (Action(1, True),), [1.0, 2.0])
+        episode_gradients(params, cfg, trace, [1.0, 2.0])
 
 
-def test_episode_gradients_rejects_actions_past_termination():
+def test_teacher_force_refuses_a_walk_that_ends_early_or_a_masked_action():
     t = tiny_topology()
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=0)
     req = SfcRequest(0, 3, (0,))
     # the walk succeeds on the third action; a fourth cannot be replayed
     actions = (Action(1, True), Action(2, False), Action(3, False), Action(2, False))
-    with pytest.raises(ValueError, match="terminated"):
-        episode_gradients(params, cfg, t, req, actions, np.zeros(4))
+    with pytest.raises(ValueError, match="terminated after 3 of 4 actions"):
+        teacher_force(params, cfg, t, req, actions)
+    with pytest.raises(ValueError, match="moves to masked node 2"):
+        teacher_force(params, cfg, t, req, (Action(2, False),))
+    with pytest.raises(ValueError, match="processing at node 3 is masked"):
+        teacher_force(params, cfg, t, req, (Action(3, True),))
+
+
+def _reference_gradients(params, cfg, trace, coeffs):
+    """The backward over every encoded segment, reached or not: each step's
+    decode backward, then one encode_backward over the whole stack, whose
+    reached slices are added in segment order."""
+    caches = trace.caches
+    grads = GradSet(params)
+    grad_enc = np.zeros((len(trace.request.chain) + 1, trace.topology.num_nodes,
+                         cfg.hidden_dim))
+    dh = None
+    for (cache, seg, node), step, coeff in zip(
+        reversed(caches.steps), reversed(trace.steps), reversed(coeffs)
+    ):
+        genc, dh, gnode, step_grads = decode_step_backward(
+            coeff, step.action, cache, params, grad_hidden_out=dh
+        )
+        grads.add_all(step_grads)
+        grad_enc[seg] += genc
+        grad_enc[seg][node] += gnode
+    _, enc_grads = encode_backward(grad_enc, caches.encoder)
+    for seg in range(caches.steps[-1][1] + 1):
+        grads.add_all({name: g[seg] for name, g in enc_grads.items()})
+    return grads
+
+
+def test_greedy_caches_give_the_teacher_forced_gradients_bit_for_bit():
+    """Byte-equal gradients, on this numpy build, from a greedy rollout's
+    caches, from teacher_force on its actions, and from the reference that
+    runs the encoder backward over unreached segments too, on the fixture
+    and on one cs1 and one cs2 variant."""
+    cfg = PolicyConfig()
+    graphs = _bench_graphs()
+    rng = np.random.default_rng(5)
+    unreached = 0
+    for t in (graphs[0], graphs[1], graphs[3]):
+        for seed in range(3):
+            params = init_policy_params(cfg, seed=seed)
+            for req in generate_requests(t, 4, (1, 4), rng):
+                trace = rollout(params, cfg, t, req, mode="greedy")
+                forced = teacher_force(params, cfg, t, req,
+                                       tuple(s.action for s in trace.steps))
+                coeffs = rng.normal(size=len(trace.steps))
+                grads = episode_gradients(params, cfg, trace, coeffs)
+                forced_grads = episode_gradients(params, cfg, forced, coeffs)
+                ref = _reference_gradients(params, cfg, forced, coeffs)
+                for name, value in ref.items():
+                    assert grads[name].tobytes() == value.tobytes(), name
+                    assert forced_grads[name].tobytes() == value.tobytes(), name
+                unreached += trace.caches.steps[-1][1] < len(req.chain)
+    assert unreached > 5
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,8 @@ def test_best_instance_prefers_the_cheaper_one():
     assert t.best_instance(0, 0) is None
 
 
-def test_types_at_and_deployed_types():
+def test_deployed_types():
     t = tiny_topology()
-    assert t.types_at(1) == {0}
-    assert t.types_at(2) == {1}
-    assert t.types_at(0) == frozenset()
     assert t.deployed_types == (0, 1)
 
 

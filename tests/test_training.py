@@ -14,6 +14,7 @@ from ggsfc.policy import (
     episode_gradients,
     init_policy_params,
     rollout,
+    teacher_force,
 )
 from ggsfc.topology import Topology, VnfInstance, generate_pool, internet2_fixture
 from ggsfc.training import (
@@ -132,8 +133,8 @@ def test_update_raises_weighted_log_likelihood():
     actions = tuple(s.action for s in trace.steps)
 
     def weighted(p):
-        log_probs, _ = episode_gradients(p, cfg, t, trace.request, actions, returns)
-        return float(np.dot(returns, log_probs))
+        forced = teacher_force(p, cfg, t, trace.request, actions)
+        return float(np.dot(returns, [s.log_prob for s in forced.steps]))
 
     before = weighted(params)
     updated = reinforce_update(params, trace, hp, cfg)
@@ -159,7 +160,8 @@ def test_cache_based_update_is_bit_identical_to_a_replayed_one():
                 continue
             returns = compute_returns(trace.rewards, hp.gamma)
             actions = tuple(s.action for s in trace.steps)
-            _, grads = episode_gradients(params, cfg, t, req, actions, returns)
+            forced = teacher_force(params, cfg, t, req, actions)
+            grads = episode_gradients(params, cfg, forced, returns)
             updated = reinforce_update(params, trace, hp, cfg)
             for name, value in params.items():
                 expected = value + 1.0 * hp.alpha_rl * grads[name]
@@ -173,11 +175,9 @@ def test_cached_gradients_refuse_other_parameters():
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=2)
     trace = successful_trace(params, cfg, t)
-    actions = tuple(s.action for s in trace.steps)
     other = params.copy()
     with pytest.raises(ValueError, match="other parameters"):
-        episode_gradients(other, cfg, t, trace.request, actions, np.ones(len(actions)),
-                          caches=trace.caches)
+        episode_gradients(other, cfg, trace, np.ones(len(trace.steps)))
 
 
 def test_update_rejects_non_finite_gradients(monkeypatch, caplog):
