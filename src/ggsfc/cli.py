@@ -127,7 +127,10 @@ CONFIG_KEYS = {
 def _load_config(path: str, verb: str) -> dict:
     """A --config file's values, as strings for the flags' own types to parse;
     a null value is left out, so its flag keeps the library default."""
-    config = json.loads(Path(path).read_text())
+    try:
+        config = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     unknown = set(config) - CONFIG_KEYS[verb]
@@ -455,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
             ns.config_parser.set_defaults(**_load_config(ns.config, ns.subcommand))
             ns = parser.parse_args(argv)
         return ns.func(ns)
-    except (TopologyError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (TopologyError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -325,30 +325,23 @@ def log_prob_grad(probs: np.ndarray, index: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # updates
 
-def sgd_update(
-    params: ParamSet,
-    grads: GradSet,
-    alpha: float,
-    direction: str = "ascend",
-) -> ParamSet:
-    """One plain SGD step: theta' = theta +/- alpha * grad.
+def sgd_update(params: ParamSet, grads: GradSet, alpha: float) -> ParamSet:
+    """One plain SGD ascent step: theta' = theta + alpha * grad.
 
-    Non-finite gradients reject the whole update (raise) rather than being
-    clipped; with sparse rewards at the 1e4 scale, silent clipping would
-    hide defects.
+    Callers ascend an objective; to descend a loss, pass the gradient of
+    its negation.  Non-finite gradients reject the whole update (raise)
+    rather than being clipped; with sparse rewards at the 1e4 scale, silent
+    clipping would hide defects.
     """
-    if direction not in ("ascend", "descend"):
-        raise ValueError(f"direction must be ascend or descend, got {direction!r}")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not grads.is_finite():
         raise NonFiniteGradientError("gradient has non-finite entries; update rejected")
     if grads._layout != params._layout:
         raise ValueError("gradient layout does not match the parameters")
-    sign = 1.0 if direction == "ascend" else -1.0
     # one pass over the flat buffer; each element gets the same
-    # value + sign * alpha * g as a per-tensor update would
-    return ParamSet._from_flat(params._flat + sign * alpha * grads._flat, params._layout)
+    # value + alpha * g as a per-tensor update would
+    return ParamSet._from_flat(params._flat + alpha * grads._flat, params._layout)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +432,8 @@ def save_checkpoint(params: ParamSet, metadata: dict, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict]:
-    doc = json.loads(Path(path).read_text())
     try:
+        doc = json.loads(Path(path).read_text())
         if not isinstance(doc["metadata"], dict) or not isinstance(doc["tensors"], dict):
             raise TypeError("metadata and tensors must be JSON objects")
         tensors = {

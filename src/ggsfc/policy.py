@@ -21,10 +21,10 @@ docstring), including segments the episode never reaches.
 
 Every episode is one forward pass that returns one ``EpisodeTrace``: a
 ``rollout`` picks its actions from the policy, ``teacher_force`` takes them
-from a label.  The trace carries the caches of that pass, and
-``episode_gradients`` is the backward over them alone: exact analytic
-backprop of the sum of coefficient-weighted action log-probs.  It serves
-the supervised cross-entropy loss and the policy-gradient update alike.
+from a label.  The trace carries the caches of that pass, each step its
+own, and ``episode_gradients`` is the backward over them alone: exact
+analytic backprop of sum_t c_t log pi(a_t).  Supervised learning ascends
+it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 """
 
 from __future__ import annotations
@@ -234,16 +234,16 @@ def decode_step_backward(
     action: Action,
     cache: tuple,
     params: ParamSet,
-    grad_hidden_out: np.ndarray | None = None,
+    grad_hidden_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Gradient of coeff * log pi(action) for one decode step.
 
     grad_hidden_out carries the downstream gradient flowing into this step's
-    advanced hidden state (the recurrence); it is folded in before the GRU
-    backward.  Returns (grad_enc_h, grad_hidden_prev,
-    grad_node_embedding_input, grads); grad_enc_h covers the scorer's use of
-    all embeddings, while the node-embedding input gradient belongs at the
-    current node's row.
+    advanced hidden state (the recurrence; zeros at an episode's last step);
+    it is folded in before the GRU backward.  Returns (grad_enc_h,
+    grad_hidden_prev, grad_node_embedding_input, grads); grad_enc_h covers
+    the scorer's use of all embeddings, while the node-embedding input
+    gradient belongs at the current node's row.
     """
     enc_h, hidden, s, gru_cache, dist = cache
     i = action.next_node
@@ -264,9 +264,7 @@ def decode_step_backward(
     grads["score.W_emb"] = enc_h.T @ ds_pre
     ds_pre_sum = ds_pre.sum(axis=0)
     grads["score.W_hid"] = np.outer(hidden, ds_pre_sum)
-    dhidden = ds_pre_sum @ params["score.W_hid"].T
-    if grad_hidden_out is not None:
-        dhidden = dhidden + grad_hidden_out
+    dhidden = ds_pre_sum @ params["score.W_hid"].T + grad_hidden_out
 
     dx, dh_prev, gru_grads = nn.gru_cell_backward(dhidden, gru_cache)
     for name, value in gru_grads.items():
@@ -304,28 +302,24 @@ def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[
     return move, proc, acts
 
 
-@dataclass
-class EpisodeCaches:
-    """What backprop over one episode needs from its forward pass."""
-
-    params: ParamSet         # the parameters the forward pass ran with
-    encoder: list            # stacked encoder caches of every chain segment
-    steps: list              # (decode cache, segment, current node) per step
-
-
 @dataclass(frozen=True)
 class TraceStep:
-    """One transition: what the agent did and what it got."""
+    """One transition: what the agent did and what it got, with the decode
+    cache, encoder segment and current node its backward needs."""
 
     action: Action
     reward: float
     log_prob: float
+    cache: tuple = field(repr=False, compare=False)
+    segment: int = field(repr=False, compare=False)
+    node: int = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class EpisodeTrace:
     """One episode under the policy, with the caches of the forward pass
-    that made it.
+    that made it: the params it ran with, the stacked encoder caches of
+    every chain segment, and each step's own caches.
 
     The caches do not refer back to the trace, so dropping the trace frees
     both without waiting for the cycle collector.
@@ -335,7 +329,8 @@ class EpisodeTrace:
     request: SfcRequest
     steps: tuple[TraceStep, ...]
     path: PathResult
-    caches: EpisodeCaches = field(repr=False, compare=False)
+    params: ParamSet = field(repr=False, compare=False)
+    encoder: list = field(repr=False, compare=False)
 
     @property
     def success(self) -> bool:
@@ -373,7 +368,6 @@ def _run_episode(
     enc_scores = enc_h @ params["score.W_emb"]
     heads = [_decoder_head(req, i, cfg.vnf_type_count) for i in segments]
 
-    step_caches: list = []
     trace_steps: list[TraceStep] = []
     masks: dict[tuple[int, int], tuple] = {}  # by (current node, chain index)
 
@@ -389,17 +383,18 @@ def _run_episode(
 
         action = select(dist, acts)
         logp = action_log_prob(dist, action)
-        step_caches.append((cache, seg, state.current_node))
-
+        node = state.current_node
         state, reward, _ = env_step(state, action, t, reward_cfg)
-        trace_steps.append(TraceStep(action=action, reward=reward, log_prob=logp))
+        trace_steps.append(TraceStep(action=action, reward=reward, log_prob=logp,
+                                     cache=cache, segment=seg, node=node))
 
     return EpisodeTrace(
         topology=t,
         request=req,
         steps=tuple(trace_steps),
         path=state.path_so_far,
-        caches=EpisodeCaches(params=params, encoder=enc_caches, steps=step_caches),
+        params=params,
+        encoder=enc_caches,
     )
 
 
@@ -482,30 +477,27 @@ def episode_gradients(
     bits (see the ``nn`` docstring) and is added in segment order, as when
     each segment was encoded on its own.
     """
-    caches = trace.caches
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if caches.params is not params:
+    if trace.params is not params:
         raise ValueError("the trace was recorded under other parameters")
     if len(coeffs) != len(trace.steps):
         raise ValueError(f"{len(trace.steps)} steps but {len(coeffs)} coefficients")
 
-    reached = caches.steps[-1][1] + 1
+    reached = trace.steps[-1].segment + 1
     grads = GradSet(params)
     grad_enc = np.zeros((reached, trace.topology.num_nodes, cfg.hidden_dim))
-    dh_next: np.ndarray | None = None
-    for (cache, seg, cur_node), step, coeff in zip(
-        reversed(caches.steps), reversed(trace.steps), reversed(coeffs)
-    ):
+    dh_next = np.zeros(cfg.hidden_dim)
+    for step, coeff in zip(reversed(trace.steps), reversed(coeffs)):
         genc, dh_next, gnode, step_grads = decode_step_backward(
-            coeff, step.action, cache, params, grad_hidden_out=dh_next
+            coeff, step.action, step.cache, params, dh_next
         )
         grads.add_all(step_grads)
-        grad_enc[seg] += genc
-        grad_enc[seg][cur_node] += gnode
+        grad_enc[step.segment] += genc
+        grad_enc[step.segment][step.node] += gnode
 
     # each round's GRU cache arrays, cut to the reached segments
     encoder = [(a, tuple(c[:reached] if isinstance(c, np.ndarray) else c for c in gru_cache))
-               for a, gru_cache in caches.encoder]
+               for a, gru_cache in trace.encoder]
     _, enc_grads = encode_backward(grad_enc, encoder)
     for seg in range(reached):
         grads.add_all({name: g[seg] for name, g in enc_grads.items()})

@@ -230,7 +230,10 @@ def load_topology(text: str) -> Topology:
 
 
 def load_topology_file(path: str | Path) -> Topology:
-    return load_topology(Path(path).read_text())
+    try:
+        return load_topology(Path(path).read_text())
+    except TopologyError as exc:
+        raise TopologyError(f"{path}: {exc}") from exc
 
 
 def save_topology_file(t: Topology, path: str | Path) -> None:
@@ -499,14 +502,20 @@ def save_pool(pool: TopologyPool, dirpath: str | Path) -> None:
 def load_pool(dirpath: str | Path) -> TopologyPool:
     d = Path(dirpath)
     try:
-        manifest = json.loads((d / "manifest.json").read_text())
+        text = (d / "manifest.json").read_text()
     except FileNotFoundError:
         raise TopologyError(f"{d} is not a pool directory (missing manifest.json)") from None
     try:
+        manifest = json.loads(text)
         base_file = d / manifest["base_file"]
         variant_files = [d / name for name in manifest["variant_files"]]
         strategy, seed = manifest["strategy"], int(manifest["seed"])
         base_sha256 = manifest["base_sha256"]
+        pool_size = int(manifest["pool_size"])
+        if not variant_files:
+            raise ValueError("no variant files")
+        if pool_size != len(variant_files):
+            raise ValueError(f"pool_size {pool_size} but {len(variant_files)} variant files")
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"{d}: malformed pool manifest: {exc}") from exc
     base = load_topology_file(base_file)

@@ -1,13 +1,13 @@
 """Supervised pre-training on solver labels and REINFORCE fine-tuning.
 
-SL is teacher-forced cross-entropy down the label path, one example per SGD
-step, epochs shuffled.  RL is plain per-episode REINFORCE: rollout with
-epsilon-greedy exploration, discounted returns, one ascending step along
-sum_t G_t * grad log pi(a_t | s_t).  Both updates are the one backward,
-``episode_gradients``, over the caches of the episode's own forward pass
-(``teacher_force`` or ``rollout``), so each episode is decoded once.  No
-baseline, no batching, no reward normalization; non-finite gradients
-reject the update and are logged.
+Both stages make the same update, ``ascend``: one SGD step up
+sum_t c_t log pi(a_t | s_t) over one episode, backpropagated by
+``episode_gradients`` through the caches of the episode's own forward pass,
+so each episode is decoded once.  SL teacher-forces a solver label with
+c_t = 1, which descends the cross-entropy, one example per step, epochs
+shuffled.  RL is plain per-episode REINFORCE: an epsilon-greedy rollout
+with c_t = G_t, its discounted returns.  No baseline, no batching, no
+reward normalization; a non-finite gradient skips the update with a warning.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .environment import (
     SfcRequest,
     generate_requests,
 )
-from .nn import GradSet, NonFiniteGradientError, ParamSet, sgd_update
+from .nn import NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset
 from .policy import EpisodeTrace, PolicyConfig, episode_gradients, rollout, teacher_force
 from .topology import Topology, TopologyPool, as_topology_list
@@ -97,6 +97,20 @@ def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
     return out
 
 
+def ascend(params: ParamSet, cfg: PolicyConfig, trace: EpisodeTrace, coeffs: np.ndarray,
+           alpha: float) -> ParamSet:
+    """One SGD step up sum_t coeffs[t] * log pi(a_t), backpropagated through
+    the trace's own caches.  A non-finite gradient rejects the step: the
+    params come back unchanged and a warning is logged."""
+    grads = episode_gradients(params, cfg, trace, coeffs)
+    try:
+        return sgd_update(params, grads, alpha)
+    except NonFiniteGradientError:
+        req = trace.request
+        logger.warning("skipping non-finite update (request %s->%s)", req.source, req.destination)
+        return params
+
+
 def reinforce_update(
     params: ParamSet,
     trace: EpisodeTrace,
@@ -105,22 +119,13 @@ def reinforce_update(
 ) -> ParamSet:
     """One policy-gradient step from an epsilon-greedy rollout under params.
 
-    The gradient comes from the rollout's own caches.  Failure episodes
-    (all rewards zero) change nothing and skip the backward entirely.  A
-    non-finite gradient rejects the update and logs a warning.
+    Ascends with the discounted returns as coefficients.  Failure episodes
+    (all rewards zero) change nothing and skip the backward entirely.
     """
     returns = compute_returns(trace.rewards, hp.gamma)
     if not returns.any():
         return params
-    grads = episode_gradients(params, cfg, trace, returns)
-    try:
-        return sgd_update(params, grads, hp.alpha_rl, direction="ascend")
-    except NonFiniteGradientError:
-        logger.warning(
-            "skipping non-finite policy-gradient update (request %s->%s)",
-            trace.request.source, trace.request.destination,
-        )
-        return params
+    return ascend(params, cfg, trace, returns, hp.alpha_rl)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +172,10 @@ def train_sl(
 ) -> tuple[ParamSet, list[HistoryRow]]:
     """Teacher-forced cross-entropy over the labeled dataset.
 
-    Per epoch: shuffle, one SGD descent step per example on
-    loss = -sum_t log pi(label action_t).  History rows carry the epoch mean
-    loss and the greedy failure ratio on the holdout (nan without one).
+    Per epoch: shuffle, then one ``ascend`` step per example up
+    sum_t log pi(label action_t), which descends its negation, the loss.
+    History rows carry the epoch mean loss and the greedy failure ratio on
+    the holdout (nan without one).
     stop_failure_ratio ends training early once the holdout is good enough.
     Topology ids index ``topologies`` as ``label_dataset`` assigned them.
     """
@@ -191,14 +197,8 @@ def train_sl(
             ex = dataset.examples[idx]
             trace = teacher_force(params, cfg, topo_list[ex.topology_id], ex.request,
                                   ex.actions)
-            # coefficients of -1 make episode_gradients produce the loss
-            # gradient directly
-            grads = episode_gradients(params, cfg, trace, -np.ones(len(ex.actions)))
             losses[j] = -sum(s.log_prob for s in trace.steps)
-            try:
-                params = sgd_update(params, grads, hp.alpha_sl, direction="descend")
-            except NonFiniteGradientError:
-                logger.warning("skipping non-finite SL update (example %d)", idx)
+            params = ascend(params, cfg, trace, np.ones(len(ex.actions)), hp.alpha_sl)
         fr, mean_delay = greedy_failure_ratio(params, cfg, pairs)
         row = HistoryRow(
             index=epoch,

@@ -47,6 +47,9 @@ from ggsfc.topology import (
     mutate_cs2,
 )
 
+# the whole file is the release gate; `pytest -m "not gate"` skips it
+pytestmark = pytest.mark.gate
+
 # ---------------------------------------------------------------------------
 # pinned tolerances and budgets
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior with desk-drawer sized runs."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -385,6 +386,15 @@ CHECKPOINT_METADATA = {"hidden_dim": 32, "K": 5, "propagation_steps": 5, "seed":
                        "training_stage": "sl", "scorer_variant": "additive-tanh"}
 
 
+EVAL_POOL = "eval --fixture --pool-cs1 {bad_dir} --pool-cs2 {pool} --checkpoint {ckpt} --out {out}"
+
+
+def _emptied(manifest):
+    return {**manifest, "variant_files": [], "pool_size": 0}
+
+
+# doc is written as JSON; a str is written as raw text; a callable rewrites
+# the manifest of a copy of a good pool
 @pytest.mark.parametrize("argv, bad_file, doc", [
     ("train sl --fixture --dataset {bad} --out {out}", "d.json",
      {"dropped_infeasible": 0, "dropped_over_budget": 0, "examples": [1]}),
@@ -395,11 +405,22 @@ CHECKPOINT_METADATA = {"hidden_dim": 32, "K": 5, "propagation_steps": 5, "seed":
      "c.ckpt", {"metadata": CHECKPOINT_METADATA, "tensors": []}),
     ("train rl --fixture --init {bad} --out {out}", "c.ckpt",
      {"metadata": {**CHECKPOINT_METADATA, "hidden_dim": None}, "tensors": {}}),
-    ("train rl --pool {bad_dir} --from-scratch --out {out}", "p/manifest.json", [1]),
-    ("eval --fixture --pool-cs1 {bad_dir} --pool-cs2 {pool} --checkpoint {ckpt} --out {out}",
-     "p/manifest.json", [1]),
+    ("train rl --pool {bad_dir} --from-scratch --out {out}", "bad_pool/manifest.json", [1]),
+    (EVAL_POOL, "bad_pool/manifest.json", [1]),
+    ("train rl --pool {bad_dir} --from-scratch --out {out}", "bad_pool/manifest.json",
+     _emptied),
+    (EVAL_POOL + " --requests 2", "bad_pool/manifest.json", _emptied),
+    ("dataset --pool {bad_dir} --count 2 --out {out}", "bad_pool/manifest.json", _emptied),
+    (EVAL_POOL + " --requests 2", "bad_pool/manifest.json", lambda m: {**m, "pool_size": 2}),
+    ("eval --fixture --pool-cs1 {pool} --pool-cs2 {pool} --checkpoint {bad} --out {out}",
+     "c.ckpt", "{not json"),
+    (EVAL_POOL, "bad_pool/manifest.json", "{not json"),
+    ("train sl --fixture --config {bad} --out {out}", "cfg.json", "{not json"),
+    ("dataset --topology {bad} --count 2 --out {out}", "t.json", "{not json"),
 ], ids=["dataset-examples", "dataset-list", "train-checkpoint", "eval-checkpoint",
-        "checkpoint-metadata", "train-pool", "eval-pool"])
+        "checkpoint-metadata", "train-pool", "eval-pool", "train-pool-empty",
+        "eval-pool-empty", "dataset-pool-empty", "eval-pool-size", "eval-checkpoint-text",
+        "eval-pool-text", "config-text", "topology-text"])
 def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
     pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
     assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
@@ -407,14 +428,19 @@ def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file
     cfg = PolicyConfig()
     save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
     bad = tmp_path / bad_file
+    if callable(doc):
+        shutil.copytree(pool, bad.parent)
+        doc = doc(json.loads((pool / "manifest.json").read_text()))
     bad.parent.mkdir(exist_ok=True)
-    bad.write_text(json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     capsys.readouterr()
     rc = run(*argv.format(bad=bad, bad_dir=bad.parent, pool=pool, ckpt=ckpt, out=out).split())
     assert rc == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err and "malformed" in err
+    # the line names the bad file, or the pool directory that holds it
+    assert str(bad.parent if bad.name == "manifest.json" else bad) in err
     assert not out.exists()
 
 

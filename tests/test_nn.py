@@ -277,14 +277,12 @@ def test_log_prob_grad_rejects_masked_index():
 # ---------------------------------------------------------------------------
 # SGD
 
-def test_sgd_update_directions():
+def test_sgd_update_ascends():
     p = ParamSet({"w": np.array([1.0, 2.0])})
     g = GradSet(p)
     g.add("w", np.array([10.0, -10.0]))
-    up = sgd_update(p, g, alpha=0.1, direction="ascend")
-    down = sgd_update(p, g, alpha=0.1, direction="descend")
+    up = sgd_update(p, g, alpha=0.1)
     assert np.allclose(up["w"], [2.0, 1.0])
-    assert np.allclose(down["w"], [0.0, 3.0])
     # input untouched
     assert np.array_equal(p["w"], [1.0, 2.0])
 
@@ -300,8 +298,6 @@ def test_sgd_update_rejects_non_finite_gradients():
 def test_sgd_update_validates_arguments():
     p = ParamSet({"w": np.zeros(2)})
     g = GradSet(p)
-    with pytest.raises(ValueError, match="direction"):
-        sgd_update(p, g, alpha=0.1, direction="sideways")
     with pytest.raises(ValueError, match="alpha"):
         sgd_update(p, g, alpha=0.0)
     with pytest.raises(ValueError, match="layout"):
@@ -317,8 +313,8 @@ def test_sgd_update_refuses_a_step_that_overflows():
 
 
 def test_flat_sgd_update_is_bit_identical_to_per_tensor_steps():
-    """Byte-equal to value + sign * alpha * g per tensor, over mixed shapes,
-    magnitudes from 1e-300 to 1e30, signed zeros and both directions."""
+    """Byte-equal to value + alpha * g per tensor, over mixed shapes,
+    magnitudes from 1e-300 to 1e30 and signed zeros."""
     rng = np.random.default_rng(13)
     shapes = {"W": (32, 96), "b": (96,), "v": (32,), "s": (1,), "M": (3, 4, 5)}
     for trial in range(20):
@@ -331,11 +327,10 @@ def test_flat_sgd_update_is_bit_identical_to_per_tensor_steps():
         g = GradSet(p)
         g.add_all({name: draw(shape) for name, shape in shapes.items()})
         alpha = float(10.0 ** rng.uniform(-9, -1))
-        for direction, sign in (("ascend", 1.0), ("descend", -1.0)):
-            new = sgd_update(p, g, alpha, direction)
-            assert new.names() == p.names()
-            for name, value in p.items():
-                assert new[name].tobytes() == (value + sign * alpha * g[name]).tobytes()
+        new = sgd_update(p, g, alpha)
+        assert new.names() == p.names()
+        for name, value in p.items():
+            assert new[name].tobytes() == (value + alpha * g[name]).tobytes()
 
 
 # ---------------------------------------------------------------------------

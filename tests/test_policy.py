@@ -349,12 +349,14 @@ def test_a_trace_is_freed_without_the_cycle_collector(kind):
     else:
         trace = rollout(params, cfg, t, req, mode=kind,
                         rng=np.random.default_rng(8), epsilon=0.5)
-    assert trace.caches.steps
-    refs = [weakref.ref(trace), weakref.ref(trace.caches)]
+    step = trace.steps[-1]
+    # cache[2] is the scorer activation array, which only that step holds
+    refs = [weakref.ref(x) for x in (trace, step, step.cache[2])]
+    del step
     gc.disable()
     try:
         del trace
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
 
@@ -460,22 +462,19 @@ def _reference_gradients(params, cfg, trace, coeffs):
     """The backward over every encoded segment, reached or not: each step's
     decode backward, then one encode_backward over the whole stack, whose
     reached slices are added in segment order."""
-    caches = trace.caches
     grads = GradSet(params)
     grad_enc = np.zeros((len(trace.request.chain) + 1, trace.topology.num_nodes,
                          cfg.hidden_dim))
-    dh = None
-    for (cache, seg, node), step, coeff in zip(
-        reversed(caches.steps), reversed(trace.steps), reversed(coeffs)
-    ):
+    dh = np.zeros(cfg.hidden_dim)
+    for step, coeff in zip(reversed(trace.steps), reversed(coeffs)):
         genc, dh, gnode, step_grads = decode_step_backward(
-            coeff, step.action, cache, params, grad_hidden_out=dh
+            coeff, step.action, step.cache, params, dh
         )
         grads.add_all(step_grads)
-        grad_enc[seg] += genc
-        grad_enc[seg][node] += gnode
-    _, enc_grads = encode_backward(grad_enc, caches.encoder)
-    for seg in range(caches.steps[-1][1] + 1):
+        grad_enc[step.segment] += genc
+        grad_enc[step.segment][step.node] += gnode
+    _, enc_grads = encode_backward(grad_enc, trace.encoder)
+    for seg in range(trace.steps[-1].segment + 1):
         grads.add_all({name: g[seg] for name, g in enc_grads.items()})
     return grads
 
@@ -503,7 +502,7 @@ def test_greedy_caches_give_the_teacher_forced_gradients_bit_for_bit():
                 for name, value in ref.items():
                     assert grads[name].tobytes() == value.tobytes(), name
                     assert forced_grads[name].tobytes() == value.tobytes(), name
-                unreached += trace.caches.steps[-1][1] < len(req.chain)
+                unreached += trace.steps[-1].segment < len(req.chain)
     assert unreached > 5
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import ggsfc.training as training
 from ggsfc.environment import SfcRequest, generate_requests
-from ggsfc.nn import NonFiniteGradientError
+from ggsfc.nn import NonFiniteGradientError, ParamSet
 from ggsfc.oracle import label_dataset
 from ggsfc.policy import (
     PolicyConfig,
@@ -285,6 +285,47 @@ def test_train_sl_is_deterministic():
     assert runs[0][1] == runs[1][1]
     assert all(np.array_equal(runs[0][0][n], runs[1][0][n])
                for n in runs[0][0].names())
+
+
+def test_train_sl_is_bit_identical_to_descending_the_loss():
+    """train_sl ascends with coefficients of +1; its parameters and losses
+    equal, byte for byte, those of the reference kept here, which takes the
+    loss gradient (coefficients of -1) and steps p + (-alpha) * g on the flat
+    buffer."""
+    t, dataset = fixture_sl_setup(20)
+    cfg = PolicyConfig()
+    hp = HyperParams(sl_epochs=1, seed=3)
+    start = init_policy_params(cfg, seed=3)
+    params, history = train_sl(start, cfg, t, dataset, hp)
+
+    ref = start
+    losses = []
+    for idx in np.random.default_rng(hp.seed).permutation(len(dataset.examples)):
+        ex = dataset.examples[idx]
+        trace = teacher_force(ref, cfg, t, ex.request, ex.actions)
+        losses.append(-sum(s.log_prob for s in trace.steps))
+        g = episode_gradients(ref, cfg, trace, -np.ones(len(ex.actions)))
+        ref = ParamSet._from_flat(ref._flat + (-hp.alpha_sl) * g._flat, ref._layout)
+    assert len(dataset.examples) >= 15
+    assert params._flat.tobytes() == ref._flat.tobytes()
+    assert history[0].loss == float(np.mean(losses))
+
+
+def test_train_sl_skips_a_non_finite_update(monkeypatch, caplog):
+    t, dataset = fixture_sl_setup(3)
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=0)
+    before = params._flat.tobytes()
+
+    def explode(*args, **kwargs):
+        raise NonFiniteGradientError("nan in enc.W_z")
+
+    monkeypatch.setattr(training, "sgd_update", explode)
+    with caplog.at_level("WARNING", logger="ggsfc.training"):
+        out, history = train_sl(params, cfg, t, dataset, HyperParams(sl_epochs=1))
+    assert out is params and out._flat.tobytes() == before
+    assert len(history) == 1
+    assert caplog.text.count("non-finite") == len(dataset.examples)
 
 
 def test_greedy_failure_ratio_empty_pairs():
