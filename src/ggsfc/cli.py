@@ -264,10 +264,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _parse_chain(text: str) -> tuple[int, ...]:
+    chain = []
+    for entry in text.split(",") if text else ():
+        try:
+            chain.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--chain {text!r}: entry {entry!r} is not an integer") from None
+    return tuple(chain)
+
+
 def cmd_solve(args) -> int:
     t = _load_base_topology(args)
-    chain = tuple(int(x) for x in args.chain.split(",")) if args.chain else ()
-    req = environment.SfcRequest(args.source, args.destination, chain)
+    req = environment.SfcRequest(args.source, args.destination, _parse_chain(args.chain))
     res = oracle.solve_optimal(t, req)
     if not res.feasible:
         print("infeasible")

@@ -189,6 +189,8 @@ def run_experiment(
     'cs2' to the relocation pool (Random Topo.+VNFs test).  Extra non-model
     actors (like oracle_actor) may ride along for reference rows.
     """
+    if request_count < 1:
+        raise ValueError(f"request count must be >= 1, got {request_count}")
     for key in ("cs1", "cs2"):
         if key not in pools:
             raise ValueError(f"missing pool {key!r}")

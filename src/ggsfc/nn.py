@@ -1,5 +1,5 @@
 """Dense numerical kernel: parameter sets, layer primitives with exact
-analytic backprop, plain SGD, and finite-difference gradient verification.
+analytic backprop, plain SGD, and checkpoints.
 
 Everything is float64.  Forward ops return (output, cache); the matching
 backward op consumes the cache and returns exact gradients.  The model
@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -342,73 +342,6 @@ def sgd_update(params: ParamSet, grads: GradSet, alpha: float) -> ParamSet:
     # one pass over the flat buffer; each element gets the same
     # value + alpha * g as a per-tensor update would
     return ParamSet._from_flat(params._flat + alpha * grads._flat, params._layout)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-
-@dataclass
-class GradCheckReport:
-    rel_err: dict[str, float]
-    max_rel_err: float
-    passed: bool
-    tolerance: float
-
-    def __str__(self) -> str:
-        worst = max(self.rel_err, key=self.rel_err.get) if self.rel_err else "-"
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"grad check {status}: max rel err {self.max_rel_err:.3e} "
-            f"(worst tensor {worst}, tolerance {self.tolerance:.1e})"
-        )
-
-
-def finite_diff_check(
-    f: Callable[[ParamSet], tuple[float, GradSet]],
-    params: ParamSet,
-    h: float = 1e-5,
-    tolerance: float = 1e-6,
-    max_coords_per_tensor: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> GradCheckReport:
-    """Compare f's analytic gradient against central differences.
-
-    f must be deterministic and return (scalar value, analytic GradSet).
-    Per tensor, the relative error is ||ga - gn||_2 / max(||ga||_2, ||gn||_2)
-    over the probed coordinates (all of them unless max_coords_per_tensor
-    caps the probe count, in which case a seeded uniform subset is used).
-    """
-    value, analytic = f(params)
-    if not np.isfinite(value):
-        raise ValueError(f"f(params) is not finite: {value}")
-    if max_coords_per_tensor is not None and rng is None:
-        rng = np.random.default_rng(0)
-
-    rel_err: dict[str, float] = {}
-    for name in params.names():
-        tensor = params[name]
-        flat_idx = np.arange(tensor.size)
-        if max_coords_per_tensor is not None and tensor.size > max_coords_per_tensor:
-            flat_idx = rng.choice(tensor.size, size=max_coords_per_tensor, replace=False)
-            flat_idx.sort()
-        ga = analytic[name].reshape(-1)[flat_idx]
-        gn = np.empty(len(flat_idx))
-        flat = tensor.reshape(-1)  # view; probes mutate in place and restore
-        for j, idx in enumerate(flat_idx):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up, _ = f(params)
-            flat[idx] = orig - h
-            down, _ = f(params)
-            flat[idx] = orig
-            gn[j] = (up - down) / (2.0 * h)
-        denom = max(np.linalg.norm(ga), np.linalg.norm(gn))
-        rel_err[name] = 0.0 if denom < 1e-12 else float(np.linalg.norm(ga - gn) / denom)
-
-    worst = max(rel_err.values()) if rel_err else 0.0
-    return GradCheckReport(
-        rel_err=rel_err, max_rel_err=worst, passed=worst <= tolerance, tolerance=tolerance
-    )
 
 
 # ---------------------------------------------------------------------------

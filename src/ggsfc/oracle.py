@@ -10,12 +10,25 @@ verbatim with that exact delay.
 
 Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
+
+The search reads two tables each topology builds once, on first use:
+``Topology.arcs`` (each node's (neighbor, edge delay) pairs in sorted
+neighbor order) and ``Topology.proc_delays`` (each node's best processing
+delay per VNF type, or None).  A state is the int ``layer * n + node`` and
+an action the int ``2 * node + process``, which sorts in the same order as
+the (node, process) pair.  The heap key (delay, steps, actions) is a total
+order, so the entry that settles a state is the least one ever pushed for
+it.  A relaxation is therefore pushed only when its (delay, steps) is no
+worse than the best pushed for that state so far: a strictly worse entry
+could only pop after a better one had settled its state, so dropping it
+leaves the sequence of settled states, and the result, unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -56,8 +69,9 @@ class OracleResult:
 
 INFEASIBLE = OracleResult(path=None, actions=())
 
-# action sequences are compared as tuples of (node, process-as-int), which
-# orders by node sequence first and prefers not-processing on ties
+# brute_force_optimal compares action sequences as tuples of
+# (node, process-as-int), which orders by node sequence first and prefers
+# not-processing on ties
 _ActionKey = tuple[tuple[int, int], ...]
 
 
@@ -89,30 +103,45 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     if length == 0 and req.source == req.destination:
         return OracleResult(path=PathResult((), (), 0, True), actions=())
 
-    goal = (req.destination, length)
-    settled: set[tuple[int, int]] = set()
-    # heap entries: (delay, steps, action-key, node, layer)
-    heap: list[tuple[int, int, _ActionKey, int, int]] = [(0, 0, (), req.source, 0)]
+    n = t.num_nodes
+    arcs = t.arcs
+    procs = [t.proc_delays[k] for k in chain] + [None]
+    goal = length * n + req.destination
+    size = (length + 1) * n
+    settled = bytearray(size)
+    # best (delay, steps) pushed per state, packed as delay * size + steps:
+    # a walk that settles a state never repeats one, so steps < size
+    best: list[float] = [math.inf] * size
+    heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), req.source)]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        delay, steps, acts, node, layer = heapq.heappop(heap)
-        if (node, layer) in settled:
+        delay, steps, acts, state = pop(heap)
+        if settled[state]:
             continue
-        settled.add((node, layer))
-        if (node, layer) == goal:
-            actions = tuple(Action(n, bool(p)) for n, p in acts)
+        settled[state] = 1
+        if state == goal:
+            actions = tuple(Action(code >> 1, bool(code & 1)) for code in acts)
             return _result_from_actions(t, req, actions, delay)
-        want = chain[layer] if layer < length else None
-        for v in t.neighbors[node]:
-            d = delay + t.edge_delay(node, v)
-            if (v, layer) not in settled:
-                heapq.heappush(heap, (d, steps + 1, acts + ((v, 0),), v, layer))
-            if want is not None:
-                inst = t.best_instance(v, want)
-                if inst is not None and (v, layer + 1) not in settled:
-                    heapq.heappush(
-                        heap,
-                        (d + inst.proc_delay, steps + 1, acts + ((v, 1),), v, layer + 1),
-                    )
+        layer, node = divmod(state, n)
+        proc = procs[layer]
+        steps += 1
+        base = state - node
+        for v, w in arcs[node]:
+            d = delay + w
+            key = d * size + steps
+            s2 = base + v
+            if key <= best[s2]:
+                best[s2] = key
+                push(heap, (d, steps, acts + (2 * v,), s2))
+            if proc is not None:
+                p = proc[v]
+                if p is not None:
+                    d += p
+                    key = d * size + steps
+                    s2 += n
+                    if key <= best[s2]:
+                        best[s2] = key
+                        push(heap, (d, steps, acts + (2 * v + 1,), s2))
     return INFEASIBLE
 
 

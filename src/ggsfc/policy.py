@@ -355,8 +355,7 @@ def _run_episode(
     select,                    # (dist, acts) -> Action
 ) -> EpisodeTrace:
     a_matrix = adjacency_matrix(t)
-    # fused per episode, never stored: training replaces params after each
-    # update and finite_diff_check probes them in place
+    # fused per episode, never stored: training replaces params after each update
     enc_gru = nn.fuse_gru(params, "enc.")
     dec_gru = nn.fuse_gru(params, "dec.")
     state = reset(t, req, max_steps)

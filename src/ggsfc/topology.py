@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -29,7 +29,6 @@ import numpy as np
 EDGE_DELAY_RANGE = (1, 10)
 
 DEFAULT_POOL_SIZE = 100
-FIXTURE_SEED = 12
 
 # CS1 trial counts and per-trial success probabilities
 NODE_ADD_TRIALS, NODE_ADD_PROB = 12, 0.1
@@ -169,6 +168,21 @@ class Topology:
         return self._instances_by_site.get((node, vnf_type))
 
     @cached_property
+    def arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node, its (neighbor, edge delay) pairs in sorted neighbor order."""
+        return tuple(tuple((v, self._edge_delay[(u, v)]) for v in nb)
+                     for u, nb in enumerate(self.neighbors))
+
+    @cached_property
+    def proc_delays(self) -> tuple[tuple[int | None, ...], ...]:
+        """Per VNF type, each node's best processing delay, or None where the
+        node hosts no instance of it."""
+        table = [[None] * self.num_nodes for _ in range(self.vnf_type_count)]
+        for (node, vnf_type), inst in self._instances_by_site.items():
+            table[vnf_type][node] = inst.proc_delay
+        return tuple(tuple(row) for row in table)
+
+    @cached_property
     def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.num_nodes, self.num_nodes))
         for u, v, _ in self.edges:
@@ -243,78 +257,11 @@ def save_topology_file(t: Topology, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # fixture
 
-def _random_connected_graph(
-    num_nodes: int, num_edges: int, rng: np.random.Generator
-) -> Topology:
-    lo, hi = EDGE_DELAY_RANGE
-    edges: dict[tuple[int, int], int] = {}
-    for v in range(1, num_nodes):
-        u = int(rng.integers(0, v))
-        edges[(u, v)] = int(rng.integers(lo, hi + 1))
-    while len(edges) < num_edges:
-        u, v = (int(x) for x in rng.choice(num_nodes, size=2, replace=False))
-        key = (min(u, v), max(u, v))
-        if key not in edges:
-            edges[key] = int(rng.integers(lo, hi + 1))
-    return Topology(
-        num_nodes=num_nodes,
-        edges=tuple((u, v, d) for (u, v), d in edges.items()),
-        instances=(),
-        vnf_type_count=0,
-    )
-
-
-def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
-    """Regenerate the bundled 12-node fixture (the frozen data file's source).
-
-    12 nodes, 15 edges with delays 1..10, five VNF types with two instances
-    each on distinct nodes.
-    """
-    rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(12, 15, rng)
-    graph = replace(graph, vnf_type_count=5)
-    return deploy_vnfs(graph, per_type_count=2, proc_delay_range=(1, 10), rng=rng)
-
-
 @cache
 def internet2_fixture() -> Topology:
     """The bundled internet2-like 12-node fixture, loaded from package data."""
     text = resources.files("ggsfc.data").joinpath("internet2.json").read_text()
     return load_topology(text)
-
-
-def deploy_vnfs(
-    t: Topology,
-    per_type_count: int,
-    proc_delay_range: tuple[int, int],
-    rng: np.random.Generator,
-    vnf_type_count: int | None = None,
-) -> Topology:
-    """Place ``per_type_count`` instances of each VNF type on distinct nodes.
-
-    ``t`` must not already carry instances.  Node choices are uniform and
-    independent per type; processing delays are uniform in the given
-    inclusive range.
-    """
-    if t.instances:
-        raise TopologyError("topology already has VNF instances deployed")
-    k = t.vnf_type_count if vnf_type_count is None else vnf_type_count
-    lo, hi = proc_delay_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"invalid processing delay range ({lo}, {hi})")
-    if per_type_count > t.num_nodes:
-        raise ValueError(
-            f"cannot place {per_type_count} instances of one type on "
-            f"{t.num_nodes} distinct nodes"
-        )
-    instances = []
-    for vnf_type in range(k):
-        nodes = rng.choice(t.num_nodes, size=per_type_count, replace=False)
-        for node in nodes:
-            instances.append(
-                VnfInstance(int(node), vnf_type, int(rng.integers(lo, hi + 1)))
-            )
-    return replace(t, instances=tuple(instances), vnf_type_count=k)
 
 
 # ---------------------------------------------------------------------------

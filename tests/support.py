@@ -1,0 +1,146 @@
+"""Test tools kept out of the library: a finite-difference gradient check,
+random VNF placement, and the seeded generator the bundled internet2
+fixture was frozen from."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
+
+from ggsfc.nn import GradSet, ParamSet
+from ggsfc.topology import EDGE_DELAY_RANGE, Topology, TopologyError, VnfInstance
+
+FIXTURE_SEED = 12
+
+
+@dataclass
+class GradCheckReport:
+    rel_err: dict[str, float]
+    max_rel_err: float
+    passed: bool
+    tolerance: float
+
+    def __str__(self) -> str:
+        worst = max(self.rel_err, key=self.rel_err.get) if self.rel_err else "-"
+        status = "PASS" if self.passed else "FAIL"
+        return (
+            f"grad check {status}: max rel err {self.max_rel_err:.3e} "
+            f"(worst tensor {worst}, tolerance {self.tolerance:.1e})"
+        )
+
+
+def finite_diff_check(
+    f: Callable[[ParamSet], tuple[float, GradSet]],
+    params: ParamSet,
+    h: float = 1e-5,
+    tolerance: float = 1e-6,
+    max_coords_per_tensor: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> GradCheckReport:
+    """Compare f's analytic gradient against central differences.
+
+    f must be deterministic and return (scalar value, analytic GradSet).
+    Per tensor, the relative error is ||ga - gn||_2 / max(||ga||_2, ||gn||_2)
+    over the probed coordinates (all of them unless max_coords_per_tensor
+    caps the probe count, in which case a seeded uniform subset is used).
+    """
+    value, analytic = f(params)
+    if not np.isfinite(value):
+        raise ValueError(f"f(params) is not finite: {value}")
+    if max_coords_per_tensor is not None and rng is None:
+        rng = np.random.default_rng(0)
+
+    rel_err: dict[str, float] = {}
+    for name in params.names():
+        tensor = params[name]
+        flat_idx = np.arange(tensor.size)
+        if max_coords_per_tensor is not None and tensor.size > max_coords_per_tensor:
+            flat_idx = rng.choice(tensor.size, size=max_coords_per_tensor, replace=False)
+            flat_idx.sort()
+        ga = analytic[name].reshape(-1)[flat_idx]
+        gn = np.empty(len(flat_idx))
+        flat = tensor.reshape(-1)  # view; probes mutate in place and restore
+        for j, idx in enumerate(flat_idx):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up, _ = f(params)
+            flat[idx] = orig - h
+            down, _ = f(params)
+            flat[idx] = orig
+            gn[j] = (up - down) / (2.0 * h)
+        denom = max(np.linalg.norm(ga), np.linalg.norm(gn))
+        rel_err[name] = 0.0 if denom < 1e-12 else float(np.linalg.norm(ga - gn) / denom)
+
+    worst = max(rel_err.values()) if rel_err else 0.0
+    return GradCheckReport(
+        rel_err=rel_err, max_rel_err=worst, passed=worst <= tolerance, tolerance=tolerance
+    )
+
+
+def deploy_vnfs(
+    t: Topology,
+    per_type_count: int,
+    proc_delay_range: tuple[int, int],
+    rng: np.random.Generator,
+    vnf_type_count: int | None = None,
+) -> Topology:
+    """Place ``per_type_count`` instances of each VNF type on distinct nodes.
+
+    ``t`` must not already carry instances.  Node choices are uniform and
+    independent per type; processing delays are uniform in the given
+    inclusive range.
+    """
+    if t.instances:
+        raise TopologyError("topology already has VNF instances deployed")
+    k = t.vnf_type_count if vnf_type_count is None else vnf_type_count
+    lo, hi = proc_delay_range
+    if lo < 1 or hi < lo:
+        raise ValueError(f"invalid processing delay range ({lo}, {hi})")
+    if per_type_count > t.num_nodes:
+        raise ValueError(
+            f"cannot place {per_type_count} instances of one type on "
+            f"{t.num_nodes} distinct nodes"
+        )
+    instances = []
+    for vnf_type in range(k):
+        nodes = rng.choice(t.num_nodes, size=per_type_count, replace=False)
+        for node in nodes:
+            instances.append(
+                VnfInstance(int(node), vnf_type, int(rng.integers(lo, hi + 1)))
+            )
+    return replace(t, instances=tuple(instances), vnf_type_count=k)
+
+
+def _random_connected_graph(
+    num_nodes: int, num_edges: int, rng: np.random.Generator
+) -> Topology:
+    lo, hi = EDGE_DELAY_RANGE
+    edges: dict[tuple[int, int], int] = {}
+    for v in range(1, num_nodes):
+        u = int(rng.integers(0, v))
+        edges[(u, v)] = int(rng.integers(lo, hi + 1))
+    while len(edges) < num_edges:
+        u, v = (int(x) for x in rng.choice(num_nodes, size=2, replace=False))
+        key = (min(u, v), max(u, v))
+        if key not in edges:
+            edges[key] = int(rng.integers(lo, hi + 1))
+    return Topology(
+        num_nodes=num_nodes,
+        edges=tuple((u, v, d) for (u, v), d in edges.items()),
+        instances=(),
+        vnf_type_count=0,
+    )
+
+
+def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
+    """Regenerate the bundled 12-node fixture (the frozen data file's source).
+
+    12 nodes, 15 edges with delays 1..10, five VNF types with two instances
+    each on distinct nodes.
+    """
+    rng = np.random.default_rng(seed)
+    graph = _random_connected_graph(12, 15, rng)
+    graph = replace(graph, vnf_type_count=5)
+    return deploy_vnfs(graph, per_type_count=2, proc_delay_range=(1, 10), rng=rng)

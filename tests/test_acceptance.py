@@ -40,12 +40,12 @@ from ggsfc.policy import (
 from ggsfc.topology import (
     Topology,
     adjacency_matrix,
-    deploy_vnfs,
     generate_pool,
     internet2_fixture,
     mutate_cs1_stats,
     mutate_cs2,
 )
+from support import deploy_vnfs, finite_diff_check
 
 # the whole file is the release gate; `pytest -m "not gate"` skips it
 pytestmark = pytest.mark.gate
@@ -254,7 +254,7 @@ def test_c02_analytic_gradients_match_finite_differences():
         g.add_all(dict(grads, x=dx, h=dh))
         return float(vg @ h_new), g
 
-    report = nn.finite_diff_check(f_gru, p_gru, tolerance=UNIT_GRAD_TOL)
+    report = finite_diff_check(f_gru, p_gru, tolerance=UNIT_GRAD_TOL)
     assert report.passed, str(report)
 
     # masked softmax through the log-prob gradient
@@ -267,7 +267,7 @@ def test_c02_analytic_gradients_match_finite_differences():
         g.add("logits", nn.log_prob_grad(probs, 3))
         return float(np.log(probs[3])), g
 
-    report = nn.finite_diff_check(f_softmax, p_sm, tolerance=UNIT_GRAD_TOL)
+    report = finite_diff_check(f_softmax, p_sm, tolerance=UNIT_GRAD_TOL)
     assert report.passed, str(report)
 
     # end-to-end checks share a small policy on a 5-node topology
@@ -292,7 +292,7 @@ def test_c02_analytic_gradients_match_finite_differences():
         g.add_all(grads)
         return float(np.sum(probe * h)), g
 
-    report = nn.finite_diff_check(f_encoder, enc_only, tolerance=E2E_GRAD_TOL)
+    report = finite_diff_check(f_encoder, enc_only, tolerance=E2E_GRAD_TOL)
     assert report.passed, str(report)
 
     # one decode step
@@ -303,8 +303,8 @@ def test_c02_analytic_gradients_match_finite_differences():
         forced = teacher_force(ps, cfg, t, req, (first,))
         return forced.steps[0].log_prob, episode_gradients(ps, cfg, forced, [1.0])
 
-    report = nn.finite_diff_check(f_step, params, tolerance=E2E_GRAD_TOL,
-                                  max_coords_per_tensor=20, rng=fd_rng)
+    report = finite_diff_check(f_step, params, tolerance=E2E_GRAD_TOL,
+                               max_coords_per_tensor=20, rng=fd_rng)
     assert report.passed, str(report)
 
     # a whole episode's log-probability
@@ -316,8 +316,8 @@ def test_c02_analytic_gradients_match_finite_differences():
         lps = [s.log_prob for s in forced.steps]
         return float(np.sum(lps)), episode_gradients(ps, cfg, forced, coeffs)
 
-    report = nn.finite_diff_check(f_episode, params, tolerance=E2E_GRAD_TOL,
-                                  max_coords_per_tensor=20, rng=fd_rng)
+    report = finite_diff_check(f_episode, params, tolerance=E2E_GRAD_TOL,
+                               max_coords_per_tensor=20, rng=fd_rng)
     assert report.passed, str(report)
 
     assert time.perf_counter() - t0 < GRAD_BUDGET_S

@@ -359,6 +359,15 @@ def test_solve_rejects_bad_destination(capsys):
     assert "not a node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("chain, entry", [("1,x", "'x'"), (",", "''"), ("2,,1", "''")])
+def test_solve_names_a_bad_chain_entry(capsys, chain, entry):
+    rc = run("solve", "--fixture", "--source", "0", "--destination", "11", "--chain", chain)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: --chain ")
+    assert f"entry {entry}" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -380,6 +389,22 @@ def test_eval_writes_report_with_oracle_row(sl_run, tmp_path, capsys):
     assert csv[2].startswith("oracle,0.0000,1.0000,")
     assert (out / "report.txt").exists()
     assert "approach" in capsys.readouterr().out
+
+
+def test_eval_refuses_zero_requests_naming_the_count(tmp_path, capsys):
+    pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
+    assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
+               "--seed", "3", "--out", str(pool)) == 0
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
+    capsys.readouterr()
+    rc = run("eval", "--fixture", "--pool-cs1", str(pool), "--pool-cs2", str(pool),
+             "--checkpoint", str(ckpt), "--requests", "0", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "request count" in err and "0" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 CHECKPOINT_METADATA = {"hidden_dim": 32, "K": 5, "propagation_steps": 5, "seed": 0,

@@ -7,7 +7,6 @@ from ggsfc.nn import (
     GradSet,
     NonFiniteGradientError,
     ParamSet,
-    finite_diff_check,
     fuse_gru,
     gru_cell,
     gru_cell_backward,
@@ -22,6 +21,7 @@ from ggsfc.nn import (
     uniform_init,
 )
 from ggsfc.topology import generate_pool, internet2_fixture
+from support import finite_diff_check
 
 UNIT_TOL = 1e-6
 

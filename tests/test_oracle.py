@@ -15,6 +15,7 @@ from ggsfc.environment import (
     reset,
     step,
 )
+from ggsfc import oracle
 from ggsfc.oracle import (
     INFEASIBLE,
     brute_force_optimal,
@@ -27,10 +28,10 @@ from ggsfc.oracle import (
 from ggsfc.topology import (
     Topology,
     VnfInstance,
-    deploy_vnfs,
     generate_pool,
     internet2_fixture,
 )
+from support import deploy_vnfs
 
 
 def tiny_topology():
@@ -176,12 +177,12 @@ def test_solver_matches_exhaustive_search_on_chainless_requests():
 
 
 @st.composite
-def small_requests(draw):
-    """A connected graph of 2-6 nodes (a random spanning tree plus extra
-    edges), random instances of 1-3 types, and a request whose chain of
-    length 0-3 may name a type nothing hosts."""
-    n = draw(st.integers(2, 6))
-    delay = st.integers(1, 10)
+def small_requests(draw, nodes=(2, 6), delay=st.integers(1, 10)):
+    """A connected graph of nodes[0]-nodes[1] nodes (a random spanning tree
+    plus extra edges) with edge and processing delays drawn from `delay`,
+    random instances of 1-3 types, and a request whose chain of length 0-3
+    may name a type nothing hosts."""
+    n = draw(st.integers(*nodes))
     edges = {(draw(st.integers(0, v - 1)), v): draw(delay) for v in range(1, n)}
     node = st.integers(0, n - 1)
     for u, v, d in draw(st.lists(st.tuples(node, node, delay), max_size=n)):
@@ -203,6 +204,15 @@ def test_solver_matches_exhaustive_search_on_random_small_graphs(case):
     assert solve_optimal(t, req) == brute_force_optimal(t, req)
 
 
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_requests(nodes=(4, 9), delay=st.sampled_from((1, 2))))
+def test_solver_breaks_dense_ties_as_exhaustive_search_does(case):
+    # delays of 1 and 2 make many walks tie on delay and on steps, so the
+    # tie-break on the action sequence decides most results
+    t, req = case
+    assert solve_optimal(t, req) == brute_force_optimal(t, req)
+
+
 def test_labels_replay_through_the_environment_exactly():
     t = internet2_fixture()
     rng = np.random.default_rng(23)
@@ -214,6 +224,24 @@ def test_labels_replay_through_the_environment_exactly():
             s, _, _ = step(s, a, t, cfg)
         assert s.path_so_far.success
         assert s.path_so_far.total_delay == res.optimal_delay
+
+
+def test_a_feasible_solve_replays_once(monkeypatch):
+    # one reset and one step per action: the count a traced label pass checks
+    t = internet2_fixture()
+    calls = {"reset": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(oracle, "reset", counted("reset", oracle.reset))
+    monkeypatch.setattr(oracle, "step", counted("step", oracle.step))
+    res = solve_optimal(t, SfcRequest(0, 11, (1, 2)))
+    assert res.feasible and len(res.actions) > 2
+    assert calls == {"reset": 1, "step": len(res.actions)}
 
 
 def test_brute_force_budget_too_small_reports_infeasible():

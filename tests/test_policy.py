@@ -9,7 +9,7 @@ import pytest
 
 from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
 from ggsfc import nn
-from ggsfc.nn import GradSet, finite_diff_check, fuse_gru
+from ggsfc.nn import GradSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
     ActionDistribution,
@@ -33,10 +33,10 @@ from ggsfc.topology import (
     Topology,
     VnfInstance,
     adjacency_matrix,
-    deploy_vnfs,
     generate_pool,
     internet2_fixture,
 )
+from support import deploy_vnfs, finite_diff_check
 
 E2E_TOL = 1e-5
 

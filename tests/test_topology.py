@@ -7,13 +7,10 @@ import pytest
 
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
-    FIXTURE_SEED,
     Topology,
     TopologyError,
     VnfInstance,
     adjacency_matrix,
-    deploy_vnfs,
-    generate_fixture_topology,
     generate_pool,
     internet2_fixture,
     load_pool,
@@ -26,6 +23,7 @@ from ggsfc.topology import (
     save_topology,
     topology_sha256,
 )
+from support import FIXTURE_SEED, deploy_vnfs, generate_fixture_topology
 
 
 def tiny_topology():
@@ -127,6 +125,23 @@ def test_best_instance_prefers_the_cheaper_one():
 def test_deployed_types():
     t = tiny_topology()
     assert t.deployed_types == (0, 1)
+
+
+@pytest.mark.parametrize("source", ["fixture", "cs1", "cs2"])
+def test_solver_tables_agree_with_the_accessors(source):
+    fixture = internet2_fixture()
+    topologies = ([fixture] if source == "fixture"
+                  else generate_pool(fixture, source, pool_size=8, seed=5).variants)
+    for t in topologies:
+        assert [[v for v, _ in arcs] for arcs in t.arcs] == [list(nb) for nb in t.neighbors]
+        for u, arcs in enumerate(t.arcs):
+            assert all(d == t.edge_delay(u, v) for v, d in arcs)
+        assert len(t.proc_delays) == t.vnf_type_count
+        for k, row in enumerate(t.proc_delays):
+            assert len(row) == t.num_nodes
+            for node, delay in enumerate(row):
+                inst = t.best_instance(node, k)
+                assert delay == (None if inst is None else inst.proc_delay)
 
 
 def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():
