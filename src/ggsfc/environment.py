@@ -11,6 +11,10 @@ multiplicity) plus the processing delays of the instances used.  Reward is
 sparse: DEFAULT_SUCCESS_BASE - lam * total_delay on the success-terminal
 step, zero everywhere else.
 
+Moves and processing sites come from the topology's ``arcs`` and
+``proc_delays``, the tables the exact solver searches; a processing step
+records the cheapest instance there as ``VnfInstance(node, type, delay)``.
+
 This module holds the rules alone; a recorded episode with the policy's
 log-probs is a ``policy.EpisodeTrace``.
 """
@@ -133,10 +137,11 @@ def valid_actions(s: EnvState, t: Topology) -> tuple[Action, ...]:
     if s.done:
         raise InvalidActionError("valid_actions called on a finished episode")
     want = s.pending_type
+    sites = t.proc_delays[want] if want is not None else None
     actions: list[Action] = []
-    for v in t.neighbors[s.current_node]:
+    for v, _ in t.arcs[s.current_node]:
         actions.append(Action(v, False))
-        if want is not None and t.best_instance(v, want) is not None:
+        if sites is not None and sites[v] is not None:
             actions.append(Action(v, True))
     return tuple(actions)
 
@@ -150,11 +155,12 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
     """
     if s.done:
         raise InvalidActionError("step called on a finished episode")
-    if not t.has_edge(s.current_node, a.next_node):
+    try:
+        delay = t.edge_delay(s.current_node, a.next_node)
+    except TopologyError:
         raise InvalidActionError(
             f"no edge from node {s.current_node} to node {a.next_node}"
-        )
-    delay = t.edge_delay(s.current_node, a.next_node)
+        ) from None
     edge_uses = s.path_so_far.edge_uses + ((s.current_node, a.next_node),)
     instance_uses = s.path_so_far.instance_uses
     chain_index = s.chain_index
@@ -162,13 +168,11 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
         want = s.pending_type
         if want is None:
             raise InvalidActionError("process requested but the chain is fully processed")
-        inst = t.best_instance(a.next_node, want)
-        if inst is None:
-            raise InvalidActionError(
-                f"node {a.next_node} hosts no instance of type {want}"
-            )
-        delay += inst.proc_delay
-        instance_uses = instance_uses + (inst,)
+        proc = t.proc_delays[want][a.next_node]
+        if proc is None:
+            raise InvalidActionError(f"node {a.next_node} hosts no instance of type {want}")
+        delay += proc
+        instance_uses = instance_uses + (VnfInstance(a.next_node, want, proc),)
         chain_index += 1
 
     total = s.path_so_far.total_delay + delay

@@ -62,6 +62,10 @@ class Table1Config:
     rl_seeds: tuple[int, ...] = (10, 0, 2, 2, 4, 4)
 
     def __post_init__(self) -> None:
+        least_sizes = {"requests": 1, "pool_size": 1, "dataset_size": 1, "holdout_size": 0}
+        for name, least in least_sizes.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if len(self.rl_seeds) != len(RL_ROWS):
             raise ValueError(f"rl_seeds needs {len(RL_ROWS)} comma-separated integers, "
                              f"got {','.join(map(str, self.rl_seeds))!r}")

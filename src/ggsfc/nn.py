@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._tensors)
 
     def names(self) -> tuple[str, ...]:
         return tuple(self._tensors)

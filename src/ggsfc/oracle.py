@@ -11,7 +11,7 @@ verbatim with that exact delay.
 Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
 
-The search reads two tables each topology builds once, on first use:
+The search reads the tables the environment's moves come from:
 ``Topology.arcs`` (each node's (neighbor, edge delay) pairs in sorted
 neighbor order) and ``Topology.proc_delays`` (each node's best processing
 delay per VNF type, or None).  A state is the int ``layer * n + node`` and
@@ -172,7 +172,7 @@ def brute_force_optimal(
         walk_budget = t.num_nodes * (length + 1)
     if walk_budget < 1:
         raise ValueError("walk_budget must be >= 1")
-    max_degree = max(len(nb) for nb in t.neighbors)
+    max_degree = max(len(a) for a in t.arcs)
     work = walk_budget * t.num_nodes * (length + 1) * max_degree * 2
     if work > work_cap:
         raise ValueError(

@@ -9,6 +9,11 @@ Two change strategies produce randomized variants of a base topology:
   graph.  VNF instances stay where they are.
 * CS2 applies CS1 and then relocates every VNF instance to a uniformly
   chosen node of the mutated graph.
+
+Each topology indexes its graph once, on first use: ``arcs`` (per node, its
+(neighbor, edge delay) pairs sorted by neighbor) and ``proc_delays`` (per
+VNF type, each node's cheapest processing delay or None).  The environment
+and the exact solver both read these two tables and no other index.
 """
 
 from __future__ import annotations
@@ -114,6 +119,7 @@ class Topology:
             raise TopologyError(f"graph is disconnected: node {min(unreachable)} unreachable from node 0")
 
     def _unreachable_nodes(self) -> set[int]:
+        # its own list: walking self.arcs would build that lazy table at construction
         adj: dict[int, list[int]] = {u: [] for u in range(self.num_nodes)}
         for u, v, _ in self.edges:
             adj[u].append(v)
@@ -129,57 +135,31 @@ class Topology:
         return set(range(self.num_nodes)) - seen
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor ids per node."""
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def _edge_delay(self) -> dict[tuple[int, int], int]:
-        table: dict[tuple[int, int], int] = {}
-        for u, v, d in self.edges:
-            table[(u, v)] = d
-            table[(v, u)] = d
-        return table
-
-    def edge_delay(self, u: int, v: int) -> int:
-        try:
-            return self._edge_delay[(u, v)]
-        except KeyError:
-            raise TopologyError(f"edge ({u}, {v}) does not exist") from None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_delay
-
-    @cached_property
-    def _instances_by_site(self) -> dict[tuple[int, int], VnfInstance]:
-        # minimum-proc-delay instance per (node, type); sorted order makes
-        # the first instance seen the minimum
-        table: dict[tuple[int, int], VnfInstance] = {}
-        for inst in self.instances:
-            table.setdefault((inst.node, inst.vnf_type), inst)
-        return table
-
-    def best_instance(self, node: int, vnf_type: int) -> VnfInstance | None:
-        """Lowest-processing-delay instance of ``vnf_type`` on ``node``, if any."""
-        return self._instances_by_site.get((node, vnf_type))
-
-    @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node, its (neighbor, edge delay) pairs in sorted neighbor order."""
-        return tuple(tuple((v, self._edge_delay[(u, v)]) for v in nb)
-                     for u, nb in enumerate(self.neighbors))
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
+        for u, v, d in self.edges:
+            adj[u].append((v, d))
+            adj[v].append((u, d))
+        return tuple(tuple(sorted(a)) for a in adj)
+
+    def edge_delay(self, u: int, v: int) -> int:
+        if 0 <= u < self.num_nodes:
+            for w, d in self.arcs[u]:
+                if w == v:
+                    return d
+        raise TopologyError(f"edge ({u}, {v}) does not exist")
 
     @cached_property
     def proc_delays(self) -> tuple[tuple[int | None, ...], ...]:
         """Per VNF type, each node's best processing delay, or None where the
         node hosts no instance of it."""
         table = [[None] * self.num_nodes for _ in range(self.vnf_type_count)]
-        for (node, vnf_type), inst in self._instances_by_site.items():
-            table[vnf_type][node] = inst.proc_delay
+        # instances are sorted, so the first one seen per site is the cheapest
+        for inst in self.instances:
+            row = table[inst.vnf_type]
+            if row[inst.node] is None:
+                row[inst.node] = inst.proc_delay
         return tuple(tuple(row) for row in table)
 
     @cached_property

@@ -1,6 +1,6 @@
 """Test tools kept out of the library: a finite-difference gradient check,
-random VNF placement, and the seeded generator the bundled internet2
-fixture was frozen from."""
+random VNF placement, the seeded generator the bundled internet2 fixture
+was frozen from, and a hypothesis strategy for small random requests."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
+from ggsfc.environment import SfcRequest
 from ggsfc.nn import GradSet, ParamSet
 from ggsfc.topology import EDGE_DELAY_RANGE, Topology, TopologyError, VnfInstance
 
@@ -144,3 +146,24 @@ def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
     graph = _random_connected_graph(12, 15, rng)
     graph = replace(graph, vnf_type_count=5)
     return deploy_vnfs(graph, per_type_count=2, proc_delay_range=(1, 10), rng=rng)
+
+
+@st.composite
+def small_requests(draw, nodes=(2, 6), delay=st.integers(1, 10)):
+    """A connected graph of nodes[0]-nodes[1] nodes (a random spanning tree
+    plus extra edges) with edge and processing delays drawn from `delay`,
+    random instances of 1-3 types, and a request whose chain of length 0-3
+    may name a type nothing hosts."""
+    n = draw(st.integers(*nodes))
+    edges = {(draw(st.integers(0, v - 1)), v): draw(delay) for v in range(1, n)}
+    node = st.integers(0, n - 1)
+    for u, v, d in draw(st.lists(st.tuples(node, node, delay), max_size=n)):
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), d)
+    k = draw(st.integers(1, 3))
+    vnf_type = st.integers(0, k - 1)
+    instances = draw(st.lists(st.builds(VnfInstance, node, vnf_type, delay), max_size=2 * n))
+    t = Topology(n, tuple((u, v, d) for (u, v), d in edges.items()), tuple(instances), k)
+    length = draw(st.integers(0, 3))
+    chain = draw(st.lists(vnf_type, min_size=length, max_size=length))
+    return t, SfcRequest(draw(node), draw(node), tuple(chain))

@@ -533,6 +533,22 @@ def test_exp_table1_refuses_a_bad_stage_setting_before_writing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, field, value", [
+    ("--requests", "requests", "0"),
+    ("--pool-size", "pool_size", "0"),
+    ("--dataset-size", "dataset_size", "0"),
+    ("--holdout-size", "holdout_size", "-1"),
+])
+def test_exp_table1_refuses_a_bad_size_before_writing(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "x"
+    rc = run("exp", "table1", "--out", str(out), *TINY_EXP, flag, value)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exp_table1_flag_defaults_are_the_config_defaults():
     args = build_parser().parse_args(["exp", "table1", "--out", "x"])
     assert _table1_config(args) == Table1Config()

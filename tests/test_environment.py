@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggsfc.environment import (
     Action,
@@ -19,6 +21,7 @@ from ggsfc.environment import (
     validate_request,
 )
 from ggsfc.topology import Topology, TopologyError, VnfInstance, internet2_fixture
+from support import small_requests
 
 
 def tiny_topology():
@@ -84,7 +87,7 @@ def test_an_empty_chain_succeeds_at_the_destination():
     t = tiny_topology()
     s = reset(t, SfcRequest(0, 3, ()))
     assert s.pending_type is None
-    assert valid_actions(s, t) == tuple(Action(v, False) for v in t.neighbors[0])
+    assert valid_actions(s, t) == (Action(1, False), Action(3, False))
     s, reward, done = step(s, Action(3, False), t, RewardConfig())
     assert done and s.path_so_far.success and reward > 0
 
@@ -110,6 +113,33 @@ def test_valid_actions_without_pending_type_offers_only_moves():
     s, _ = walk(t, SfcRequest(0, 3, (0,)), [Action(1, True)])
     assert s.pending_type is None
     assert valid_actions(s, t) == (Action(0, False), Action(2, False))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(small_requests(), st.data())
+def test_environment_matches_its_source_data(case, data):
+    # a reference read straight from t.edges and t.instances; the drawn
+    # instance lists often put two instances of one type on one node
+    t, req = case
+    s = reset(t, req)
+    while not s.done:
+        node, want = s.current_node, s.pending_type
+        neighbors = sorted({v for u, v, _ in t.edges if u == node}
+                           | {u for u, v, _ in t.edges if v == node})
+        expected = []
+        for v in neighbors:
+            expected.append(Action(v, False))
+            if any((i.node, i.vnf_type) == (v, want) for i in t.instances):
+                expected.append(Action(v, True))
+        actions = valid_actions(s, t)
+        assert actions == tuple(expected)
+        a = actions[data.draw(st.integers(0, len(actions) - 1))]
+        s, _, _ = step(s, a, t, RewardConfig())
+        path = s.path_so_far
+        if a.process:
+            hosted = [i for i in t.instances if (i.node, i.vnf_type) == (a.next_node, want)]
+            assert path.instance_uses[-1] == min(hosted, key=lambda i: i.proc_delay)
+        assert total_delay(path, t) == path.total_delay
 
 
 def test_valid_actions_on_finished_episode_raises():

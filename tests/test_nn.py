@@ -47,7 +47,7 @@ def test_param_set_accessors():
     p = ParamSet({"a": np.zeros((2, 3)), "b": np.zeros(4)})
     assert p.names() == ("a", "b")
     assert p.shapes() == {"a": (2, 3), "b": (4,)}
-    assert "a" in p and "c" not in p
+    assert p["a"].shape == (2, 3) and [name for name, _ in p.items()] == ["a", "b"]
 
 
 def test_grad_set_accumulates_and_scales():

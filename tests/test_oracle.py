@@ -31,7 +31,7 @@ from ggsfc.topology import (
     generate_pool,
     internet2_fixture,
 )
-from support import deploy_vnfs
+from support import deploy_vnfs, small_requests
 
 
 def tiny_topology():
@@ -174,27 +174,6 @@ def test_solver_matches_exhaustive_search_on_chainless_requests():
             for dst in range(t.num_nodes):
                 req = SfcRequest(src, dst, ())
                 assert solve_optimal(t, req) == brute_force_optimal(t, req)
-
-
-@st.composite
-def small_requests(draw, nodes=(2, 6), delay=st.integers(1, 10)):
-    """A connected graph of nodes[0]-nodes[1] nodes (a random spanning tree
-    plus extra edges) with edge and processing delays drawn from `delay`,
-    random instances of 1-3 types, and a request whose chain of length 0-3
-    may name a type nothing hosts."""
-    n = draw(st.integers(*nodes))
-    edges = {(draw(st.integers(0, v - 1)), v): draw(delay) for v in range(1, n)}
-    node = st.integers(0, n - 1)
-    for u, v, d in draw(st.lists(st.tuples(node, node, delay), max_size=n)):
-        if u != v:
-            edges.setdefault((min(u, v), max(u, v)), d)
-    k = draw(st.integers(1, 3))
-    vnf_type = st.integers(0, k - 1)
-    instances = draw(st.lists(st.builds(VnfInstance, node, vnf_type, delay), max_size=2 * n))
-    t = Topology(n, tuple((u, v, d) for (u, v), d in edges.items()), tuple(instances), k)
-    length = draw(st.integers(0, 3))
-    chain = draw(st.lists(vnf_type, min_size=length, max_size=length))
-    return t, SfcRequest(draw(node), draw(node), tuple(chain))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -82,7 +82,7 @@ def test_disconnected_graph_is_rejected_naming_a_node():
 
 def test_single_node_graph_is_connected():
     t = Topology(1, (), (), 0)
-    assert t.neighbors == ((),)
+    assert t.arcs == ((),)
 
 
 @pytest.mark.parametrize(
@@ -99,27 +99,25 @@ def test_bad_instances_are_rejected(instance, message):
 
 
 # ---------------------------------------------------------------------------
-# accessors
+# lookup tables
 
 def test_neighbors_are_sorted_per_node():
     t = tiny_topology()
-    assert t.neighbors == ((1, 3), (0, 2), (1, 3), (0, 2))
+    assert t.arcs == (((1, 2), (3, 9)), ((0, 2), (2, 3)), ((1, 3), (3, 1)), ((0, 9), (2, 1)))
 
 
 def test_edge_delay_is_symmetric():
     t = tiny_topology()
     assert t.edge_delay(0, 1) == t.edge_delay(1, 0) == 2
-    assert t.has_edge(3, 0)
-    assert not t.has_edge(0, 2)
-    with pytest.raises(TopologyError, match="does not exist"):
-        t.edge_delay(0, 2)
+    assert t.edge_delay(3, 0) == 9
+    for u, v in ((0, 2), (0, 0), (-1, 0), (4, 0), (0, 4)):
+        with pytest.raises(TopologyError, match="does not exist"):
+            t.edge_delay(u, v)
 
 
-def test_best_instance_prefers_the_cheaper_one():
+def test_proc_delays_keep_the_cheaper_instance():
     t = tiny_topology()
-    assert t.best_instance(1, 0).proc_delay == 3
-    assert t.best_instance(1, 1) is None
-    assert t.best_instance(0, 0) is None
+    assert t.proc_delays == ((None, 3, None, None), (None, None, 5, None))
 
 
 def test_deployed_types():
@@ -128,20 +126,22 @@ def test_deployed_types():
 
 
 @pytest.mark.parametrize("source", ["fixture", "cs1", "cs2"])
-def test_solver_tables_agree_with_the_accessors(source):
+def test_solver_tables_match_their_source_data(source):
     fixture = internet2_fixture()
     topologies = ([fixture] if source == "fixture"
                   else generate_pool(fixture, source, pool_size=8, seed=5).variants)
     for t in topologies:
-        assert [[v for v, _ in arcs] for arcs in t.arcs] == [list(nb) for nb in t.neighbors]
-        for u, arcs in enumerate(t.arcs):
-            assert all(d == t.edge_delay(u, v) for v, d in arcs)
-        assert len(t.proc_delays) == t.vnf_type_count
-        for k, row in enumerate(t.proc_delays):
-            assert len(row) == t.num_nodes
-            for node, delay in enumerate(row):
-                inst = t.best_instance(node, k)
-                assert delay == (None if inst is None else inst.proc_delay)
+        assert len(t.arcs) == t.num_nodes
+        for nb in t.arcs:
+            assert [v for v, _ in nb] == sorted({v for v, _ in nb})
+        arcs = {(u, v, d) for u, nb in enumerate(t.arcs) for v, d in nb}
+        assert arcs == {(u, v, d) for u, v, d in t.edges} | {(v, u, d) for u, v, d in t.edges}
+        cheapest: dict[tuple[int, int], int] = {}
+        for i in t.instances:
+            site = (i.vnf_type, i.node)
+            cheapest[site] = min(cheapest.get(site, i.proc_delay), i.proc_delay)
+        assert t.proc_delays == tuple(tuple(cheapest.get((k, node)) for node in range(t.num_nodes))
+                                      for k in range(t.vnf_type_count))
 
 
 def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():
