@@ -319,8 +319,9 @@ def _add_topology_source(p: argparse.ArgumentParser, with_pool: bool = False) ->
 
 
 def _add_chain_range(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--chain-min", type=int, default=1, help="shortest chain (default 1)")
-    p.add_argument("--chain-max", type=int, default=4, help="longest chain (default 4)")
+    lo, hi = environment.DEFAULT_CHAIN_LEN_RANGE
+    p.add_argument("--chain-min", type=int, default=lo, help="shortest chain (default %(default)s)")
+    p.add_argument("--chain-max", type=int, default=hi, help="longest chain (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = topo_sub.add_parser("pool", help="generate a pool of mutated variants")
     _add_topology_source(p)
     p.add_argument("--strategy", choices=("cs1", "cs2"), required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=int, default=topology.DEFAULT_POOL_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_topo_pool)

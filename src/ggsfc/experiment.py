@@ -45,7 +45,7 @@ class Table1Config:
     written; ``ggsfc exp table1 --help`` explains each field."""
 
     seed: int = 0
-    pool_size: int = 100
+    pool_size: int = topology.DEFAULT_POOL_SIZE
     dataset_size: int = 2000
     holdout_size: int = 500
     sl_epochs: int = 10
@@ -116,8 +116,9 @@ def run_table1(config: Table1Config, out: str | Path,
 
     say("== dataset ==")
     rng = np.random.default_rng(seed + STAGE_SEEDS["dataset"])
-    train_reqs = environment.generate_requests(fixture, config.dataset_size, (1, 4), rng)
-    hold_reqs = environment.generate_requests(fixture, config.holdout_size, (1, 4), rng)
+    chain_lens = environment.DEFAULT_CHAIN_LEN_RANGE
+    train_reqs = environment.generate_requests(fixture, config.dataset_size, chain_lens, rng)
+    hold_reqs = environment.generate_requests(fixture, config.holdout_size, chain_lens, rng)
     ds = oracle.label_dataset(fixture, train_reqs)
     holdout = oracle.label_dataset(fixture, hold_reqs)
     oracle.save_dataset_file(ds, out / "dataset.json")

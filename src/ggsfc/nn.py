@@ -1,5 +1,5 @@
 """Dense numerical kernel: parameter sets, layer primitives with exact
-analytic backprop, plain SGD, and checkpoints.
+analytic backprop, and plain SGD.
 
 Everything is float64.  Forward ops return (output, cache); the matching
 backward op consumes the cache and returns exact gradients.  The model
@@ -33,16 +33,11 @@ results:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-
-GRU_PARAM_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
-
 
 class NonFiniteGradientError(ValueError):
     """A gradient contained NaN or inf; the update must be rejected."""
@@ -164,18 +159,6 @@ def gru_param_shapes(d_in: int, d_hidden: int) -> dict[str, tuple[int, ...]]:
         shapes[f"U_{gate}"] = (d_hidden, d_hidden)
         shapes[f"b_{gate}"] = (d_hidden,)
     return shapes
-
-
-def init_gru_params(
-    d_in: int, d_hidden: int, rng: np.random.Generator, prefix: str = ""
-) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for name, shape in gru_param_shapes(d_in, d_hidden).items():
-        if name.startswith("b"):
-            out[prefix + name] = np.zeros(shape)
-        else:
-            out[prefix + name] = uniform_init(shape, rng)
-    return out
 
 
 @dataclass(frozen=True)
@@ -336,37 +319,3 @@ def sgd_update(params: ParamSet, grads: GradSet, alpha: float) -> ParamSet:
     # one pass over the flat buffer; each element gets the same
     # value + alpha * g as a per-tensor update would
     return ParamSet._from_flat(params._flat + alpha * grads._flat, params._layout)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def save_checkpoint(params: ParamSet, metadata: dict, path: str | Path) -> None:
-    """JSON checkpoint: flat float64 arrays with shapes plus metadata.
-
-    JSON floats round-trip float64 exactly (shortest-repr), so a load gives
-    bit-identical parameters; no timestamps, so same inputs give the same
-    bytes.
-    """
-    doc = {
-        "metadata": metadata,
-        "tensors": {
-            name: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
-            for name, v in params.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-
-
-def load_checkpoint(path: str | Path) -> tuple[ParamSet, dict]:
-    try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc["metadata"], dict) or not isinstance(doc["tensors"], dict):
-            raise TypeError("metadata and tensors must be JSON objects")
-        tensors = {
-            name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
-            for name, rec in doc["tensors"].items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
-    return ParamSet(tensors), doc["metadata"]

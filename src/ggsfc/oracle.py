@@ -288,8 +288,8 @@ def check_labels(
                              f"{ex.optimal_delay}")
 
 
-def dataset_to_doc(ds: LabeledDataset) -> dict:
-    return {
+def save_dataset(ds: LabeledDataset) -> str:
+    doc = {
         "dropped_infeasible": ds.dropped_infeasible,
         "dropped_over_budget": ds.dropped_over_budget,
         "examples": [
@@ -306,10 +306,12 @@ def dataset_to_doc(ds: LabeledDataset) -> dict:
             for ex in ds.examples
         ],
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def dataset_from_doc(doc: dict) -> LabeledDataset:
+def load_dataset(text: str) -> LabeledDataset:
     try:
+        doc = json.loads(text)
         examples = tuple(
             LabeledExample(
                 topology_id=int(rec["topology_id"]),
@@ -328,16 +330,8 @@ def dataset_from_doc(doc: dict) -> LabeledDataset:
             dropped_infeasible=int(doc["dropped_infeasible"]),
             dropped_over_budget=int(doc["dropped_over_budget"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dataset document: {exc}") from exc
-
-
-def save_dataset(ds: LabeledDataset) -> str:
-    return json.dumps(dataset_to_doc(ds), indent=2, sort_keys=True) + "\n"
-
-
-def load_dataset(text: str) -> LabeledDataset:
-    return dataset_from_doc(json.loads(text))
 
 
 def save_dataset_file(ds: LabeledDataset, path: str | Path) -> None:

@@ -29,6 +29,7 @@ it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,19 +78,25 @@ class PolicyConfig:
     def decoder_input_width(self) -> int:
         return 2 * self.vnf_type_count + self.hidden_dim
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in the order init_policy_params draws them."""
+        h = self.hidden_dim
+        shapes: dict[str, tuple[int, ...]] = {}
+        for prefix, d_in in (("enc.", h), ("dec.", self.decoder_input_width)):
+            shapes.update((prefix + name, s) for name, s in nn.gru_param_shapes(d_in, h).items())
+        shapes.update({"score.W_emb": (h, h), "score.W_hid": (h, h), "score.v": (h,),
+                       "proc.w": (h,), "proc.b": (1,)})
+        return shapes
+
 
 def init_policy_params(cfg: PolicyConfig, seed: int = 0) -> ParamSet:
     """Fresh parameters: uniform +-1/sqrt(fan-in) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    h = cfg.hidden_dim
     tensors: dict[str, np.ndarray] = {}
-    tensors.update(nn.init_gru_params(h, h, rng, prefix="enc."))
-    tensors.update(nn.init_gru_params(cfg.decoder_input_width, h, rng, prefix="dec."))
-    tensors["score.W_emb"] = nn.uniform_init((h, h), rng)
-    tensors["score.W_hid"] = nn.uniform_init((h, h), rng)
-    tensors["score.v"] = nn.uniform_init((h,), rng)
-    tensors["proc.w"] = nn.uniform_init((h,), rng)
-    tensors["proc.b"] = np.zeros(1)
+    for name, shape in cfg.param_shapes().items():
+        # biases (enc.b_z, ..., proc.b) start at zero and draw nothing from rng
+        is_bias = name.split(".")[1].startswith("b")
+        tensors[name] = np.zeros(shape) if is_bias else nn.uniform_init(shape, rng)
     return ParamSet(tensors)
 
 
@@ -513,33 +520,51 @@ def save_policy(
     seed: int,
     training_stage: str,
 ) -> None:
-    metadata = {
-        "hidden_dim": cfg.hidden_dim,
-        "K": cfg.vnf_type_count,
-        "propagation_steps": cfg.t_prop,
-        "T_prop": cfg.t_prop,
-        "seed": seed,
-        "training_stage": training_stage,
-        "scorer_variant": SCORER_VARIANT,
+    """JSON checkpoint: metadata plus each tensor as its shape and flat data.
+
+    JSON floats round-trip float64 exactly (shortest repr), so a load gives
+    bit-identical parameters; there are no timestamps, so the same inputs
+    give the same bytes.
+    """
+    doc = {
+        "metadata": {
+            "hidden_dim": cfg.hidden_dim,
+            "K": cfg.vnf_type_count,
+            "propagation_steps": cfg.t_prop,
+            "T_prop": cfg.t_prop,
+            "seed": seed,
+            "training_stage": training_stage,
+            "scorer_variant": SCORER_VARIANT,
+        },
+        "tensors": {
+            name: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
+            for name, v in params.items()
+        },
     }
-    nn.save_checkpoint(params, metadata, path)
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def load_policy(path: str | Path) -> tuple[ParamSet, PolicyConfig, dict]:
-    params, metadata = nn.load_checkpoint(path)
+    """A checkpoint's parameters, architecture and metadata; a checkpoint
+    that does not parse, holds a non-finite entry, or whose tensors do not
+    have its architecture's shapes is refused naming the file."""
     try:
-        hidden_dim, k = int(metadata["hidden_dim"]), int(metadata["K"])
-        t_prop = int(metadata.get("propagation_steps", metadata.get("T_prop")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed checkpoint metadata in {path}: {exc}") from exc
-    cfg = PolicyConfig(hidden_dim=hidden_dim, vnf_type_count=k, t_prop=t_prop)
-    expected = init_policy_params(cfg, seed=0).shapes()
-    actual = params.shapes()
-    if expected != actual:
+        doc = json.loads(Path(path).read_text())
+        metadata, tensors = doc["metadata"], doc["tensors"]
+        if not isinstance(metadata, dict) or not isinstance(tensors, dict):
+            raise TypeError("metadata and tensors must be JSON objects")
+        cfg = PolicyConfig(
+            hidden_dim=int(metadata["hidden_dim"]),
+            vnf_type_count=int(metadata["K"]),
+            t_prop=int(metadata.get("propagation_steps", metadata.get("T_prop"))),
+        )
+        params = ParamSet({name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
+                           for name, rec in tensors.items()})
+        expected, actual = cfg.param_shapes(), params.shapes()
         for name in sorted(set(expected) | set(actual)):
             if expected.get(name) != actual.get(name):
-                raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {actual.get(name)}, "
-                    f"architecture expects {expected.get(name)}"
-                )
+                raise ValueError(f"checkpoint tensor {name!r} has shape {actual.get(name)}, "
+                                 f"architecture expects {expected.get(name)}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
     return params, cfg, metadata

@@ -186,41 +186,31 @@ def adjacency_matrix(t: Topology) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def topology_to_doc(t: Topology) -> dict:
-    return {
+def save_topology(t: Topology) -> str:
+    """Serialize to a JSON document; round-trips through load_topology."""
+    doc = {
         "nodes": t.num_nodes,
         "vnf_type_count": t.vnf_type_count,
         "edges": [[u, v, d] for u, v, d in t.edges],
         "instances": [[i.node, i.vnf_type, i.proc_delay] for i in t.instances],
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def topology_from_doc(doc: dict) -> Topology:
+def load_topology(text: str) -> Topology:
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("expected a JSON object")
         num_nodes = int(doc["nodes"])
         vnf_type_count = int(doc["vnf_type_count"])
         edges = tuple((int(u), int(v), int(d)) for u, v, d in doc["edges"])
         instances = tuple(
             VnfInstance(int(n), int(k), int(d)) for n, k, d in doc["instances"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"malformed topology document: {exc}") from exc
     return Topology(num_nodes, edges, instances, vnf_type_count)
-
-
-def save_topology(t: Topology) -> str:
-    """Serialize to a JSON document; round-trips through load_topology."""
-    return json.dumps(topology_to_doc(t), indent=2, sort_keys=True) + "\n"
-
-
-def load_topology(text: str) -> Topology:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"malformed topology document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TopologyError("malformed topology document: expected a JSON object")
-    return topology_from_doc(doc)
 
 
 def load_topology_file(path: str | Path) -> Topology:
@@ -443,7 +433,11 @@ def load_pool(dirpath: str | Path) -> TopologyPool:
             raise ValueError("no variant files")
         if pool_size != len(variant_files):
             raise ValueError(f"pool_size {pool_size} but {len(variant_files)} variant files")
-    except (KeyError, TypeError, ValueError) as exc:
+        for path in (base_file, *variant_files):
+            # is_file is False, not an error, for a name the OS cannot represent
+            if path.parent != d or not path.is_file():
+                raise ValueError(f"{str(path)!r} is not a file in the pool directory")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"{d}: malformed pool manifest: {exc}") from exc
     base = load_topology_file(base_file)
     if topology_sha256(base) != base_sha256:

@@ -1,17 +1,21 @@
 """Test tools kept out of the library: a finite-difference gradient check,
-random VNF placement, the seeded generator the bundled internet2 fixture
-was frozen from, and a hypothesis strategy for small random requests."""
+random GRU parameters, random VNF placement, the seeded generator the bundled internet2 fixture
+was frozen from, and hypothesis strategies for small random requests and
+for artifact documents with one fuzzed value."""
 
 from __future__ import annotations
 
+import copy
+import json
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from ggsfc.environment import SfcRequest
-from ggsfc.nn import GradSet, ParamSet
+from ggsfc.nn import GradSet, ParamSet, gru_param_shapes, uniform_init
 from ggsfc.topology import EDGE_DELAY_RANGE, Topology, TopologyError, VnfInstance
 
 FIXTURE_SEED = 12
@@ -79,6 +83,14 @@ def finite_diff_check(
     return GradCheckReport(
         rel_err=rel_err, max_rel_err=worst, passed=worst <= tolerance, tolerance=tolerance
     )
+
+
+def init_gru_params(
+    d_in: int, d_hidden: int, rng: np.random.Generator, prefix: str = ""
+) -> dict[str, np.ndarray]:
+    """One GRU's tensors: uniform +-1/sqrt(fan-in) weights, zero biases."""
+    return {prefix + name: np.zeros(shape) if name.startswith("b") else uniform_init(shape, rng)
+            for name, shape in gru_param_shapes(d_in, d_hidden).items()}
 
 
 def deploy_vnfs(
@@ -167,3 +179,47 @@ def small_requests(draw, nodes=(2, 6), delay=st.integers(1, 10)):
     length = draw(st.integers(0, 3))
     chain = draw(st.lists(vnf_type, min_size=length, max_size=length))
     return t, SfcRequest(draw(node), draw(node), tuple(chain))
+
+
+# JSON text of a drawn value: an int in [-1000, 1000], 1e400 or -1e400 (read
+# as +-inf), null, or a short string, list or object.  Every size stays
+# bounded: a loader really allocates a node count or a hidden width it is
+# given, so an unbounded one could exhaust memory.
+JSON_VALUES = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["1e400", "-1e400", "null"]),
+    st.text(max_size=3).map(json.dumps),
+    st.lists(st.integers(-1000, 1000) | st.none(), max_size=3).map(json.dumps),
+    st.dictionaries(st.text(max_size=3), st.integers(-1000, 1000), max_size=2).map(json.dumps),
+)
+
+
+# each fuzz test rewrites its one file on every example, so sharing a
+# function-scoped tmp_path between examples is safe
+FUZZ = settings(derandomize=True, deadline=None, max_examples=200,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def leaf_paths(doc, path: tuple = ()) -> list[tuple]:
+    """The key and index path of every scalar in a parsed JSON document."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in leaf_paths(child, path + (key,))]
+
+
+@st.composite
+def one_leaf_replaced(draw, doc, paths: list[tuple] | None = None) -> str:
+    """doc as JSON text, with the scalar at one of paths (by default, any
+    scalar) replaced by a JSON_VALUES value."""
+    path = draw(st.sampled_from(paths if paths is not None else leaf_paths(doc)))
+    marker = "<fuzzed leaf>"
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = marker
+    return json.dumps(doc).replace(json.dumps(marker), draw(JSON_VALUES))

@@ -45,7 +45,7 @@ from ggsfc.topology import (
     mutate_cs1_stats,
     mutate_cs2,
 )
-from support import deploy_vnfs, finite_diff_check
+from support import deploy_vnfs, finite_diff_check, init_gru_params
 
 # the whole file is the release gate; `pytest -m "not gate"` skips it
 pytestmark = pytest.mark.gate
@@ -245,7 +245,7 @@ def test_c02_analytic_gradients_match_finite_differences():
     xg = rng.normal(size=3)
     hg = rng.normal(size=4)
     vg = rng.normal(size=4)
-    p_gru = ParamSet(dict(nn.init_gru_params(3, 4, rng), x=xg, h=hg))
+    p_gru = ParamSet(dict(init_gru_params(3, 4, rng), x=xg, h=hg))
 
     def f_gru(ps):
         h_new, cache = nn.gru_cell(ps["x"], ps["h"], nn.fuse_gru(ps))

@@ -418,8 +418,24 @@ def _emptied(manifest):
     return {**manifest, "variant_files": [], "pool_size": 0}
 
 
+def _nan_tensor(ckpt):
+    ckpt["tensors"]["proc.b"]["data"] = [float("nan")]
+    return ckpt
+
+
+def _with_metadata(**change):
+    return lambda ckpt: {**ckpt, "metadata": {**ckpt["metadata"], **change}}
+
+
+# written as the number 1e400, which JSON readers take as inf
+HUGE = "<1e400>"
+
+DATASET_TRAIN = "train sl --fixture --dataset {bad} --out {out}"
+CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
+
+
 # doc is written as JSON; a str is written as raw text; a callable rewrites
-# the manifest of a copy of a good pool
+# the good checkpoint (for a .ckpt) or the manifest of a copy of a good pool
 @pytest.mark.parametrize("argv, bad_file, doc", [
     ("train sl --fixture --dataset {bad} --out {out}", "d.json",
      {"dropped_infeasible": 0, "dropped_over_budget": 0, "examples": [1]}),
@@ -442,10 +458,29 @@ def _emptied(manifest):
     (EVAL_POOL, "bad_pool/manifest.json", "{not json"),
     ("train sl --fixture --config {bad} --out {out}", "cfg.json", "{not json"),
     ("dataset --topology {bad} --count 2 --out {out}", "t.json", "{not json"),
+    ("dataset --topology {bad} --count 2 --out {out}", "t.json",
+     {"nodes": HUGE, "vnf_type_count": 5, "edges": [], "instances": []}),
+    (EVAL_POOL, "bad_pool/manifest.json", lambda m: {**m, "seed": HUGE}),
+    (DATASET_TRAIN, "d.json",
+     {"dropped_infeasible": 0, "dropped_over_budget": 0,
+      "examples": [{"topology_id": HUGE, "request": {"source": 0, "destination": 1, "chain": []},
+                    "action_sequence": [[1, 0]], "optimal_delay": 1}]}),
+    (CHECKPOINT_TRAIN, "c.ckpt", {"metadata": {**CHECKPOINT_METADATA, "hidden_dim": HUGE},
+                                  "tensors": {}}),
+    (DATASET_TRAIN, "d.json", "{not json"),
+    (CHECKPOINT_TRAIN, "c.ckpt", _nan_tensor),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(hidden_dim=40)),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(hidden_dim=0)),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(hidden_dim=7)),
+    # 728 TiB for one parameter set: the shapes are compared, never allocated
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(hidden_dim=10**7)),
 ], ids=["dataset-examples", "dataset-list", "train-checkpoint", "eval-checkpoint",
         "checkpoint-metadata", "train-pool", "eval-pool", "train-pool-empty",
         "eval-pool-empty", "dataset-pool-empty", "eval-pool-size", "eval-checkpoint-text",
-        "eval-pool-text", "config-text", "topology-text"])
+        "eval-pool-text", "config-text", "topology-text", "topology-overflow",
+        "eval-pool-overflow", "dataset-overflow", "checkpoint-overflow", "dataset-text",
+        "checkpoint-nan", "checkpoint-shape", "checkpoint-hidden-dim-0",
+        "checkpoint-annotation-width", "checkpoint-hidden-dim-huge"])
 def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
     pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
     assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
@@ -454,16 +489,21 @@ def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file
     save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
     bad = tmp_path / bad_file
     if callable(doc):
-        shutil.copytree(pool, bad.parent)
-        doc = doc(json.loads((pool / "manifest.json").read_text()))
+        if bad.suffix == ".ckpt":
+            good = ckpt
+        else:
+            shutil.copytree(pool, bad.parent)
+            good = pool / "manifest.json"
+        doc = doc(json.loads(good.read_text()))
     bad.parent.mkdir(exist_ok=True)
-    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc).replace(f'"{HUGE}"', "1e400"))
     capsys.readouterr()
     rc = run(*argv.format(bad=bad, bad_dir=bad.parent, pool=pool, ckpt=ckpt, out=out).split())
     assert rc == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "Traceback" not in err and "malformed" in err
+    # the test's own tmp_path holds the word "malformed", so look outside it
+    assert "Traceback" not in err and "malformed" in err.replace(str(tmp_path), "")
     # the line names the bad file, or the pool directory that holds it
     assert str(bad.parent if bad.name == "manifest.json" else bad) in err
     assert not out.exists()

@@ -1,4 +1,4 @@
-"""Numerical kernel: primitives, exact backprop, FD checker, checkpoints."""
+"""Numerical kernel: primitives, exact backprop, FD checker."""
 
 import numpy as np
 import pytest
@@ -11,17 +11,14 @@ from ggsfc.nn import (
     gru_cell,
     gru_cell_backward,
     gru_param_shapes,
-    init_gru_params,
-    load_checkpoint,
     log_prob_grad,
     masked_softmax,
-    save_checkpoint,
     sgd_update,
     sigmoid,
     uniform_init,
 )
 from ggsfc.topology import generate_pool, internet2_fixture
-from support import finite_diff_check
+from support import finite_diff_check, init_gru_params
 
 UNIT_TOL = 1e-6
 
@@ -409,29 +406,3 @@ def test_finite_diff_check_rejects_non_finite_value():
 
     with pytest.raises(ValueError, match="not finite"):
         finite_diff_check(f, params)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    params = ParamSet({
-        "enc.W": rng.normal(size=(7, 3)) * 1e-7,
-        "b": rng.normal(size=5) * 1e3,
-    })
-    meta = {"hidden_dim": 3, "seed": 9, "training_stage": "sl"}
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, meta, path)
-    loaded, loaded_meta = load_checkpoint(path)
-    assert loaded_meta == meta
-    for name in params.names():
-        assert np.array_equal(loaded[name], params[name])  # exact, not approx
-
-
-def test_checkpoint_bytes_are_deterministic(tmp_path):
-    params = ParamSet({"w": np.linspace(-1, 1, 7)})
-    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(params, {"seed": 0}, a)
-    save_checkpoint(params, {"seed": 0}, b)
-    assert a.read_bytes() == b.read_bytes()

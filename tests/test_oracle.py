@@ -1,5 +1,6 @@
 """Exact solver vs. independent exhaustive search, plus dataset labeling."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from ggsfc.oracle import (
     check_labels,
     label_dataset,
     load_dataset,
+    load_dataset_file,
     save_dataset,
     solve_optimal,
 )
@@ -31,7 +33,7 @@ from ggsfc.topology import (
     generate_pool,
     internet2_fixture,
 )
-from support import deploy_vnfs, small_requests
+from support import FUZZ, deploy_vnfs, one_leaf_replaced, small_requests
 
 
 def tiny_topology():
@@ -277,6 +279,20 @@ def test_dataset_round_trip():
     ds = label_dataset(t, reqs)
     assert load_dataset(save_dataset(ds)) == ds
     assert save_dataset(ds) == save_dataset(ds)
+
+
+@FUZZ
+@given(st.data())
+def test_a_fuzzed_dataset_file_loads_or_is_refused_by_name(tmp_path, data):
+    t = internet2_fixture()
+    doc = json.loads(save_dataset(label_dataset(t, generate_requests(
+        t, 4, (1, 3), np.random.default_rng(9)))))
+    path = tmp_path / "ds.json"
+    path.write_text(data.draw(one_leaf_replaced(doc)))
+    try:
+        load_dataset_file(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
 
 
 def test_check_labels_refuses_labels_that_do_not_replay():

@@ -6,10 +6,12 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
 from ggsfc import nn
-from ggsfc.nn import GradSet, fuse_gru
+from ggsfc.nn import GradSet, ParamSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
     ActionDistribution,
@@ -36,7 +38,7 @@ from ggsfc.topology import (
     generate_pool,
     internet2_fixture,
 )
-from support import deploy_vnfs, finite_diff_check
+from support import FUZZ, deploy_vnfs, finite_diff_check, leaf_paths, one_leaf_replaced
 
 E2E_TOL = 1e-5
 
@@ -524,9 +526,31 @@ def test_policy_checkpoint_round_trip(tmp_path):
     assert all(np.array_equal(loaded[n], params[n]) for n in params.names())
 
 
-def test_load_policy_rejects_mismatched_architecture(tmp_path):
-    import json
+def test_checkpoint_round_trip_is_bit_exact(tmp_path):
+    cfg = tiny_cfg()
+    rng = np.random.default_rng(9)
+    # tensors alternate between magnitudes 1e-7 and 1e3
+    params = ParamSet({name: rng.normal(size=shape) * (1e-7 if i % 2 else 1e3)
+                       for i, (name, shape) in enumerate(cfg.param_shapes().items())})
+    path = tmp_path / "model.ckpt"
+    save_policy(params, cfg, path, seed=9, training_stage="sl")
+    loaded, loaded_cfg, meta = load_policy(path)
+    assert loaded_cfg == cfg
+    assert (meta["seed"], meta["training_stage"]) == (9, "sl")
+    for name in params.names():
+        assert np.array_equal(loaded[name], params[name])  # exact, not approx
 
+
+def test_checkpoint_bytes_are_deterministic(tmp_path):
+    cfg = tiny_cfg()
+    params = init_policy_params(cfg, seed=0)
+    a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    save_policy(params, cfg, a, seed=0, training_stage="sl")
+    save_policy(params, cfg, b, seed=0, training_stage="sl")
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_load_policy_rejects_mismatched_architecture(tmp_path):
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=0)
     path = tmp_path / "policy.ckpt"
@@ -536,3 +560,20 @@ def test_load_policy_rejects_mismatched_architecture(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="checkpoint tensor"):
         load_policy(path)
+
+
+@FUZZ
+@given(st.data())
+def test_a_fuzzed_checkpoint_loads_or_is_refused_by_name(tmp_path, data):
+    cfg = tiny_cfg()
+    path = tmp_path / "policy.ckpt"
+    save_policy(init_policy_params(cfg), cfg, path, seed=0, training_stage="sl")
+    doc = json.loads(path.read_text())
+    # one entry of each tensor's data stands for the rest, so that the
+    # metadata and the shapes are drawn as often as the data
+    paths = [p for p in leaf_paths(doc) if p[-2] != "data" or p[-1] == 0]
+    path.write_text(data.draw(one_leaf_replaced(doc, paths)))
+    try:
+        load_policy(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
@@ -15,6 +17,7 @@ from ggsfc.topology import (
     internet2_fixture,
     load_pool,
     load_topology,
+    load_topology_file,
     mutate_cs1,
     mutate_cs1_stats,
     mutate_cs2,
@@ -23,7 +26,13 @@ from ggsfc.topology import (
     save_topology,
     topology_sha256,
 )
-from support import FIXTURE_SEED, deploy_vnfs, generate_fixture_topology
+from support import (
+    FIXTURE_SEED,
+    FUZZ,
+    deploy_vnfs,
+    generate_fixture_topology,
+    one_leaf_replaced,
+)
 
 
 def tiny_topology():
@@ -182,6 +191,7 @@ def test_save_is_deterministic():
         "[1, 2]",
         '{"nodes": 2}',
         '{"nodes": 2, "vnf_type_count": 0, "edges": [[0]], "instances": []}',
+        '{"nodes": 1e400, "vnf_type_count": 0, "edges": [], "instances": []}',
     ],
 )
 def test_malformed_documents_are_rejected(text):
@@ -365,3 +375,55 @@ def test_load_pool_rejects_tampered_base(tmp_path):
 def test_load_pool_needs_a_manifest(tmp_path):
     with pytest.raises(TopologyError, match="manifest"):
         load_pool(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["a\x00b", "../base.json", "", "missing.json"],
+                         ids=["null-byte", "outside", "the-directory", "missing"])
+def test_load_pool_refuses_a_listed_name_that_is_not_a_file_in_it(tmp_path, name):
+    pool = generate_pool(internet2_fixture(), "cs1", pool_size=2, seed=0)
+    d = tmp_path / "pool"
+    save_pool(pool, d)
+    (tmp_path / "base.json").write_text(save_topology(pool.base))
+    manifest = json.loads((d / "manifest.json").read_text())
+    manifest["variant_files"][1] = name
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(TopologyError, match="not a file in the pool directory") as info:
+        load_pool(d)
+    assert str(info.value).startswith(f"{d}: malformed pool manifest")
+    assert "\n" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: each loader returns, or refuses with a ValueError that
+# names the file
+
+@FUZZ
+@given(st.data())
+def test_a_fuzzed_topology_file_loads_or_is_refused_by_name(tmp_path, data):
+    path = tmp_path / "t.json"
+    path.write_text(data.draw(one_leaf_replaced(json.loads(save_topology(internet2_fixture())))))
+    try:
+        load_topology_file(path)
+    except ValueError as exc:
+        assert str(path) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def pool_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz") / "pool"
+    save_pool(generate_pool(internet2_fixture(), "cs2", pool_size=3, seed=1), d)
+    return d
+
+
+@FUZZ
+@given(st.data())
+def test_a_fuzzed_pool_manifest_loads_or_is_refused_by_name(pool_dir, data):
+    manifest_file = pool_dir / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    try:
+        manifest_file.write_text(data.draw(one_leaf_replaced(manifest)))
+        load_pool(pool_dir)
+    except ValueError as exc:
+        assert str(pool_dir) in str(exc)
+    finally:
+        manifest_file.write_text(json.dumps(manifest))
