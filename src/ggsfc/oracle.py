@@ -3,10 +3,10 @@
 A layered state pairs a node with the number of chain entries already
 processed.  Transitions mirror environment actions one-for-one: a plain
 move keeps the layer, a move with processing climbs one layer and is
-allowed only when the arrival node hosts the pending type.  Dijkstra over
-this graph therefore returns the minimum delay reachable by any environment
-walk, and the returned action sequence replays through the environment
-verbatim with that exact delay.
+allowed only when the arrival node hosts the pending type.  A shortest-path
+search over this graph therefore returns the minimum delay reachable by any
+environment walk, and the returned action sequence replays through the
+environment verbatim with that exact delay.
 
 Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
@@ -14,14 +14,43 @@ lexicographically smallest action sequence, so labels are deterministic.
 The search reads the tables the environment's moves come from:
 ``Topology.arcs`` (each node's (neighbor, edge delay) pairs in sorted
 neighbor order) and ``Topology.proc_delays`` (each node's best processing
-delay per VNF type, or None).  A state is the int ``layer * n + node`` and
-an action the int ``2 * node + process``, which sorts in the same order as
-the (node, process) pair.  The heap key (delay, steps, actions) is a total
-order, so the entry that settles a state is the least one ever pushed for
-it.  A relaxation is therefore pushed only when its (delay, steps) is no
-worse than the best pushed for that state so far: a strictly worse entry
-could only pop after a better one had settled its state, so dropping it
-leaves the sequence of settled states, and the result, unchanged.
+delay per VNF type, or None), plus ``Topology.distances`` (all-pairs
+shortest edge delays).  A state is the int ``layer * n + node`` and an
+action the int ``2 * node + process``, which sorts in the same order as the
+(node, process) pair.
+
+The search is A* (Hart, Nilsson & Raphael 1968): the heap key of a walk
+reaching state s is (delay + h(s), steps, actions), where h (delay_bound)
+is a lower bound on the delay from s to the goal.  At the last layer h is
+the shortest edge delay to the destination.  Below it, h(l, u) is the least,
+over the sites x hosting chain type l, of u's shortest edge delay to x plus
+x's processing delay plus h(l + 1, x).  A chain type with no site makes the
+request infeasible before any search.
+
+h is consistent on both kinds of move.  A plain move u -> v of edge delay w
+keeps the layer, and h(l, u) <= w + h(l, v), because each term of h(l, u)
+is at most w plus the same term of h(l, v) (triangle inequality).  A
+processing move to v, of edge delay w and processing delay p, climbs, and
+h(l, u) <= dist(u, v) + p + h(l + 1, v) <= w + p + h(l + 1, v), because v
+is one of the sites h(l, u) minimizes over.  At the goal, h = 0.
+
+So the results are those of plain Dijkstra on (delay, steps, actions), tie
+breaks included.  Consistency makes every move's reduced delay
+w + h(s') - h(s) non-negative, and a walk's reduced delay is
+delay + h(s) - h(source): the search is Dijkstra on reduced delays.  Ordering
+two walks to one state by key and then extending both by the same move
+keeps their order, and every move raises the key, since steps grows.  So
+the first entry popped for a state is the least key among all walks
+reaching it.  For one state h is one integer, so that entry is also its
+least (delay, steps, actions) walk, exactly.  At the goal h = 0, so the
+label is the least (delay, steps, actions) walk, as before.
+
+That total order also justifies the dominance pruning.  A relaxation is
+pushed only when its (delay, steps) is no worse than the best pushed for
+that state so far.  A strictly worse entry could only pop after a better
+one had settled its state, because the keys of one state differ by their
+delays alone.  So dropping it leaves the sequence of settled states, and
+the result, unchanged.
 """
 
 from __future__ import annotations
@@ -95,6 +124,24 @@ def _result_from_actions(
     return OracleResult(path=p, actions=actions)
 
 
+def delay_bound(t: Topology, req: SfcRequest) -> list[Sequence[int]] | None:
+    """The search's lower bound h, as h[layer][node], on the delay still to
+    come from each layered state; None when a chain type has no site."""
+    dist = t.distances
+    row = dist[req.destination]
+    bound = [row]
+    for k in reversed(req.chain):
+        # per site x of type k: processing there plus the bound beyond it
+        sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
+        if not sites:
+            return None
+        rows = [[d + c for d in dist[x]] for x, c in sites]
+        row = rows[0] if len(rows) == 1 else list(map(min, *rows))
+        bound.append(row)
+    bound.reverse()
+    return bound
+
+
 def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     """Minimum-delay environment walk serving the request, or infeasible."""
     validate_request(t, req)
@@ -102,6 +149,9 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     length = len(chain)
     if length == 0 and req.source == req.destination:
         return OracleResult(path=PathResult((), (), 0, True), actions=())
+    bound = delay_bound(t, req)
+    if bound is None:
+        return INFEASIBLE
 
     n = t.num_nodes
     arcs = t.arcs
@@ -112,10 +162,12 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     # best (delay, steps) pushed per state, packed as delay * size + steps:
     # a walk that settles a state never repeats one, so steps < size
     best: list[float] = [math.inf] * size
-    heap: list[tuple[int, int, tuple[int, ...], int]] = [(0, 0, (), req.source)]
+    # (delay + h, steps, actions, state, delay)
+    heap: list[tuple[int, int, tuple[int, ...], int, int]] = [
+        (bound[0][req.source], 0, (), req.source, 0)]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
-        delay, steps, acts, state = pop(heap)
+        _, steps, acts, state, delay = pop(heap)
         if settled[state]:
             continue
         settled[state] = 1
@@ -124,6 +176,9 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
             return _result_from_actions(t, req, actions, delay)
         layer, node = divmod(state, n)
         proc = procs[layer]
+        here = bound[layer]
+        if proc is not None:
+            above = bound[layer + 1]
         steps += 1
         base = state - node
         for v, w in arcs[node]:
@@ -132,7 +187,7 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
             s2 = base + v
             if key <= best[s2]:
                 best[s2] = key
-                push(heap, (d, steps, acts + (2 * v,), s2))
+                push(heap, (d + here[v], steps, acts + (2 * v,), s2, d))
             if proc is not None:
                 p = proc[v]
                 if p is not None:
@@ -141,7 +196,7 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
                     s2 += n
                     if key <= best[s2]:
                         best[s2] = key
-                        push(heap, (d, steps, acts + (2 * v + 1,), s2))
+                        push(heap, (d + above[v], steps, acts + (2 * v + 1,), s2, d))
     return INFEASIBLE
 
 
@@ -309,6 +364,14 @@ def save_dataset(ds: LabeledDataset) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _process_flag(p) -> bool:
+    # save_dataset writes 0 or 1 (JSON false/true read as the same ints);
+    # bool() would read "false", [0] or 2 as True
+    if not (isinstance(p, int) and p in (0, 1)):
+        raise ValueError(f"process flag {p!r} is not 0 or 1")
+    return bool(p)
+
+
 def load_dataset(text: str) -> LabeledDataset:
     try:
         doc = json.loads(text)
@@ -320,7 +383,7 @@ def load_dataset(text: str) -> LabeledDataset:
                     destination=int(rec["request"]["destination"]),
                     chain=tuple(int(k) for k in rec["request"]["chain"]),
                 ),
-                actions=tuple(Action(int(n), bool(p)) for n, p in rec["action_sequence"]),
+                actions=tuple(Action(int(n), _process_flag(p)) for n, p in rec["action_sequence"]),
                 optimal_delay=int(rec["optimal_delay"]),
             )
             for rec in doc["examples"]

@@ -51,19 +51,25 @@ from .topology import Topology, adjacency_matrix
 
 SCORER_VARIANT = "additive-tanh"
 ROLLOUT_MODES = ("greedy", "epsilon_greedy")
+# every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
+# more than this is refused rather than run (the default is 5)
+MAX_T_PROP = 100
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Architecture knobs; annotation width K+3 must fit the hidden width."""
+    """Architecture knobs; annotation width K+3 must fit the hidden width,
+    and t_prop (propagation rounds) lies in 0..MAX_T_PROP."""
 
     hidden_dim: int = 32
     vnf_type_count: int = 5
     t_prop: int = 5
 
     def __post_init__(self) -> None:
-        if self.hidden_dim < 1 or self.t_prop < 0 or self.vnf_type_count < 1:
-            raise ValueError("hidden_dim, vnf_type_count must be >= 1 and t_prop >= 0")
+        if self.hidden_dim < 1 or self.vnf_type_count < 1:
+            raise ValueError("hidden_dim, vnf_type_count must be >= 1")
+        if not 0 <= self.t_prop <= MAX_T_PROP:
+            raise ValueError(f"t_prop {self.t_prop} is outside 0..{MAX_T_PROP}")
         if self.feature_width > self.hidden_dim:
             raise ValueError(
                 f"annotation width {self.feature_width} (K+3) exceeds "

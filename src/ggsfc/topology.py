@@ -13,7 +13,9 @@ Two change strategies produce randomized variants of a base topology:
 Each topology indexes its graph once, on first use: ``arcs`` (per node, its
 (neighbor, edge delay) pairs sorted by neighbor) and ``proc_delays`` (per
 VNF type, each node's cheapest processing delay or None).  The environment
-and the exact solver both read these two tables and no other index.
+and the exact solver both read these two tables and no other index; the
+solver's search bound also reads ``distances`` (all-pairs shortest edge
+delays).
 """
 
 from __future__ import annotations
@@ -114,25 +116,32 @@ class Topology:
                     f"instance on node {inst.node}: processing delay "
                     f"{inst.proc_delay} is not positive"
                 )
-        unreachable = self._unreachable_nodes()
-        if unreachable:
-            raise TopologyError(f"graph is disconnected: node {min(unreachable)} unreachable from node 0")
+        unreachable = self._first_unreachable_node()
+        if unreachable is not None:
+            why = (f" ({len(self.edges)} edges cannot connect {self.num_nodes} nodes)"
+                   if len(self.edges) < self.num_nodes - 1 else "")
+            raise TopologyError(
+                f"graph is disconnected: node {unreachable} unreachable from node 0{why}")
 
-    def _unreachable_nodes(self) -> set[int]:
-        # its own list: walking self.arcs would build that lazy table at construction
-        adj: dict[int, list[int]] = {u: [] for u in range(self.num_nodes)}
+    def _first_unreachable_node(self) -> int | None:
+        """The least node that node 0 does not reach, or None.  Memory grows
+        with the edges, never with the declared node count."""
+        # its own lists: walking self.arcs would build that lazy table at construction
+        adj: dict[int, list[int]] = {}
         for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         seen = {0}
         queue = deque([0])
         while queue:
-            u = queue.popleft()
-            for v in adj[u]:
+            for v in adj.get(queue.popleft(), ()):
                 if v not in seen:
                     seen.add(v)
                     queue.append(v)
-        return set(range(self.num_nodes)) - seen
+        if len(seen) == self.num_nodes:
+            return None
+        # tries at most len(seen) + 1 nodes
+        return next(u for u in range(self.num_nodes) if u not in seen)
 
     @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -161,6 +170,21 @@ class Topology:
             if row[inst.node] is None:
                 row[inst.node] = inst.proc_delay
         return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs shortest edge delays: row u holds node u's distance to
+        every node (Floyd-Warshall, exact on Python ints)."""
+        n = self.num_nodes
+        # a connected graph's distances are at most the sum of its delays
+        far = sum(d for _, _, d in self.edges) + 1
+        dist = np.full((n, n), far, dtype=np.int64 if far < 2**62 else object)
+        np.fill_diagonal(dist, 0)
+        for u, v, d in self.edges:
+            dist[u, v] = dist[v, u] = d
+        for k in range(n):
+            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+        return tuple(map(tuple, dist.tolist()))
 
     @cached_property
     def _adjacency(self) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Test tools kept out of the library: a finite-difference gradient check,
 random GRU parameters, random VNF placement, the seeded generator the bundled internet2 fixture
-was frozen from, and hypothesis strategies for small random requests and
-for artifact documents with one fuzzed value."""
+was frozen from, a plain-Dijkstra reference solver, and hypothesis
+strategies for random requests and for artifact documents with one fuzzed
+value."""
 
 from __future__ import annotations
 
 import copy
+import heapq
 import json
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -14,8 +16,17 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from ggsfc.environment import SfcRequest
+from ggsfc.environment import (
+    Action,
+    PathResult,
+    RewardConfig,
+    SfcRequest,
+    reset,
+    step,
+    validate_request,
+)
 from ggsfc.nn import GradSet, ParamSet, gru_param_shapes, uniform_init
+from ggsfc.oracle import INFEASIBLE, OracleResult
 from ggsfc.topology import EDGE_DELAY_RANGE, Topology, TopologyError, VnfInstance
 
 FIXTURE_SEED = 12
@@ -179,6 +190,58 @@ def small_requests(draw, nodes=(2, 6), delay=st.integers(1, 10)):
     length = draw(st.integers(0, 3))
     chain = draw(st.lists(vnf_type, min_size=length, max_size=length))
     return t, SfcRequest(draw(node), draw(node), tuple(chain))
+
+
+@st.composite
+def graph_requests(draw, nodes=(8, 48)):
+    """A random connected graph of nodes[0]-nodes[1] nodes at the fixture's
+    density (n + n // 4 edges), with edge and processing delays in
+    1..spread for a drawn spread (a small one makes many equal-delay ties),
+    five VNF types on 1-3 sites each, and a request with a chain of 0-4
+    entries."""
+    n = draw(st.integers(*nodes))
+    spread = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = _random_connected_graph(n, n + n // 4, rng)
+    t = replace(t, edges=tuple((u, v, 1 + (d - 1) % spread) for u, v, d in t.edges),
+                vnf_type_count=5)
+    t = deploy_vnfs(t, draw(st.integers(1, 3)), (1, spread), rng)
+    node = st.integers(0, n - 1)
+    chain = draw(st.lists(st.integers(0, 4), max_size=4))
+    return t, SfcRequest(draw(node), draw(node), tuple(chain))
+
+
+def dijkstra_optimal(t: Topology, req: SfcRequest) -> OracleResult:
+    """Plain Dijkstra over the layered states (layer, node), its heap keyed
+    on (delay, steps, actions) with actions as (node, process) pairs, and no
+    pruning or bound: the reference oracle.solve_optimal must equal result
+    for result."""
+    validate_request(t, req)
+    if not req.chain and req.source == req.destination:
+        return OracleResult(PathResult((), (), 0, True), ())
+    goal = (len(req.chain), req.destination)
+    heap: list = [(0, 0, (), (0, req.source))]
+    settled = set()
+    while heap:
+        delay, steps, acts, state = heapq.heappop(heap)
+        if state in settled:
+            continue
+        settled.add(state)
+        if state == goal:
+            actions = tuple(Action(v, p) for v, p in acts)
+            s = reset(t, req, max_steps=len(actions))
+            for a in actions:
+                s, _, _ = step(s, a, t, RewardConfig())
+            return OracleResult(s.path_so_far, actions)
+        layer, u = state
+        for v, w in t.arcs[u]:
+            heapq.heappush(heap, (delay + w, steps + 1, acts + ((v, False),), (layer, v)))
+            if layer < len(req.chain):
+                p = t.proc_delays[req.chain[layer]][v]
+                if p is not None:
+                    heapq.heappush(heap, (delay + w + p, steps + 1, acts + ((v, True),),
+                                          (layer + 1, v)))
+    return INFEASIBLE
 
 
 # JSON text of a drawn value: an int in [-1000, 1000], 1e400 or -1e400 (read

@@ -21,6 +21,7 @@ from ggsfc.oracle import (
     INFEASIBLE,
     brute_force_optimal,
     check_labels,
+    delay_bound,
     label_dataset,
     load_dataset,
     load_dataset_file,
@@ -33,7 +34,14 @@ from ggsfc.topology import (
     generate_pool,
     internet2_fixture,
 )
-from support import FUZZ, deploy_vnfs, one_leaf_replaced, small_requests
+from support import (
+    FUZZ,
+    deploy_vnfs,
+    dijkstra_optimal,
+    graph_requests,
+    one_leaf_replaced,
+    small_requests,
+)
 
 
 def tiny_topology():
@@ -194,6 +202,37 @@ def test_solver_breaks_dense_ties_as_exhaustive_search_does(case):
     assert solve_optimal(t, req) == brute_force_optimal(t, req)
 
 
+# ---------------------------------------------------------------------------
+# the A* bound, and the solver vs. plain Dijkstra on graphs too large for
+# exhaustive search
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(small_requests(), graph_requests(nodes=(12, 48))))
+def test_the_delay_bound_is_consistent_and_zero_at_the_goal(case):
+    t, req = case
+    h = delay_bound(t, req)
+    if h is None:
+        assert any(not any(t.proc_delays[k]) for k in req.chain)
+        assert solve_optimal(t, req) == INFEASIBLE
+        return
+    length = len(req.chain)
+    assert h[length][req.destination] == 0
+    for layer in range(length + 1):
+        procs = t.proc_delays[req.chain[layer]] if layer < length else None
+        for u in range(t.num_nodes):
+            for v, w in t.arcs[u]:
+                assert h[layer][u] <= w + h[layer][v]
+                if procs is not None and procs[v] is not None:
+                    assert h[layer][u] <= w + procs[v] + h[layer + 1][v]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graph_requests())
+def test_solver_matches_plain_dijkstra_on_random_graphs(case):
+    t, req = case
+    assert solve_optimal(t, req) == dijkstra_optimal(t, req)
+
+
 def test_labels_replay_through_the_environment_exactly():
     t = internet2_fixture()
     rng = np.random.default_rng(23)
@@ -293,6 +332,17 @@ def test_a_fuzzed_dataset_file_loads_or_is_refused_by_name(tmp_path, data):
         load_dataset_file(path)
     except ValueError as exc:
         assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("flag", ['"false"', '"true"', "[0]", "{}", "2", "1.0", "null"])
+def test_a_process_flag_other_than_0_or_1_is_refused(flag):
+    text = save_dataset(label_dataset(internet2_fixture(), [SfcRequest(0, 5, (1,))]))
+    doc = json.loads(text)
+    doc["examples"][0]["action_sequence"][0][1] = "<flag>"
+    with pytest.raises(ValueError, match="process flag .* is not 0 or 1"):
+        load_dataset(json.dumps(doc).replace('"<flag>"', flag))
+    doc["examples"][0]["action_sequence"][0][1] = True
+    assert load_dataset(json.dumps(doc)).examples[0].actions[0].process
 
 
 def test_check_labels_refuses_labels_that_do_not_replay():

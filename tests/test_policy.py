@@ -14,6 +14,7 @@ from ggsfc import nn
 from ggsfc.nn import GradSet, ParamSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
+    MAX_T_PROP,
     ActionDistribution,
     PolicyConfig,
     _greedy_action,
@@ -66,6 +67,12 @@ def tiny_cfg(hidden=8, t_prop=2):
 def test_config_rejects_annotations_wider_than_hidden():
     with pytest.raises(ValueError, match="exceeds"):
         PolicyConfig(hidden_dim=6, vnf_type_count=5, t_prop=1)  # K+3 = 8 > 6
+
+
+@pytest.mark.parametrize("t_prop", [-1, MAX_T_PROP + 1, 10**9])
+def test_config_refuses_t_prop_outside_its_bound(t_prop):
+    with pytest.raises(ValueError, match=rf"^t_prop {t_prop} is outside 0\.\.{MAX_T_PROP}$"):
+        PolicyConfig(t_prop=t_prop)
 
 
 def test_config_widths():

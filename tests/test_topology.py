@@ -1,10 +1,11 @@
 """Topology model, change strategies, pools."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggsfc.topology import (
@@ -32,6 +33,7 @@ from support import (
     deploy_vnfs,
     generate_fixture_topology,
     one_leaf_replaced,
+    small_requests,
 )
 
 
@@ -87,6 +89,25 @@ def test_bad_edges_are_rejected(edges, message):
 def test_disconnected_graph_is_rejected_naming_a_node():
     with pytest.raises(TopologyError, match="node 2 unreachable"):
         Topology(4, ((0, 1, 1), (2, 3, 1)), (), 0)
+
+
+def test_too_few_edges_are_refused_naming_the_edge_count():
+    with pytest.raises(TopologyError, match=r"^graph is disconnected: node 1 unreachable from "
+                                            r"node 0 \(1 edges cannot connect 4 nodes\)$"):
+        Topology(4, ((2, 3, 1),), (), 0)
+
+
+def test_an_edgeless_huge_node_count_is_refused_without_a_per_node_allocation():
+    # one list per declared node would peak near 2.5 MB here, far above 64 KiB
+    text = json.dumps({"nodes": 10**4, "vnf_type_count": 0, "edges": [], "instances": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(TopologyError, match="disconnected"):
+            load_topology(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_single_node_graph_is_connected():
@@ -151,6 +172,26 @@ def test_solver_tables_match_their_source_data(source):
             cheapest[site] = min(cheapest.get(site, i.proc_delay), i.proc_delay)
         assert t.proc_delays == tuple(tuple(cheapest.get((k, node)) for node in range(t.num_nodes))
                                       for k in range(t.vnf_type_count))
+
+
+@settings(derandomize=True)
+@given(small_requests(nodes=(1, 9)))
+def test_distances_are_the_shortest_edge_delays(case):
+    t, _ = case
+    # Bellman-Ford from every node over both directions of every edge
+    dist = [[0 if u == v else None for v in range(t.num_nodes)] for u in range(t.num_nodes)]
+    for _ in range(t.num_nodes):
+        for u, v, d in t.edges:
+            for row in dist:
+                for a, b in ((u, v), (v, u)):
+                    if row[a] is not None and (row[b] is None or row[a] + d < row[b]):
+                        row[b] = row[a] + d
+    assert t.distances == tuple(map(tuple, dist))
+
+
+def test_distances_stay_exact_past_64_bit_delays():
+    t = Topology(3, ((0, 1, 2**70), (1, 2, 1), (0, 2, 2**70 + 5)), (), 0)
+    assert t.distances == ((0, 2**70, 2**70 + 1), (2**70, 0, 1), (2**70 + 1, 1, 0))
 
 
 def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():
