@@ -12,8 +12,12 @@ sparse: DEFAULT_SUCCESS_BASE - lam * total_delay on the success-terminal
 step, zero everywhere else.
 
 Moves and processing sites come from the topology's ``arcs`` and
-``proc_delays``, the tables the exact solver searches; a processing step
-records the cheapest instance there as ``VnfInstance(node, type, delay)``.
+``proc_delays``, the tables the exact solver searches: a move's edge delay
+is one lookup in ``arcs[node]``, and a processing step records the
+cheapest instance there as ``VnfInstance(node, type, delay)``.  The
+records a step builds (``EnvState``, ``PathResult``, ``Action``) are
+immutable named tuples, the cheapest immutable records to build; they
+compare equal to plain tuples of their fields.
 
 This module holds the rules alone; a recorded episode with the policy's
 log-probs is a ``policy.EpisodeTrace``.
@@ -22,7 +26,7 @@ log-probs is a ``policy.EpisodeTrace``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,16 +52,14 @@ class SfcRequest:
         object.__setattr__(self, "chain", tuple(int(k) for k in self.chain))
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """Move to next_node; optionally process the pending VNF type there."""
 
     next_node: int
     process: bool
 
 
-@dataclass(frozen=True)
-class PathResult:
+class PathResult(NamedTuple):
     """Edge and instance usage of a walk, with multiplicity, plus its delay."""
 
     edge_uses: tuple[tuple[int, int], ...]
@@ -79,8 +81,7 @@ class RewardConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
     """Immutable episode state; step() returns the successor."""
 
     request: SfcRequest
@@ -120,15 +121,7 @@ def reset(t: Topology, req: SfcRequest, max_steps: int | None = None) -> EnvStat
         max_steps = default_max_steps(t, req)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    return EnvState(
-        request=req,
-        current_node=req.source,
-        chain_index=0,
-        steps_taken=0,
-        path_so_far=EMPTY_PATH,
-        done=False,
-        max_steps=max_steps,
-    )
+    return EnvState(req, req.source, 0, 0, EMPTY_PATH, False, max_steps)
 
 
 def valid_actions(s: EnvState, t: Topology) -> tuple[Action, ...]:
@@ -139,7 +132,7 @@ def valid_actions(s: EnvState, t: Topology) -> tuple[Action, ...]:
     want = s.pending_type
     sites = t.proc_delays[want] if want is not None else None
     actions: list[Action] = []
-    for v, _ in t.arcs[s.current_node]:
+    for v in t.arcs[s.current_node]:
         actions.append(Action(v, False))
         if sites is not None and sites[v] is not None:
             actions.append(Action(v, True))
@@ -155,47 +148,32 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
     """
     if s.done:
         raise InvalidActionError("step called on a finished episode")
-    try:
-        delay = t.edge_delay(s.current_node, a.next_node)
-    except TopologyError:
-        raise InvalidActionError(
-            f"no edge from node {s.current_node} to node {a.next_node}"
-        ) from None
-    edge_uses = s.path_so_far.edge_uses + ((s.current_node, a.next_node),)
-    instance_uses = s.path_so_far.instance_uses
+    u, v = s.current_node, a.next_node
+    delay = t.arcs[u].get(v)
+    if delay is None:
+        raise InvalidActionError(f"no edge from node {u} to node {v}")
+    path = s.path_so_far
+    instance_uses = path.instance_uses
     chain_index = s.chain_index
     if a.process:
         want = s.pending_type
         if want is None:
             raise InvalidActionError("process requested but the chain is fully processed")
-        proc = t.proc_delays[want][a.next_node]
+        proc = t.proc_delays[want][v]
         if proc is None:
-            raise InvalidActionError(f"node {a.next_node} hosts no instance of type {want}")
+            raise InvalidActionError(f"node {v} hosts no instance of type {want}")
         delay += proc
-        instance_uses = instance_uses + (VnfInstance(a.next_node, want, proc),)
+        instance_uses = instance_uses + (VnfInstance(v, want, proc),)
         chain_index += 1
 
-    total = s.path_so_far.total_delay + delay
+    total = path.total_delay + delay
     steps_taken = s.steps_taken + 1
-    success = a.next_node == s.request.destination and chain_index == len(s.request.chain)
+    req = s.request
+    success = v == req.destination and chain_index == len(req.chain)
     done = success or steps_taken >= s.max_steps
-    path = PathResult(
-        edge_uses=edge_uses,
-        instance_uses=instance_uses,
-        total_delay=total,
-        success=success,
-    )
+    path = PathResult(path.edge_uses + ((u, v),), instance_uses, total, success)
     reward = DEFAULT_SUCCESS_BASE - cfg.lam * total if success else 0.0
-    nxt = EnvState(
-        request=s.request,
-        current_node=a.next_node,
-        chain_index=chain_index,
-        steps_taken=steps_taken,
-        path_so_far=path,
-        done=done,
-        max_steps=s.max_steps,
-    )
-    return nxt, reward, done
+    return EnvState(req, v, chain_index, steps_taken, path, done, s.max_steps), reward, done
 
 
 def total_delay(p: PathResult, t: Topology) -> int:

@@ -12,7 +12,7 @@ Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
 
 The search reads the tables the environment's moves come from:
-``Topology.arcs`` (each node's (neighbor, edge delay) pairs in sorted
+``Topology.arcs`` (each node's neighbor -> edge delay mapping, in ascending
 neighbor order) and ``Topology.proc_delays`` (each node's best processing
 delay per VNF type, or None), plus ``Topology.distances`` (all-pairs
 shortest edge delays).  A state is the int ``layer * n + node`` and an
@@ -104,13 +104,16 @@ INFEASIBLE = OracleResult(path=None, actions=())
 _ActionKey = tuple[tuple[int, int], ...]
 
 
+# replays read paths, not rewards, so one config serves them all
+_REPLAY_REWARD = RewardConfig()
+
+
 def _replay(t: Topology, req: SfcRequest, actions: Sequence[Action]) -> PathResult:
     """The environment's path after the actions, with a step budget of
     exactly their count; an action the environment refuses raises."""
     s = reset(t, req, max_steps=len(actions))
-    cfg = RewardConfig()
     for a in actions:
-        s, _, _ = step(s, a, t, cfg)
+        s, _, _ = step(s, a, t, _REPLAY_REWARD)
     return s.path_so_far
 
 
@@ -181,7 +184,7 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
             above = bound[layer + 1]
         steps += 1
         base = state - node
-        for v, w in arcs[node]:
+        for v, w in arcs[node].items():
             d = delay + w
             key = d * size + steps
             s2 = base + v

@@ -234,7 +234,7 @@ def dijkstra_optimal(t: Topology, req: SfcRequest) -> OracleResult:
                 s, _, _ = step(s, a, t, RewardConfig())
             return OracleResult(s.path_so_far, actions)
         layer, u = state
-        for v, w in t.arcs[u]:
+        for v, w in t.arcs[u].items():
             heapq.heappush(heap, (delay + w, steps + 1, acts + ((v, False),), (layer, v)))
             if layer < len(req.chain):
                 p = t.proc_delays[req.chain[layer]][v]

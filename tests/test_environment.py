@@ -200,8 +200,9 @@ def test_success_on_the_last_budgeted_step_still_succeeds():
 def test_step_rejects_non_neighbor_move():
     t = tiny_topology()
     s = reset(t, SfcRequest(0, 3, (0,)))
-    with pytest.raises(InvalidActionError, match="no edge"):
-        step(s, Action(2, False), t, RewardConfig())
+    for node in (2, 0, -1, 4, 2.5, np.int64(2)):
+        with pytest.raises(InvalidActionError, match=f"no edge from node 0 to node {node}$"):
+            step(s, Action(node, False), t, RewardConfig())
 
 
 def test_step_rejects_process_without_instance():
@@ -223,6 +224,27 @@ def test_step_on_finished_episode_raises():
     s, _ = walk(t, SfcRequest(0, 3, (0,)), [Action(1, False)], max_steps=1)
     with pytest.raises(InvalidActionError, match="finished"):
         step(s, Action(0, False), t, RewardConfig())
+
+
+def test_records_are_immutable():
+    t = tiny_topology()
+    s, _ = walk(t, SfcRequest(0, 3, (0,)), [Action(1, True)])
+    for record, name in ((s, "current_node"), (s, "done"), (s.path_so_far, "total_delay"),
+                         (s.path_so_far, "edge_uses"), (Action(1, True), "process")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+
+def test_record_reprs_name_every_field():
+    t = tiny_topology()
+    s, _ = walk(t, SfcRequest(0, 3, (0,)), [Action(1, True)])
+    path = ("PathResult(edge_uses=((0, 1),), instance_uses=(VnfInstance(node=1, vnf_type=0, "
+            "proc_delay=3),), total_delay=5, success=False)")
+    assert repr(Action(1, True)) == "Action(next_node=1, process=True)"
+    assert repr(s.path_so_far) == path
+    assert repr(s) == (
+        "EnvState(request=SfcRequest(source=0, destination=3, chain=(0,)), current_node=1, "
+        f"chain_index=1, steps_taken=1, path_so_far={path}, done=False, max_steps=14)")
 
 
 def test_random_walks_keep_bookkeeping_consistent():

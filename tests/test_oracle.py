@@ -220,7 +220,7 @@ def test_the_delay_bound_is_consistent_and_zero_at_the_goal(case):
     for layer in range(length + 1):
         procs = t.proc_delays[req.chain[layer]] if layer < length else None
         for u in range(t.num_nodes):
-            for v, w in t.arcs[u]:
+            for v, w in t.arcs[u].items():
                 assert h[layer][u] <= w + h[layer][v]
                 if procs is not None and procs[v] is not None:
                     assert h[layer][u] <= w + procs[v] + h[layer + 1][v]

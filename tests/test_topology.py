@@ -112,7 +112,7 @@ def test_an_edgeless_huge_node_count_is_refused_without_a_per_node_allocation():
 
 def test_single_node_graph_is_connected():
     t = Topology(1, (), (), 0)
-    assert t.arcs == ((),)
+    assert [dict(nb) for nb in t.arcs] == [{}]
 
 
 @pytest.mark.parametrize(
@@ -133,7 +133,16 @@ def test_bad_instances_are_rejected(instance, message):
 
 def test_neighbors_are_sorted_per_node():
     t = tiny_topology()
-    assert t.arcs == (((1, 2), (3, 9)), ((0, 2), (2, 3)), ((1, 3), (3, 1)), ((0, 9), (2, 1)))
+    assert [list(nb.items()) for nb in t.arcs] == [
+        [(1, 2), (3, 9)], [(0, 2), (2, 3)], [(1, 3), (3, 1)], [(0, 9), (2, 1)]]
+
+
+def test_arcs_are_read_only():
+    t = tiny_topology()
+    for v in (1, 2):
+        with pytest.raises(TypeError):
+            t.arcs[0][v] = 1
+    assert t.arcs[0] == {1: 2, 3: 9}
 
 
 def test_edge_delay_is_symmetric():
@@ -163,8 +172,8 @@ def test_solver_tables_match_their_source_data(source):
     for t in topologies:
         assert len(t.arcs) == t.num_nodes
         for nb in t.arcs:
-            assert [v for v, _ in nb] == sorted({v for v, _ in nb})
-        arcs = {(u, v, d) for u, nb in enumerate(t.arcs) for v, d in nb}
+            assert list(nb) == sorted(set(nb))
+        arcs = {(u, v, d) for u, nb in enumerate(t.arcs) for v, d in nb.items()}
         assert arcs == {(u, v, d) for u, v, d in t.edges} | {(v, u, d) for u, v, d in t.edges}
         cheapest: dict[tuple[int, int], int] = {}
         for i in t.instances:
