@@ -14,10 +14,10 @@ lexicographically smallest action sequence, so labels are deterministic.
 The search reads the tables the environment's moves come from:
 ``Topology.arcs`` (each node's neighbor -> edge delay mapping, in ascending
 neighbor order) and ``Topology.proc_delays`` (each node's best processing
-delay per VNF type, or None), plus ``Topology.distances`` (all-pairs
-shortest edge delays).  A state is the int ``layer * n + node`` and an
-action the int ``2 * node + process``, which sorts in the same order as the
-(node, process) pair.
+delay per VNF type, or None), plus ``Topology.distances_from`` (the
+destination's and the chain's sites' shortest edge delays).  A state is
+the int ``layer * n + node`` and an action the int ``2 * node + process``,
+which sorts in the same order as the (node, process) pair.
 
 The search is A* (Hart, Nilsson & Raphael 1968): the heap key of a walk
 reaching state s is (delay + h(s), steps, actions), where h (delay_bound)
@@ -130,15 +130,15 @@ def _result_from_actions(
 def delay_bound(t: Topology, req: SfcRequest) -> list[Sequence[int]] | None:
     """The search's lower bound h, as h[layer][node], on the delay still to
     come from each layered state; None when a chain type has no site."""
-    dist = t.distances
-    row = dist[req.destination]
+    dist = t.distances_from
+    row = dist(req.destination)
     bound = [row]
     for k in reversed(req.chain):
         # per site x of type k: processing there plus the bound beyond it
         sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
         if not sites:
             return None
-        rows = [[d + c for d in dist[x]] for x, c in sites]
+        rows = [[d + c for d in dist(x)] for x, c in sites]
         row = rows[0] if len(rows) == 1 else list(map(min, *rows))
         bound.append(row)
     bound.reverse()

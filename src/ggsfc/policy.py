@@ -552,8 +552,9 @@ def save_policy(
 
 def load_policy(path: str | Path) -> tuple[ParamSet, PolicyConfig, dict]:
     """A checkpoint's parameters, architecture and metadata; a checkpoint
-    that does not parse, holds a non-finite entry, or whose tensors do not
-    have its architecture's shapes is refused naming the file."""
+    that does not parse, holds a non-finite entry, whose tensors do not have
+    its architecture's shapes, whose T_prop and propagation_steps disagree,
+    or whose scorer_variant is not this scorer is refused naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
         metadata, tensors = doc["metadata"], doc["tensors"]
@@ -564,6 +565,12 @@ def load_policy(path: str | Path) -> tuple[ParamSet, PolicyConfig, dict]:
             vnf_type_count=int(metadata["K"]),
             t_prop=int(metadata.get("propagation_steps", metadata.get("T_prop"))),
         )
+        if "T_prop" in metadata and int(metadata["T_prop"]) != cfg.t_prop:
+            raise ValueError(f"T_prop {metadata['T_prop']!r} disagrees with "
+                             f"propagation_steps {cfg.t_prop}")
+        if metadata.get("scorer_variant", SCORER_VARIANT) != SCORER_VARIANT:
+            raise ValueError(f"scorer_variant {metadata['scorer_variant']!r} is not "
+                             f"{SCORER_VARIANT!r}")
         params = ParamSet({name: np.array(rec["data"], dtype=np.float64).reshape(rec["shape"])
                            for name, rec in tensors.items()})
         expected, actual = cfg.param_shapes(), params.shapes()

@@ -15,12 +15,13 @@ read-only mapping from each neighbor to its edge delay, in ascending
 neighbor order) and ``proc_delays`` (per VNF type, each node's cheapest
 processing delay or None).  The environment and the exact solver both read
 these two tables and no other index; the solver's search bound also reads
-``distances`` (all-pairs shortest edge delays, a dense n x n table).
+``distances_from(u)`` (node u's shortest edge delays, kept once found).
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, replace
@@ -87,6 +88,8 @@ class Topology:
         object.__setattr__(self, "edges", canon)
         object.__setattr__(self, "instances", tuple(sorted(self.instances)))
         self._validate()
+        # node -> its distances_from row, filled as rows are asked for
+        object.__setattr__(self, "_distance_rows", {})
 
     def _validate(self) -> None:
         if self.num_nodes < 1:
@@ -172,26 +175,22 @@ class Topology:
                 row[inst.node] = inst.proc_delay
         return tuple(tuple(row) for row in table)
 
-    @cached_property
-    def distances(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs shortest edge delays: row u holds node u's distance to
-        every node (Floyd-Warshall, exact on Python ints).
-
-        The table is dense: O(n^2) memory and O(n^3) time on the first read.
-        On a 2-CPU Xeon, the first solve on a 1000-node graph took 2.0 s
-        (8 ms with the Dijkstra solver before A*), and a 50000-node
-        topology would need about 20 GB.
-        """
-        n = self.num_nodes
-        # a connected graph's distances are at most the sum of its delays
-        far = sum(d for _, _, d in self.edges) + 1
-        dist = np.full((n, n), far, dtype=np.int64 if far < 2**62 else object)
-        np.fill_diagonal(dist, 0)
-        for u, v, d in self.edges:
-            dist[u, v] = dist[v, u] = d
-        for k in range(n):
-            np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
-        return tuple(map(tuple, dist.tolist()))
+    def distances_from(self, u: int) -> tuple[int, ...]:
+        """Node u's shortest edge delay to every node, by Dijkstra over
+        ``arcs`` in exact Python ints; found on first use, then kept."""
+        row = self._distance_rows.get(u)
+        if row is None:
+            dist: list[int | None] = [None] * self.num_nodes
+            heap = [(0, u)]
+            while heap:
+                d, x = heapq.heappop(heap)
+                if dist[x] is None:
+                    dist[x] = d
+                    for y, w in self.arcs[x].items():
+                        if dist[y] is None:
+                            heapq.heappush(heap, (d + w, y))
+            row = self._distance_rows[u] = tuple(dist)
+        return row
 
     @cached_property
     def _adjacency(self) -> np.ndarray:

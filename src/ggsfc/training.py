@@ -240,6 +240,8 @@ def train_rl(
     topos = as_topology_list(topologies)
     if not topos:
         raise ValueError("no topologies to train on")
+    if rolling_window < 1:
+        raise ValueError(f"rolling_window must be >= 1, got {rolling_window}")
 
     rng = np.random.default_rng(hp.seed)
     reward_cfg = hp.reward_config()

@@ -1,6 +1,6 @@
 """Test tools kept out of the library: a finite-difference gradient check,
 random GRU parameters, random VNF placement, the seeded generator the bundled internet2 fixture
-was frozen from, a plain-Dijkstra reference solver, and hypothesis
+was frozen from (at any size), a plain-Dijkstra reference solver, and hypothesis
 strategies for random requests and for artifact documents with one fuzzed
 value."""
 
@@ -159,16 +159,20 @@ def _random_connected_graph(
     )
 
 
-def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
-    """Regenerate the bundled 12-node fixture (the frozen data file's source).
-
-    12 nodes, 15 edges with delays 1..10, five VNF types with two instances
-    each on distinct nodes.
-    """
+def fixture_like_graph(num_nodes: int, sites_per_type: int, seed: int) -> Topology:
+    """A random connected graph of the fixture's shape at any size: n + n // 4
+    edges with delays 1..10, and five VNF types with sites_per_type
+    instances each on distinct nodes, processing delays 1..10."""
     rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(12, 15, rng)
+    graph = _random_connected_graph(num_nodes, num_nodes + num_nodes // 4, rng)
     graph = replace(graph, vnf_type_count=5)
-    return deploy_vnfs(graph, per_type_count=2, proc_delay_range=(1, 10), rng=rng)
+    return deploy_vnfs(graph, sites_per_type, proc_delay_range=(1, 10), rng=rng)
+
+
+def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
+    """Regenerate the bundled 12-node fixture (the frozen data file's source):
+    12 nodes, 15 edges, two sites per VNF type."""
+    return fixture_like_graph(12, 2, seed)
 
 
 @st.composite

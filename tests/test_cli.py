@@ -477,6 +477,8 @@ CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
     # 10**9 propagation rounds per encode: --t-prop 5 differs from the
     # checkpoint's, so a loader that accepted it would stop there, never encoding
     (CHECKPOINT_TRAIN + " --t-prop 5", "c.ckpt", _with_metadata(propagation_steps=10**9)),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(T_prop=2)),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(scorer_variant="dot")),
     (DATASET_TRAIN, "d.json",
      {"dropped_infeasible": 0, "dropped_over_budget": 0,
       "examples": [{"topology_id": 0, "request": {"source": 0, "destination": 1, "chain": []},
@@ -488,7 +490,7 @@ CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
         "eval-pool-overflow", "dataset-overflow", "checkpoint-overflow", "dataset-text",
         "checkpoint-nan", "checkpoint-shape", "checkpoint-hidden-dim-0",
         "checkpoint-annotation-width", "checkpoint-hidden-dim-huge", "checkpoint-t-prop-huge",
-        "dataset-flag-string"])
+        "checkpoint-t-prop-disagrees", "checkpoint-scorer-variant", "dataset-flag-string"])
 def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
     pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
     assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",

@@ -1,6 +1,7 @@
 """Exact solver vs. independent exhaustive search, plus dataset labeling."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +39,7 @@ from support import (
     FUZZ,
     deploy_vnfs,
     dijkstra_optimal,
+    fixture_like_graph,
     graph_requests,
     one_leaf_replaced,
     small_requests,
@@ -224,6 +226,30 @@ def test_the_delay_bound_is_consistent_and_zero_at_the_goal(case):
                 assert h[layer][u] <= w + h[layer][v]
                 if procs is not None and procs[v] is not None:
                     assert h[layer][u] <= w + procs[v] + h[layer + 1][v]
+
+
+def test_a_solve_keeps_only_the_distance_rows_its_bound_reads():
+    t = replace(internet2_fixture())  # a fresh copy, holding no rows yet
+    assert t._distance_rows == {}
+    req = SfcRequest(4, 11, (0, 3, 0))
+    assert solve_optimal(t, req).feasible
+    # the destination's row, and the rows of type 0's sites 5 and 10 and type 3's 2 and 8
+    assert sorted(t._distance_rows) == [2, 5, 8, 10, 11]
+
+
+def test_a_first_solve_on_a_large_sparse_graph_stays_small():
+    # the rows one solve reads stay a few MiB; 5000 x 5000 delays would take 200 MB
+    t = fixture_like_graph(5000, sites_per_type=2, seed=0)
+    req = generate_requests(t, 1, (4, 4), np.random.default_rng(0))[0]
+    tracemalloc.start()
+    try:
+        shortest = t.distances_from(req.destination)[req.source]
+        result = solve_optimal(t, req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.feasible and result.optimal_delay >= shortest
+    assert peak < 8 * 2**20
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

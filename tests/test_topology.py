@@ -195,12 +195,13 @@ def test_distances_are_the_shortest_edge_delays(case):
                 for a, b in ((u, v), (v, u)):
                     if row[a] is not None and (row[b] is None or row[a] + d < row[b]):
                         row[b] = row[a] + d
-    assert t.distances == tuple(map(tuple, dist))
+    assert [t.distances_from(u) for u in range(t.num_nodes)] == list(map(tuple, dist))
 
 
 def test_distances_stay_exact_past_64_bit_delays():
     t = Topology(3, ((0, 1, 2**70), (1, 2, 1), (0, 2, 2**70 + 5)), (), 0)
-    assert t.distances == ((0, 2**70, 2**70 + 1), (2**70, 0, 1), (2**70 + 1, 1, 0))
+    assert [t.distances_from(u) for u in range(3)] == [
+        (0, 2**70, 2**70 + 1), (2**70, 0, 1), (2**70 + 1, 1, 0)]
 
 
 def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():

@@ -368,6 +368,13 @@ def test_train_rl_rejects_empty_topology_list():
                  HyperParams(episodes=1), tiny_cfg())
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_train_rl_rejects_a_rolling_window_below_one(window):
+    with pytest.raises(ValueError, match=f"rolling_window must be >= 1, got {window}"):
+        train_rl(init_policy_params(tiny_cfg(), seed=0), tiny_topology(),
+                 HyperParams(episodes=1), tiny_cfg(), rolling_window=window)
+
+
 def test_train_rl_zero_episodes_is_a_no_op():
     t = tiny_topology()
     cfg = tiny_cfg()
