@@ -70,8 +70,7 @@ def cmd_topo_fixture(args) -> int:
 def cmd_topo_mutate(args) -> int:
     t = _load_base_topology(args)
     rng = np.random.default_rng(args.seed)
-    mutate = topology.mutate_cs1 if args.strategy == "cs1" else topology.mutate_cs2
-    m = mutate(t, rng)
+    m = topology.STRATEGIES[args.strategy](t, rng)
     topology.save_topology_file(m, _prepare_out_file(args.out))
     print(f"wrote {args.out}: {m.num_nodes} nodes, {len(m.edges)} edges, "
           f"{len(m.instances)} instances, connected")
@@ -343,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = topo_sub.add_parser("mutate", help="apply one random change")
     _add_topology_source(p)
-    p.add_argument("--strategy", choices=("cs1", "cs2"), required=True)
+    p.add_argument("--strategy", choices=tuple(topology.STRATEGIES), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_topo_mutate)
 
     p = topo_sub.add_parser("pool", help="generate a pool of mutated variants")
     _add_topology_source(p)
-    p.add_argument("--strategy", choices=("cs1", "cs2"), required=True)
+    p.add_argument("--strategy", choices=tuple(topology.STRATEGIES), required=True)
     p.add_argument("--count", type=int, default=topology.DEFAULT_POOL_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

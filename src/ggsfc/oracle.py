@@ -73,7 +73,7 @@ from .environment import (
     valid_actions,
     validate_request,
 )
-from .topology import Topology, TopologyPool, as_topology_list
+from .topology import Topology, TopologyPool, as_topology_list, json_int
 
 DEFAULT_WORK_CAP = 10_000_000
 
@@ -130,14 +130,14 @@ def _result_from_actions(
 def delay_bound(t: Topology, req: SfcRequest) -> list[Sequence[int]] | None:
     """The search's lower bound h, as h[layer][node], on the delay still to
     come from each layered state; None when a chain type has no site."""
+    if not set(req.chain).issubset(t.deployed_types):
+        return None
     dist = t.distances_from
     row = dist(req.destination)
     bound = [row]
     for k in reversed(req.chain):
         # per site x of type k: processing there plus the bound beyond it
         sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
-        if not sites:
-            return None
         rows = [[d + c for d in dist(x)] for x, c in sites]
         row = rows[0] if len(rows) == 1 else list(map(min, *rows))
         bound.append(row)
@@ -370,9 +370,10 @@ def save_dataset(ds: LabeledDataset) -> str:
 def _process_flag(p) -> bool:
     # save_dataset writes 0 or 1 (JSON false/true read as the same ints);
     # bool() would read "false", [0] or 2 as True
-    if not (isinstance(p, int) and p in (0, 1)):
-        raise ValueError(f"process flag {p!r} is not 0 or 1")
-    return bool(p)
+    try:
+        return {0: False, 1: True}[json_int(p)]
+    except (KeyError, TypeError):
+        raise ValueError(f"process flag {p!r} is not 0 or 1") from None
 
 
 def load_dataset(text: str) -> LabeledDataset:
@@ -380,21 +381,22 @@ def load_dataset(text: str) -> LabeledDataset:
         doc = json.loads(text)
         examples = tuple(
             LabeledExample(
-                topology_id=int(rec["topology_id"]),
+                topology_id=json_int(rec["topology_id"]),
                 request=SfcRequest(
-                    source=int(rec["request"]["source"]),
-                    destination=int(rec["request"]["destination"]),
-                    chain=tuple(int(k) for k in rec["request"]["chain"]),
+                    source=json_int(rec["request"]["source"]),
+                    destination=json_int(rec["request"]["destination"]),
+                    chain=tuple(json_int(k) for k in rec["request"]["chain"]),
                 ),
-                actions=tuple(Action(int(n), _process_flag(p)) for n, p in rec["action_sequence"]),
-                optimal_delay=int(rec["optimal_delay"]),
+                actions=tuple(Action(json_int(n), _process_flag(p))
+                              for n, p in rec["action_sequence"]),
+                optimal_delay=json_int(rec["optimal_delay"]),
             )
             for rec in doc["examples"]
         )
         return LabeledDataset(
             examples=examples,
-            dropped_infeasible=int(doc["dropped_infeasible"]),
-            dropped_over_budget=int(doc["dropped_over_budget"]),
+            dropped_infeasible=json_int(doc["dropped_infeasible"]),
+            dropped_over_budget=json_int(doc["dropped_over_budget"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dataset document: {exc}") from exc

@@ -21,9 +21,10 @@ docstring), including segments the episode never reaches.
 
 Every episode is one forward pass that returns one ``EpisodeTrace``: a
 ``rollout`` picks its actions from the policy, ``teacher_force`` takes them
-from a label.  The trace carries the caches of that pass, each step its
-own, and ``episode_gradients`` is the backward over them alone: exact
-analytic backprop of sum_t c_t log pi(a_t).  Supervised learning ascends
+from a label.  The trace carries the params and the caches of that pass,
+each step its own caches, and ``episode_gradients(trace, coeffs)`` is the
+backward over them alone: exact analytic backprop of sum_t c_t log pi(a_t)
+with respect to the trace's params.  Supervised learning ascends
 it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 """
 
@@ -47,7 +48,7 @@ from .environment import (
     valid_actions,
 )
 from .nn import GradSet, ParamSet
-from .topology import Topology, adjacency_matrix
+from .topology import Topology, adjacency_matrix, json_int
 
 SCORER_VARIANT = "additive-tanh"
 ROLLOUT_MODES = ("greedy", "epsilon_greedy")
@@ -475,30 +476,25 @@ def teacher_force(
     return trace
 
 
-def episode_gradients(
-    params: ParamSet,
-    cfg: PolicyConfig,
-    trace: EpisodeTrace,
-    coeffs: np.ndarray | list[float],
-) -> GradSet:
-    """Backprop sum_t coeff_t * log pi(a_t) through the trace's own caches.
+def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> GradSet:
+    """Backprop sum_t coeff_t * log pi(a_t) through the trace's own caches,
+    with respect to the params it ran under.
 
-    The trace must come from a forward pass under these params.  Only the
-    segments the episode decoded from, 0 through the last step's, are
-    backpropagated through the encoder; each slice of the stack keeps its
-    bits (see the ``nn`` docstring) and is added in segment order, as when
-    each segment was encoded on its own.
+    Only the segments the episode decoded from, 0 through the last step's,
+    are backpropagated through the encoder; each slice of the stack keeps
+    its bits (see the ``nn`` docstring) and is added in segment order, as
+    when each segment was encoded on its own.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if trace.params is not params:
-        raise ValueError("the trace was recorded under other parameters")
     if len(coeffs) != len(trace.steps):
         raise ValueError(f"{len(trace.steps)} steps but {len(coeffs)} coefficients")
 
+    params = trace.params
+    hidden_dim = len(params["score.v"])
     reached = trace.steps[-1].segment + 1
     grads = GradSet(params)
-    grad_enc = np.zeros((reached, trace.topology.num_nodes, cfg.hidden_dim))
-    dh_next = np.zeros(cfg.hidden_dim)
+    grad_enc = np.zeros((reached, trace.topology.num_nodes, hidden_dim))
+    dh_next = np.zeros(hidden_dim)
     for step, coeff in zip(reversed(trace.steps), reversed(coeffs)):
         genc, dh_next, gnode, step_grads = decode_step_backward(
             coeff, step.action, step.cache, params, dh_next
@@ -561,11 +557,11 @@ def load_policy(path: str | Path) -> tuple[ParamSet, PolicyConfig, dict]:
         if not isinstance(metadata, dict) or not isinstance(tensors, dict):
             raise TypeError("metadata and tensors must be JSON objects")
         cfg = PolicyConfig(
-            hidden_dim=int(metadata["hidden_dim"]),
-            vnf_type_count=int(metadata["K"]),
-            t_prop=int(metadata.get("propagation_steps", metadata.get("T_prop"))),
+            hidden_dim=json_int(metadata["hidden_dim"]),
+            vnf_type_count=json_int(metadata["K"]),
+            t_prop=json_int(metadata.get("propagation_steps", metadata.get("T_prop"))),
         )
-        if "T_prop" in metadata and int(metadata["T_prop"]) != cfg.t_prop:
+        if "T_prop" in metadata and json_int(metadata["T_prop"]) != cfg.t_prop:
             raise ValueError(f"T_prop {metadata['T_prop']!r} disagrees with "
                              f"propagation_steps {cfg.t_prop}")
         if metadata.get("scorer_variant", SCORER_VARIANT) != SCORER_VARIANT:

@@ -227,16 +227,26 @@ def save_topology(t: Topology) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON artifact: what JSON reads as an int (true
+    and false too, as Python's bool is one).  Every artifact reader takes its
+    integers through this, so a float or a string is refused, not truncated
+    or parsed."""
+    if not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def load_topology(text: str) -> Topology:
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise TypeError("expected a JSON object")
-        num_nodes = int(doc["nodes"])
-        vnf_type_count = int(doc["vnf_type_count"])
-        edges = tuple((int(u), int(v), int(d)) for u, v, d in doc["edges"])
+        num_nodes = json_int(doc["nodes"])
+        vnf_type_count = json_int(doc["vnf_type_count"])
+        edges = tuple((json_int(u), json_int(v), json_int(d)) for u, v, d in doc["edges"])
         instances = tuple(
-            VnfInstance(int(n), int(k), int(d)) for n, k, d in doc["instances"]
+            VnfInstance(json_int(n), json_int(k), json_int(d)) for n, k, d in doc["instances"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"malformed topology document: {exc}") from exc
@@ -376,7 +386,7 @@ def mutate_cs2(t: Topology, rng: np.random.Generator) -> Topology:
 # ---------------------------------------------------------------------------
 # pools
 
-_STRATEGIES = {
+STRATEGIES = {
     "cs1": mutate_cs1,
     "cs2": mutate_cs2,
 }
@@ -411,11 +421,12 @@ def generate_pool(
     seed: int = 0,
 ) -> TopologyPool:
     """Mutate ``base`` ``pool_size`` times; deterministic for a given seed."""
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown change strategy {strategy!r}; expected cs1 or cs2")
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown change strategy {strategy!r}; "
+                         f"expected {' or '.join(STRATEGIES)}")
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    mutate = _STRATEGIES[strategy]
+    mutate = STRATEGIES[strategy]
     rng = np.random.default_rng(seed)
     variants = tuple(mutate(base, rng) for _ in range(pool_size))
     return TopologyPool(base=base, variants=variants, strategy=strategy, seed=seed)
@@ -456,9 +467,9 @@ def load_pool(dirpath: str | Path) -> TopologyPool:
         manifest = json.loads(text)
         base_file = d / manifest["base_file"]
         variant_files = [d / name for name in manifest["variant_files"]]
-        strategy, seed = manifest["strategy"], int(manifest["seed"])
+        strategy, seed = manifest["strategy"], json_int(manifest["seed"])
         base_sha256 = manifest["base_sha256"]
-        pool_size = int(manifest["pool_size"])
+        pool_size = json_int(manifest["pool_size"])
         if not variant_files:
             raise ValueError("no variant files")
         if pool_size != len(variant_files):

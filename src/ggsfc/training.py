@@ -1,13 +1,15 @@
 """Supervised pre-training on solver labels and REINFORCE fine-tuning.
 
 Both stages make the same update, ``ascend``: one SGD step up
-sum_t c_t log pi(a_t | s_t) over one episode, backpropagated by
-``episode_gradients`` through the caches of the episode's own forward pass,
-so each episode is decoded once.  SL teacher-forces a solver label with
-c_t = 1, which descends the cross-entropy, one example per step, epochs
-shuffled.  RL is plain per-episode REINFORCE: an epsilon-greedy rollout
-with c_t = G_t, its discounted returns.  No baseline, no batching, no
-reward normalization; a non-finite gradient skips the update with a warning.
+sum_t c_t log pi(a_t | s_t) over one episode, from the params it ran under,
+backpropagated by ``episode_gradients`` through the caches of the episode's
+own forward pass, so each episode is decoded once and its trace is the
+update's only input besides c_t and the step size.  SL teacher-forces a
+solver label with c_t = 1, which descends the cross-entropy, one example per
+step, epochs shuffled.  RL is plain per-episode REINFORCE: an epsilon-greedy
+rollout with c_t = G_t, its discounted returns.  No baseline, no batching,
+no reward normalization; a non-finite gradient skips the update with a
+warning.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class HyperParams:
         if self.episodes < 0 or self.sl_epochs < 0:
             raise ValueError("episodes and sl_epochs must be >= 0")
 
-    def reward_config(self) -> RewardConfig:
-        return RewardConfig(lam=self.lam)
-
 
 @dataclass(frozen=True)
 class HistoryRow:
@@ -97,35 +96,26 @@ def compute_returns(rewards: Sequence[float], gamma: float) -> np.ndarray:
     return out
 
 
-def ascend(params: ParamSet, cfg: PolicyConfig, trace: EpisodeTrace, coeffs: np.ndarray,
-           alpha: float) -> ParamSet:
-    """One SGD step up sum_t coeffs[t] * log pi(a_t), backpropagated through
-    the trace's own caches.  A non-finite gradient rejects the step: the
-    params come back unchanged and a warning is logged."""
-    grads = episode_gradients(params, cfg, trace, coeffs)
+def ascend(trace: EpisodeTrace, coeffs: np.ndarray, alpha: float) -> ParamSet:
+    """One SGD step from the trace's params up sum_t coeffs[t] * log pi(a_t),
+    backpropagated through the trace's own caches.  A non-finite gradient
+    rejects the step: the trace's params come back and a warning is logged."""
+    grads = episode_gradients(trace, coeffs)
     try:
-        return sgd_update(params, grads, alpha)
+        return sgd_update(trace.params, grads, alpha)
     except NonFiniteGradientError:
         req = trace.request
         logger.warning("skipping non-finite update (request %s->%s)", req.source, req.destination)
-        return params
+        return trace.params
 
 
-def reinforce_update(
-    params: ParamSet,
-    trace: EpisodeTrace,
-    hp: HyperParams,
-    cfg: PolicyConfig,
-) -> ParamSet:
-    """One policy-gradient step from an epsilon-greedy rollout under params.
-
-    Ascends with the discounted returns as coefficients.  Failure episodes
-    (all rewards zero) change nothing and skip the backward entirely.
-    """
-    returns = compute_returns(trace.rewards, hp.gamma)
+def reinforce_update(trace: EpisodeTrace, returns: np.ndarray, alpha: float) -> ParamSet:
+    """One policy-gradient step from an epsilon-greedy rollout, with its
+    discounted returns as coefficients.  Failure episodes (all returns zero)
+    change nothing and skip the backward entirely."""
     if not returns.any():
-        return params
-    return ascend(params, cfg, trace, returns, hp.alpha_rl)
+        return trace.params
+    return ascend(trace, returns, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +188,7 @@ def train_sl(
             trace = teacher_force(params, cfg, topo_list[ex.topology_id], ex.request,
                                   ex.actions)
             losses[j] = -sum(s.log_prob for s in trace.steps)
-            params = ascend(params, cfg, trace, np.ones(len(ex.actions)), hp.alpha_sl)
+            params = ascend(trace, np.ones(len(ex.actions)), hp.alpha_sl)
         fr, mean_delay = greedy_failure_ratio(params, cfg, pairs)
         row = HistoryRow(
             index=epoch,
@@ -244,7 +234,7 @@ def train_rl(
         raise ValueError(f"rolling_window must be >= 1, got {rolling_window}")
 
     rng = np.random.default_rng(hp.seed)
-    reward_cfg = hp.reward_config()
+    reward_cfg = RewardConfig(lam=hp.lam)
     recent_success: deque[bool] = deque(maxlen=rolling_window)
     recent_delays: deque[int] = deque(maxlen=rolling_window)
     history: list[HistoryRow] = []
@@ -258,7 +248,7 @@ def train_rl(
         )
         returns = compute_returns(trace.rewards, hp.gamma)
         loss = -float(np.dot(returns, [s.log_prob for s in trace.steps]))
-        params = reinforce_update(params, trace, hp, cfg)
+        params = reinforce_update(trace, returns, hp.alpha_rl)
 
         recent_success.append(trace.success)
         if trace.success:

@@ -301,7 +301,7 @@ def test_c02_analytic_gradients_match_finite_differences():
 
     def f_step(ps):
         forced = teacher_force(ps, cfg, t, req, (first,))
-        return forced.steps[0].log_prob, episode_gradients(ps, cfg, forced, [1.0])
+        return forced.steps[0].log_prob, episode_gradients(forced, [1.0])
 
     report = finite_diff_check(f_step, params, tolerance=E2E_GRAD_TOL,
                                max_coords_per_tensor=20, rng=fd_rng)
@@ -314,7 +314,7 @@ def test_c02_analytic_gradients_match_finite_differences():
     def f_episode(ps):
         forced = teacher_force(ps, cfg, t, req, actions)
         lps = [s.log_prob for s in forced.steps]
-        return float(np.sum(lps)), episode_gradients(ps, cfg, forced, coeffs)
+        return float(np.sum(lps)), episode_gradients(forced, coeffs)
 
     report = finite_diff_check(f_episode, params, tolerance=E2E_GRAD_TOL,
                                max_coords_per_tensor=20, rng=fd_rng)

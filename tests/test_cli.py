@@ -10,13 +10,16 @@ from dataclasses import replace
 
 from ggsfc.cli import _table1_config, build_parser, main
 from ggsfc.experiment import Table1Config, run_table1
-from ggsfc.oracle import load_dataset_file
+from ggsfc.environment import SfcRequest
+from ggsfc.oracle import label_dataset, load_dataset_file, save_dataset
 from ggsfc.policy import PolicyConfig, init_policy_params, save_policy
 from ggsfc.topology import (
     internet2_fixture,
     load_pool,
     load_topology_file,
     mutate_cs1,
+    mutate_cs2,
+    save_topology,
     save_topology_file,
     topology_sha256,
 )
@@ -57,6 +60,16 @@ def test_topo_pool_round_trips(tmp_path):
     pool = load_pool(out)
     assert len(pool.variants) == 3
     assert topology_sha256(pool.base) == topology_sha256(internet2_fixture())
+
+
+def test_topo_mutate_takes_its_strategy_from_the_library_table(tmp_path):
+    out = tmp_path / "mut.json"
+    assert run("topo", "mutate", "--fixture", "--strategy", "cs2",
+               "--seed", "3", "--out", str(out)) == 0
+    assert load_topology_file(out) == mutate_cs2(internet2_fixture(), np.random.default_rng(3))
+    with pytest.raises(SystemExit) as exc:
+        run("topo", "mutate", "--fixture", "--strategy", "cs3", "--out", str(out))
+    assert exc.value.code == 2
 
 
 def test_topology_source_flags_are_exclusive(tmp_path):
@@ -432,6 +445,23 @@ HUGE = "<1e400>"
 
 DATASET_TRAIN = "train sl --fixture --dataset {bad} --out {out}"
 CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
+TOPOLOGY_DATASET = "dataset --topology {bad} --count 2 --out {out}"
+
+FIXTURE_DOC = json.loads(save_topology(internet2_fixture()))
+LABELED_DOC = json.loads(save_dataset(label_dataset(internet2_fixture(),
+                                                    [SfcRequest(0, 5, (1,))])))
+
+
+def _fixture_with(field, index, column, value):
+    """The fixture's document with one entry of its edges or instances set."""
+    rows = [list(row) for row in FIXTURE_DOC[field]]
+    rows[index][column] = value
+    return {**FIXTURE_DOC, field: rows}
+
+
+def _example_with(**change):
+    """A one-example dataset, labelled on the fixture, with fields changed."""
+    return {**LABELED_DOC, "examples": [{**LABELED_DOC["examples"][0], **change}]}
 
 
 # doc is written as JSON; a str is written as raw text; a callable rewrites
@@ -483,6 +513,19 @@ CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
      {"dropped_infeasible": 0, "dropped_over_budget": 0,
       "examples": [{"topology_id": 0, "request": {"source": 0, "destination": 1, "chain": []},
                     "action_sequence": [[1, "false"]], "optimal_delay": 1}]}),
+    # each number below used to be truncated (or the string parsed) and loaded
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(hidden_dim=32.7)),
+    (CHECKPOINT_TRAIN, "c.ckpt", _with_metadata(propagation_steps=5.9)),
+    (TOPOLOGY_DATASET, "t.json", _fixture_with("edges", 0, 2, FIXTURE_DOC["edges"][0][2] + 0.9)),
+    (TOPOLOGY_DATASET, "t.json",
+     _fixture_with("instances", 0, 2, FIXTURE_DOC["instances"][0][2] + 0.7)),
+    (TOPOLOGY_DATASET, "t.json", {**FIXTURE_DOC, "nodes": "12"}),
+    (EVAL_POOL + " --requests 2", "bad_pool/manifest.json", lambda m: {**m, "pool_size": 1.0}),
+    (DATASET_TRAIN, "d.json",
+     _example_with(optimal_delay=LABELED_DOC["examples"][0]["optimal_delay"] + 0.9)),
+    (DATASET_TRAIN, "d.json", _example_with(topology_id=0.7)),
+    (DATASET_TRAIN, "d.json",
+     _example_with(request={**LABELED_DOC["examples"][0]["request"], "chain": [1.5]})),
 ], ids=["dataset-examples", "dataset-list", "train-checkpoint", "eval-checkpoint",
         "checkpoint-metadata", "train-pool", "eval-pool", "train-pool-empty",
         "eval-pool-empty", "dataset-pool-empty", "eval-pool-size", "eval-checkpoint-text",
@@ -490,7 +533,10 @@ CHECKPOINT_TRAIN = "train rl --fixture --init {bad} --out {out}"
         "eval-pool-overflow", "dataset-overflow", "checkpoint-overflow", "dataset-text",
         "checkpoint-nan", "checkpoint-shape", "checkpoint-hidden-dim-0",
         "checkpoint-annotation-width", "checkpoint-hidden-dim-huge", "checkpoint-t-prop-huge",
-        "checkpoint-t-prop-disagrees", "checkpoint-scorer-variant", "dataset-flag-string"])
+        "checkpoint-t-prop-disagrees", "checkpoint-scorer-variant", "dataset-flag-string",
+        "checkpoint-hidden-dim-float", "checkpoint-t-prop-float", "topology-edge-delay-float",
+        "topology-proc-delay-float", "topology-nodes-string", "eval-pool-size-float",
+        "dataset-optimal-delay-float", "dataset-topology-id-float", "dataset-chain-float"])
 def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
     pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
     assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",

@@ -72,7 +72,7 @@ def snapshot(requests: list[SfcRequest]) -> dict:
         if i < LABELED:
             label = solve_optimal(t, req).actions
             forced = teacher_force(params, cfg, t, req, label)
-            grads = episode_gradients(params, cfg, forced, -np.ones(len(label)))
+            grads = episode_gradients(forced, -np.ones(len(label)))
             entry["label"] = {
                 "actions": _actions(label),
                 "log_probs": [float.hex(s.log_prob) for s in forced.steps],

@@ -235,6 +235,10 @@ def test_a_solve_keeps_only_the_distance_rows_its_bound_reads():
     assert solve_optimal(t, req).feasible
     # the destination's row, and the rows of type 0's sites 5 and 10 and type 3's 2 and 8
     assert sorted(t._distance_rows) == [2, 5, 8, 10, 11]
+    # a chain type with no site is found before any row is read
+    t = replace(t, instances=tuple(i for i in t.instances if i.vnf_type != 4))
+    assert not solve_optimal(t, SfcRequest(0, 11, (4, 0, 3))).feasible
+    assert t._distance_rows == {}
 
 
 def test_a_first_solve_on_a_large_sparse_graph_stays_small():

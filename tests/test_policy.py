@@ -434,7 +434,7 @@ def test_episode_gradients_match_finite_differences():
     def f(p):
         forced = teacher_force(p, cfg, t, req, actions)
         log_probs = [s.log_prob for s in forced.steps]
-        return float(np.dot(coeffs, log_probs)), episode_gradients(p, cfg, forced, coeffs)
+        return float(np.dot(coeffs, log_probs)), episode_gradients(forced, coeffs)
 
     report = finite_diff_check(
         f, params, tolerance=E2E_TOL, max_coords_per_tensor=25,
@@ -449,7 +449,7 @@ def test_episode_gradients_validates_lengths():
     params = init_policy_params(cfg, seed=0)
     trace = teacher_force(params, cfg, t, SfcRequest(0, 3, (0,)), (Action(1, True),))
     with pytest.raises(ValueError, match="coefficients"):
-        episode_gradients(params, cfg, trace, [1.0, 2.0])
+        episode_gradients(trace, [1.0, 2.0])
 
 
 def test_teacher_force_refuses_a_walk_that_ends_early_or_a_masked_action():
@@ -505,8 +505,8 @@ def test_greedy_caches_give_the_teacher_forced_gradients_bit_for_bit():
                 forced = teacher_force(params, cfg, t, req,
                                        tuple(s.action for s in trace.steps))
                 coeffs = rng.normal(size=len(trace.steps))
-                grads = episode_gradients(params, cfg, trace, coeffs)
-                forced_grads = episode_gradients(params, cfg, forced, coeffs)
+                grads = episode_gradients(trace, coeffs)
+                forced_grads = episode_gradients(forced, coeffs)
                 ref = _reference_gradients(params, cfg, forced, coeffs)
                 for name, value in ref.items():
                     assert grads[name].tobytes() == value.tobytes(), name

@@ -398,7 +398,7 @@ def test_generate_pool_is_deterministic_and_sized():
 
 
 def test_generate_pool_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="change strategy"):
+    with pytest.raises(ValueError, match="change strategy 'cs9'; expected cs1 or cs2"):
         generate_pool(internet2_fixture(), "cs9")
 
 

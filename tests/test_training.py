@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ggsfc.training as training
-from ggsfc.environment import SfcRequest, generate_requests
+from ggsfc.environment import RewardConfig, SfcRequest, generate_requests
 from ggsfc.nn import NonFiniteGradientError, ParamSet
 from ggsfc.oracle import label_dataset
 from ggsfc.policy import (
@@ -64,10 +64,6 @@ def test_hyperparams_validation(bad):
         HyperParams(**bad)
 
 
-def test_hyperparams_reward_config_carries_lambda():
-    assert HyperParams(lam=2.5).reward_config().lam == 2.5
-
-
 # ---------------------------------------------------------------------------
 # returns
 
@@ -100,7 +96,7 @@ def successful_trace(params, cfg, t):
     rng = np.random.default_rng(0)
     req = SfcRequest(0, 3, (0,))
     for _ in range(50):
-        trace = rollout(params, cfg, t, req, HyperParams().reward_config(),
+        trace = rollout(params, cfg, t, req, RewardConfig(),
                         mode="epsilon_greedy", rng=rng, epsilon=0.3)
         if trace.success:
             return trace
@@ -114,13 +110,15 @@ def test_update_skips_failure_episodes():
     rng = np.random.default_rng(1)
     req = SfcRequest(0, 3, (0, 1))
     for _ in range(200):
-        trace = rollout(params, cfg, t, req, HyperParams().reward_config(),
+        trace = rollout(params, cfg, t, req, RewardConfig(),
                         mode="epsilon_greedy", rng=rng, epsilon=0.5)
         if not trace.success:
             break
     else:
         raise AssertionError("never saw a failure")
-    assert reinforce_update(params, trace, HyperParams(), cfg) is params
+    hp = HyperParams()
+    returns = compute_returns(trace.rewards, hp.gamma)
+    assert reinforce_update(trace, returns, hp.alpha_rl) is params
 
 
 def test_update_raises_weighted_log_likelihood():
@@ -137,7 +135,7 @@ def test_update_raises_weighted_log_likelihood():
         return float(np.dot(returns, [s.log_prob for s in forced.steps]))
 
     before = weighted(params)
-    updated = reinforce_update(params, trace, hp, cfg)
+    updated = reinforce_update(trace, returns, hp.alpha_rl)
     assert updated is not params
     assert weighted(updated) > before
 
@@ -154,15 +152,15 @@ def test_cache_based_update_is_bit_identical_to_a_replayed_one():
         params = init_policy_params(cfg, seed=seed)
         rng = np.random.default_rng(seed)
         for req in generate_requests(t, 25, (1, 3), rng):
-            trace = rollout(params, cfg, t, req, hp.reward_config(),
+            trace = rollout(params, cfg, t, req, RewardConfig(lam=hp.lam),
                             mode="epsilon_greedy", rng=rng, epsilon=0.3)
             if not trace.success:
                 continue
             returns = compute_returns(trace.rewards, hp.gamma)
             actions = tuple(s.action for s in trace.steps)
             forced = teacher_force(params, cfg, t, req, actions)
-            grads = episode_gradients(params, cfg, forced, returns)
-            updated = reinforce_update(params, trace, hp, cfg)
+            grads = episode_gradients(forced, returns)
+            updated = reinforce_update(trace, returns, hp.alpha_rl)
             for name, value in params.items():
                 expected = value + 1.0 * hp.alpha_rl * grads[name]
                 assert updated[name].tobytes() == expected.tobytes(), name
@@ -170,28 +168,19 @@ def test_cache_based_update_is_bit_identical_to_a_replayed_one():
     assert checked >= 15
 
 
-def test_cached_gradients_refuse_other_parameters():
-    t = tiny_topology()
-    cfg = tiny_cfg()
-    params = init_policy_params(cfg, seed=2)
-    trace = successful_trace(params, cfg, t)
-    other = params.copy()
-    with pytest.raises(ValueError, match="other parameters"):
-        episode_gradients(other, cfg, trace, np.ones(len(trace.steps)))
-
-
 def test_update_rejects_non_finite_gradients(monkeypatch, caplog):
     t = tiny_topology()
     cfg = tiny_cfg()
     params = init_policy_params(cfg, seed=2)
     trace = successful_trace(params, cfg, t)
+    hp = HyperParams()
 
     def explode(*args, **kwargs):
         raise NonFiniteGradientError("nan in enc.W_z")
 
     monkeypatch.setattr(training, "sgd_update", explode)
     with caplog.at_level("WARNING", logger="ggsfc.training"):
-        out = reinforce_update(params, trace, HyperParams(), cfg)
+        out = reinforce_update(trace, compute_returns(trace.rewards, hp.gamma), hp.alpha_rl)
     assert out is params
     assert "non-finite" in caplog.text
 
@@ -304,7 +293,7 @@ def test_train_sl_is_bit_identical_to_descending_the_loss():
         ex = dataset.examples[idx]
         trace = teacher_force(ref, cfg, t, ex.request, ex.actions)
         losses.append(-sum(s.log_prob for s in trace.steps))
-        g = episode_gradients(ref, cfg, trace, -np.ones(len(ex.actions)))
+        g = episode_gradients(trace, -np.ones(len(ex.actions)))
         ref = ParamSet._from_flat(ref._flat + (-hp.alpha_sl) * g._flat, ref._layout)
     assert len(dataset.examples) >= 15
     assert params._flat.tobytes() == ref._flat.tobytes()
