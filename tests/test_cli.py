@@ -350,6 +350,62 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# config.json: every run echoes its resolved settings, with {tmp} for tmp_path
+
+SL_ECHO = {"mode": "sl", "dataset": "{tmp}/ds.json", "holdout": "{tmp}/ds.json",
+           "topology": "fixture", "pool": None, "hidden_dim": 32, "t_prop": 5, "K": 5,
+           "alpha_sl": 0.001, "epochs": 1, "seed": 0, "stop_failure_ratio": None}
+RL_ECHO = {"mode": "rl", "init": "{tmp}/sl.ckpt", "from_scratch": False,
+           "topologies": "fixture", "lam": 0.0, "alpha_rl": 1e-05, "gamma": 0.999,
+           "epsilon": 0.01, "episodes": 2, "stop_success_rate": None, "seed": 0,
+           "hidden_dim": 32, "t_prop": 5, "K": 5}
+
+
+@pytest.mark.parametrize("argv, config, echo", [
+    ("train sl --fixture --dataset {tmp}/ds.json --holdout {tmp}/ds.json --epochs 1",
+     None, SL_ECHO),
+    ("train sl --pool {tmp}/cs1 --dataset {tmp}/pool_ds.json --epochs 1 --seed 3 "
+     "--alpha-sl 0.002 --stop-failure-ratio 0.5 --hidden-dim 16 --t-prop 2", None,
+     {**SL_ECHO, "dataset": "{tmp}/pool_ds.json", "holdout": None, "topology": None,
+      "pool": "{tmp}/cs1", "seed": 3, "alpha_sl": 0.002, "stop_failure_ratio": 0.5,
+      "hidden_dim": 16, "t_prop": 2}),
+    ("train rl --fixture --init {tmp}/sl.ckpt --episodes 2", None, RL_ECHO),
+    ("train rl --pool {tmp}/cs1 --from-scratch --config {tmp}/cfg.json --lambda 1",
+     {"episodes": "2", "gamma": None, "t_prop": None, "hidden_dim": "16", "epsilon": 0.5,
+      "stop_success_rate": "0.9", "alpha_rl": 0.01, "seed": 4},
+     {**RL_ECHO, "init": None, "from_scratch": True, "topologies": "{tmp}/cs1",
+      "lam": 1.0, "alpha_rl": 0.01, "epsilon": 0.5, "stop_success_rate": 0.9, "seed": 4,
+      "hidden_dim": 16}),
+    ("eval --fixture --checkpoint model={tmp}/sl.ckpt {tmp}/sl.ckpt --pool-cs1 {tmp}/cs1 "
+     "--pool-cs2 {tmp}/cs2 --requests 2 --seed 2 --chain-max 2 --oracle-row", None,
+     {"checkpoints": ["model={tmp}/sl.ckpt", "{tmp}/sl.ckpt"], "topology": "fixture",
+      "pool_cs1": "{tmp}/cs1", "pool_cs2": "{tmp}/cs2", "requests": 2, "seed": 2,
+      "chain_min": 1, "chain_max": 2, "oracle_row": True}),
+], ids=["train-sl-fixture-holdout", "train-sl-pool", "train-rl-init",
+        "train-rl-pool-config", "eval-oracle-row"])
+def test_config_json_echoes_the_resolved_settings(tmp_path, capsys, argv, config, echo):
+    tmp = str(tmp_path)
+    for strategy in ("cs1", "cs2"):
+        assert run("topo", "pool", "--fixture", "--strategy", strategy, "--count", "2",
+                   "--seed", "3", "--out", f"{tmp}/{strategy}") == 0
+    assert run("dataset", "--fixture", "--count", "4", "--seed", "1",
+               "--chain-max", "2", "--out", f"{tmp}/ds.json") == 0
+    assert run("dataset", "--pool", f"{tmp}/cs1", "--count", "4", "--seed", "1",
+               "--chain-max", "2", "--out", f"{tmp}/pool_ds.json") == 0
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, tmp_path / "sl.ckpt", seed=0,
+                training_stage="sl")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run(*argv.format(tmp=tmp).split(), "--out", str(out)) == 0
+    capsys.readouterr()
+    # byte for byte, so an int where a float was (or 0 for False) shows too
+    written = (out / "config.json").read_text().replace(tmp, "{tmp}")
+    assert written == json.dumps(echo, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # solve
 
 def test_solve_prints_path_and_delay(capsys):
