@@ -6,6 +6,11 @@ solving, and the full desk-scale experiment pipeline.  Every run is
 determined by its flags plus seed, and the output directory of every
 finished run gets the resolved configuration echoed into config.json.
 
+Each setting is declared once.  ``train sl``, ``train rl`` and ``eval`` list
+their value flags in one settings list per verb: its dests are the keys a
+``--config`` file may set and, with a few keys the verb derives, the keys of
+config.json.  ``exp table1`` has one flag per ``Table1Config`` field.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
 
@@ -112,30 +117,29 @@ def cmd_dataset(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-# Flags a --config file may supply, by train verb and argparse dest.  main()
-# installs the file's values as the verb's defaults and parses again, so the
-# precedence is: explicit flag > config file > library default.
-CONFIG_KEYS = {
-    "sl": frozenset({"dataset", "holdout", "epochs", "alpha_sl", "stop_failure_ratio",
-                     "hidden_dim", "t_prop", "seed", "out"}),
-    "rl": frozenset({"init", "lam", "episodes", "alpha_rl", "gamma", "epsilon",
-                     "stop_success_rate", "hidden_dim", "t_prop", "seed", "out"}),
-}
-
-
-def _load_config(path: str, verb: str) -> dict:
-    """A --config file's values, as strings for the flags' own types to parse;
-    a null value is left out, so its flag keeps the library default."""
+def _load_config(ns) -> dict:
+    """The values of a train verb's --config file, keyed by the dests of the
+    verb's settings, as strings for the flags' own types to parse; a null
+    value is left out, so its flag keeps the library default.  main()
+    installs them as the verb's defaults and parses again, so the precedence
+    is: explicit flag > config file > library default."""
+    path = ns.config
     try:
         config = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(config) - CONFIG_KEYS[verb]
+    unknown = set(config) - ns.settings
     if unknown:
-        raise ValueError(f"unknown config keys for train {verb}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys for train {ns.subcommand}: {sorted(unknown)}")
     return {key: str(value) for key, value in config.items() if value is not None}
+
+
+def _config_echo(args, **derived) -> dict:
+    """A run's config.json: its verb's settings as resolved, but --out, plus
+    the keys the verb derived from them."""
+    return {**{dest: getattr(args, dest) for dest in args.settings - {"out"}}, **derived}
 
 
 def cmd_train_sl(args) -> int:
@@ -159,13 +163,9 @@ def cmd_train_sl(args) -> int:
         progress=lambda row: print(training.format_history_row("epoch", row)),
     )
     out = Path(args.out)
-    experiment.write_config_echo(out, {
-        "mode": "sl", "dataset": str(args.dataset), "holdout": args.holdout,
-        "topology": None if args.pool else _topology_desc(args), "pool": args.pool,
-        "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop, "K": cfg.vnf_type_count,
-        "alpha_sl": hp.alpha_sl, "epochs": hp.sl_epochs, "seed": hp.seed,
-        "stop_failure_ratio": args.stop_failure_ratio,
-    })
+    experiment.write_config_echo(out, _config_echo(
+        args, mode="sl", K=cfg.vnf_type_count, pool=args.pool,
+        topology=None if args.pool else _topology_desc(args)))
     save_policy(params, cfg, out / "sl.ckpt", seed=hp.seed, training_stage="sl")
     training.save_history(history, out / "history.csv", index_name="epoch")
     print(f"wrote {out / 'sl.ckpt'} and history.csv ({len(history)} epochs)")
@@ -176,7 +176,6 @@ def cmd_train_rl(args) -> int:
     if not args.out:
         raise ValueError("rl training needs --out (flag or config)")
     topos, base = _load_training_topologies(args)
-    topo_desc = str(args.pool) if args.pool else _topology_desc(args)
 
     # the architecture flags asked for explicitly (by flag or config)
     arch = {k: v for k, v in (("hidden_dim", args.hidden_dim), ("t_prop", args.t_prop))
@@ -207,14 +206,10 @@ def cmd_train_rl(args) -> int:
         stop_success_rate=args.stop_success_rate, progress=progress,
     )
     out = Path(args.out)
-    experiment.write_config_echo(out, {
-        "mode": "rl", "init": args.init, "from_scratch": args.from_scratch,
-        "topologies": topo_desc, "lam": hp.lam, "alpha_rl": hp.alpha_rl,
-        "gamma": hp.gamma, "epsilon": hp.epsilon, "episodes": hp.episodes,
-        "stop_success_rate": args.stop_success_rate,
-        "seed": hp.seed, "hidden_dim": cfg.hidden_dim, "t_prop": cfg.t_prop,
-        "K": cfg.vnf_type_count,
-    })
+    experiment.write_config_echo(out, _config_echo(
+        args, mode="rl", K=cfg.vnf_type_count, from_scratch=args.from_scratch,
+        topologies=args.pool or _topology_desc(args),
+        hidden_dim=cfg.hidden_dim, t_prop=cfg.t_prop))
     save_policy(params, cfg, out / "rl.ckpt", seed=hp.seed, training_stage="rl")
     training.save_history(history, out / "history.csv", index_name="episode")
     print(f"wrote {out / 'rl.ckpt'} and history.csv ({len(history)} episodes)")
@@ -238,7 +233,7 @@ def cmd_eval(args) -> int:
         "cs2": topology.load_pool(args.pool_cs2),
     }
     checkpoints = []
-    for spec in args.checkpoint:
+    for spec in args.checkpoints:
         label, path = _parse_checkpoint_arg(spec)
         params, cfg, _ = load_policy(path)
         checkpoints.append((label, params, cfg))
@@ -249,14 +244,7 @@ def cmd_eval(args) -> int:
         chain_len_range=(args.chain_min, args.chain_max), actors=actors,
     )
     out = Path(args.out)
-    experiment.write_config_echo(out, {
-        "checkpoints": list(args.checkpoint),
-        "topology": _topology_desc(args),
-        "pool_cs1": str(args.pool_cs1), "pool_cs2": str(args.pool_cs2),
-        "requests": args.requests, "seed": args.seed,
-        "chain_min": args.chain_min, "chain_max": args.chain_max,
-        "oracle_row": args.oracle_row,
-    })
+    experiment.write_config_echo(out, _config_echo(args, topology=_topology_desc(args)))
     evaluation.save_report(report, out)
     print(evaluation.format_report(report), end="")
     print(f"wrote {out / 'report.csv'} and report.txt")
@@ -317,10 +305,14 @@ def _add_topology_source(p: argparse.ArgumentParser, with_pool: bool = False) ->
         g.add_argument("--pool", help="path to a pool directory")
 
 
-def _add_chain_range(p: argparse.ArgumentParser) -> None:
+def _add_chain_range(p: argparse.ArgumentParser) -> list[argparse.Action]:
     lo, hi = environment.DEFAULT_CHAIN_LEN_RANGE
-    p.add_argument("--chain-min", type=int, default=lo, help="shortest chain (default %(default)s)")
-    p.add_argument("--chain-max", type=int, default=hi, help="longest chain (default %(default)s)")
+    return [
+        p.add_argument("--chain-min", type=int, default=lo,
+                       help="shortest chain (default %(default)s)"),
+        p.add_argument("--chain-max", type=int, default=hi,
+                       help="longest chain (default %(default)s)"),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,50 +362,59 @@ def build_parser() -> argparse.ArgumentParser:
     p = train_sub.add_parser("sl", help="teacher-forced training on labels")
     _add_topology_source(p, with_pool=True)
     p.add_argument("--config", help=config_help)
-    p.add_argument("--dataset")
-    p.add_argument("--holdout", help="labeled dataset for per-epoch greedy evaluation")
-    p.add_argument("--epochs", type=int, default=hp.sl_epochs, help=dflt)
-    p.add_argument("--alpha-sl", type=float, default=hp.alpha_sl, help=dflt)
-    p.add_argument("--stop-failure-ratio", type=float)
-    p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim, help=dflt)
-    p.add_argument("--t-prop", type=int, default=pc.t_prop, help=dflt)
-    p.add_argument("--seed", type=int, default=hp.seed, help=dflt)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_train_sl, config_parser=p)
+    settings = [
+        p.add_argument("--dataset"),
+        p.add_argument("--holdout", help="labeled dataset for per-epoch greedy evaluation"),
+        p.add_argument("--epochs", type=int, default=hp.sl_epochs, help=dflt),
+        p.add_argument("--alpha-sl", type=float, default=hp.alpha_sl, help=dflt),
+        p.add_argument("--stop-failure-ratio", type=float),
+        p.add_argument("--hidden-dim", type=int, default=pc.hidden_dim, help=dflt),
+        p.add_argument("--t-prop", type=int, default=pc.t_prop, help=dflt),
+        p.add_argument("--seed", type=int, default=hp.seed, help=dflt),
+        p.add_argument("--out"),
+    ]
+    p.set_defaults(func=cmd_train_sl, config_parser=p,
+                   settings=frozenset(a.dest for a in settings))
 
     p = train_sub.add_parser("rl", help="REINFORCE fine-tuning")
     _add_topology_source(p, with_pool=True)
     p.add_argument("--config", help=config_help)
-    p.add_argument("--init", help="checkpoint to start from (the SL model)")
+    init = p.add_argument("--init", help="checkpoint to start from (the SL model)")
     p.add_argument("--from-scratch", action="store_true")
-    p.add_argument("--lambda", "--lam", dest="lam", type=float, default=hp.lam,
-                   help="delay-penalty weight in the reward (default %(default)s)")
-    p.add_argument("--episodes", type=int, default=hp.episodes, help=dflt)
-    p.add_argument("--alpha-rl", type=float, default=hp.alpha_rl, help=dflt)
-    p.add_argument("--gamma", type=float, default=hp.gamma, help=dflt)
-    p.add_argument("--epsilon", type=float, default=hp.epsilon, help=dflt)
-    p.add_argument("--stop-success-rate", type=float,
-                   help="end training once the rolling success rate reaches this")
     arch_help = "default: the --init checkpoint's, else %s"
-    p.add_argument("--hidden-dim", type=int, help=arch_help % pc.hidden_dim)
-    p.add_argument("--t-prop", type=int, help=arch_help % pc.t_prop)
-    p.add_argument("--seed", type=int, default=hp.seed, help=dflt)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_train_rl, config_parser=p)
+    settings = [
+        init,
+        p.add_argument("--lambda", "--lam", dest="lam", type=float, default=hp.lam,
+                       help="delay-penalty weight in the reward (default %(default)s)"),
+        p.add_argument("--episodes", type=int, default=hp.episodes, help=dflt),
+        p.add_argument("--alpha-rl", type=float, default=hp.alpha_rl, help=dflt),
+        p.add_argument("--gamma", type=float, default=hp.gamma, help=dflt),
+        p.add_argument("--epsilon", type=float, default=hp.epsilon, help=dflt),
+        p.add_argument("--stop-success-rate", type=float,
+                       help="end training once the rolling success rate reaches this"),
+        p.add_argument("--hidden-dim", type=int, help=arch_help % pc.hidden_dim),
+        p.add_argument("--t-prop", type=int, help=arch_help % pc.t_prop),
+        p.add_argument("--seed", type=int, default=hp.seed, help=dflt),
+        p.add_argument("--out"),
+    ]
+    p.set_defaults(func=cmd_train_rl, config_parser=p,
+                   settings=frozenset(a.dest for a in settings))
 
     p = sub.add_parser("eval", help="three-test evaluation of checkpoints")
     _add_topology_source(p)
-    p.add_argument("--checkpoint", nargs="+", required=True,
-                   help="checkpoint paths, optionally LABEL=PATH")
-    p.add_argument("--pool-cs1", required=True, help="structural-mutation test pool")
-    p.add_argument("--pool-cs2", required=True, help="relocation test pool")
-    p.add_argument("--requests", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_chain_range(p)
-    p.add_argument("--oracle-row", action="store_true",
-                   help="add a reference row evaluating the exact solver")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
+    settings = [
+        p.add_argument("--checkpoint", dest="checkpoints", metavar="CHECKPOINT", nargs="+",
+                       required=True, help="checkpoint paths, optionally LABEL=PATH"),
+        p.add_argument("--pool-cs1", required=True, help="structural-mutation test pool"),
+        p.add_argument("--pool-cs2", required=True, help="relocation test pool"),
+        p.add_argument("--requests", type=int, default=1000),
+        p.add_argument("--seed", type=int, default=0),
+        *_add_chain_range(p),
+        p.add_argument("--oracle-row", action="store_true",
+                       help="add a reference row evaluating the exact solver"),
+        p.add_argument("--out", required=True),
+    ]
+    p.set_defaults(func=cmd_eval, settings=frozenset(a.dest for a in settings))
 
     p = sub.add_parser("solve", help="print the optimal path for one request")
     _add_topology_source(p)
@@ -428,30 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
         "table1",
         help="fixture -> pools -> dataset -> SL -> 6 RL variants -> report",
     )
-    t1 = experiment.Table1Config()
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=t1.seed, help=dflt)
-    p.add_argument("--pool-size", type=int, default=t1.pool_size, help=dflt)
-    p.add_argument("--dataset-size", type=int, default=t1.dataset_size, help=dflt)
-    p.add_argument("--holdout-size", type=int, default=t1.holdout_size, help=dflt)
-    p.add_argument("--sl-epochs", type=int, default=t1.sl_epochs, help=dflt)
-    p.add_argument("--episodes", type=int, default=t1.episodes,
-                   help="episode cap for the fixture-trained rows (default %(default)s)")
-    p.add_argument("--episodes-pool", type=int, default=t1.episodes_pool,
-                   help="episodes for the pool-trained rows (default %(default)s)")
-    p.add_argument("--requests", type=int, default=t1.requests, help=dflt)
-    p.add_argument("--hidden-dim", type=int, default=t1.hidden_dim, help=dflt)
-    p.add_argument("--t-prop", type=int, default=t1.t_prop, help=dflt)
-    p.add_argument("--alpha-sl", type=float, default=t1.alpha_sl, help=dflt)
-    p.add_argument("--alpha-rl", type=float, default=t1.alpha_rl, help=dflt)
-    p.add_argument("--alpha-rl-pool", type=float, default=t1.alpha_rl_pool,
-                   help="learning rate for the pool-trained rows (default %(default)s)")
-    p.add_argument("--stop-failure-ratio", type=float, default=t1.stop_failure_ratio, help=dflt)
-    p.add_argument("--stop-success-rate", type=float, default=t1.stop_success_rate,
-                   help="early stop for the fixture-trained rows (default %(default)s)")
-    p.add_argument("--rl-seeds", default=",".join(map(str, t1.rl_seeds)),
-                   help="six seed offsets, one per RL row; the defaults are tuned "
-                        "so the desk-scale run converges at --seed 0 (default %(default)s)")
+    for f in fields(experiment.Table1Config):
+        default = f.default
+        if isinstance(default, tuple):  # rl_seeds, split by _table1_config
+            default = ",".join(map(str, default))
+        about = f.metadata.get("help")
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default,
+                       help=f"{about} (default %(default)s)" if about else dflt)
     p.set_defaults(func=cmd_exp_table1)
 
     return parser
@@ -464,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         if getattr(ns, "config", None):
-            ns.config_parser.set_defaults(**_load_config(ns.config, ns.subcommand))
+            ns.config_parser.set_defaults(**_load_config(ns))
             ns = parser.parse_args(argv)
         return ns.func(ns)
     except (TopologyError, ValueError, OSError, KeyError) as exc:

@@ -5,7 +5,7 @@ pool and a cs2 pool), then the three-test evaluation of all seven checkpoints.""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -42,24 +42,31 @@ def write_config_echo(directory: Path, config: dict) -> None:
 @dataclass(frozen=True)
 class Table1Config:
     """Settings of one table1 run, checked when built, before anything is
-    written; ``ggsfc exp table1 --help`` explains each field."""
+    written.  ``ggsfc exp table1`` has one flag per field, named after it,
+    whose help is the field's ``help`` metadata."""
 
     seed: int = 0
     pool_size: int = topology.DEFAULT_POOL_SIZE
     dataset_size: int = 2000
     holdout_size: int = 500
     sl_epochs: int = 10
-    episodes: int = training.HyperParams.episodes
-    episodes_pool: int = 8000
+    episodes: int = field(default=training.HyperParams.episodes, metadata={
+        "help": "episode cap for the fixture-trained rows"})
+    episodes_pool: int = field(default=8000, metadata={
+        "help": "episodes for the pool-trained rows"})
     requests: int = 1000
     hidden_dim: int = PolicyConfig.hidden_dim
     t_prop: int = PolicyConfig.t_prop
     alpha_sl: float = training.HyperParams.alpha_sl
     alpha_rl: float = training.HyperParams.alpha_rl
-    alpha_rl_pool: float = 0.000001
+    alpha_rl_pool: float = field(default=0.000001, metadata={
+        "help": "learning rate for the pool-trained rows"})
     stop_failure_ratio: float = 0.01
-    stop_success_rate: float = 0.95
-    rl_seeds: tuple[int, ...] = (10, 0, 2, 2, 4, 4)
+    stop_success_rate: float = field(default=0.95, metadata={
+        "help": "early stop for the fixture-trained rows"})
+    rl_seeds: tuple[int, ...] = field(default=(10, 0, 2, 2, 4, 4), metadata={
+        "help": "six seed offsets, one per RL row; the defaults are tuned so the "
+                "desk-scale run converges at --seed 0"})
 
     def __post_init__(self) -> None:
         least_sizes = {"requests": 1, "pool_size": 1, "dataset_size": 1, "holdout_size": 0}

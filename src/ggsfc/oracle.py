@@ -393,11 +393,12 @@ def load_dataset(text: str) -> LabeledDataset:
             )
             for rec in doc["examples"]
         )
-        return LabeledDataset(
-            examples=examples,
-            dropped_infeasible=json_int(doc["dropped_infeasible"]),
-            dropped_over_budget=json_int(doc["dropped_over_budget"]),
-        )
+        dropped = {key: json_int(doc[key])
+                   for key in ("dropped_infeasible", "dropped_over_budget")}
+        for key, count in dropped.items():
+            if count < 0:
+                raise ValueError(f"{key} {count} is negative")
+        return LabeledDataset(examples=examples, **dropped)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed dataset document: {exc}") from exc
 

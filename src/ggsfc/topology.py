@@ -468,6 +468,8 @@ def load_pool(dirpath: str | Path) -> TopologyPool:
         base_file = d / manifest["base_file"]
         variant_files = [d / name for name in manifest["variant_files"]]
         strategy, seed = manifest["strategy"], json_int(manifest["seed"])
+        if not isinstance(strategy, str) or strategy not in STRATEGIES:
+            raise ValueError(f"strategy {strategy!r}; expected {' or '.join(STRATEGIES)}")
         base_sha256 = manifest["base_sha256"]
         pool_size = json_int(manifest["pool_size"])
         if not variant_files:

@@ -1,12 +1,13 @@
 """End-to-end command-line behavior with desk-drawer sized runs."""
 
 import json
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from ggsfc.cli import _table1_config, build_parser, main
 from ggsfc.experiment import Table1Config, run_table1
@@ -328,16 +329,41 @@ def test_a_config_that_is_not_an_object_is_rejected(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("verb, key", [("sl", "episodes"), ("sl", "init"),
-                                       ("rl", "dataset")])
+                                       ("rl", "dataset"), ("rl", "from_scratch"),
+                                       ("sl", "fixture"), ("rl", "config")])
 def test_config_keys_are_checked_against_the_verb(tmp_path, capsys, verb, key):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({key: "x"}))
     out = tmp_path / "out"
     rc = run("train", verb, "--fixture", "--config", str(config), "--out", str(out))
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
+    assert capsys.readouterr().err == f"error: unknown config keys for train {verb}: [{key!r}]\n"
     assert not out.exists()
+
+
+# the value flags of each train verb, by dest: the keys its --config may set
+TRAIN_CONFIG_KEYS = {
+    "sl": {"dataset", "holdout", "epochs", "alpha_sl", "stop_failure_ratio",
+           "hidden_dim", "t_prop", "seed", "out"},
+    "rl": {"init", "lam", "episodes", "alpha_rl", "gamma", "epsilon",
+           "stop_success_rate", "hidden_dim", "t_prop", "seed", "out"},
+}
+
+
+@pytest.mark.parametrize("verb", ["sl", "rl"])
+def test_a_train_config_may_set_exactly_the_verbs_value_flags(tmp_path, capsys, verb):
+    config = tmp_path / "c.json"
+    # null values keep the defaults, so the run gets past the config and stops
+    # at its first missing setting
+    config.write_text(json.dumps(dict.fromkeys(TRAIN_CONFIG_KEYS[verb])))
+    assert run("train", verb, "--fixture", "--config", str(config)) == 1
+    assert capsys.readouterr().err.startswith(f"error: {verb} training needs ")
+    dests = vars(build_parser().parse_args(["train", verb, "--fixture"]))
+    for key in set(dests) - TRAIN_CONFIG_KEYS[verb]:
+        config.write_text(json.dumps({key: None}))
+        assert run("train", verb, "--fixture", "--config", str(config)) == 1
+        assert capsys.readouterr().err == (f"error: unknown config keys for train {verb}: "
+                                           f"[{key!r}]\n")
 
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
@@ -582,6 +608,10 @@ def _example_with(**change):
     (DATASET_TRAIN, "d.json", _example_with(topology_id=0.7)),
     (DATASET_TRAIN, "d.json",
      _example_with(request={**LABELED_DOC["examples"][0]["request"], "chain": [1.5]})),
+    (EVAL_POOL, "bad_pool/manifest.json", lambda m: {**m, "strategy": "cs9"}),
+    (EVAL_POOL, "bad_pool/manifest.json", lambda m: {**m, "strategy": ["cs1"]}),
+    (DATASET_TRAIN, "d.json", {**LABELED_DOC, "dropped_infeasible": -3}),
+    (DATASET_TRAIN, "d.json", {**LABELED_DOC, "dropped_over_budget": -1}),
 ], ids=["dataset-examples", "dataset-list", "train-checkpoint", "eval-checkpoint",
         "checkpoint-metadata", "train-pool", "eval-pool", "train-pool-empty",
         "eval-pool-empty", "dataset-pool-empty", "eval-pool-size", "eval-checkpoint-text",
@@ -592,7 +622,9 @@ def _example_with(**change):
         "checkpoint-t-prop-disagrees", "checkpoint-scorer-variant", "dataset-flag-string",
         "checkpoint-hidden-dim-float", "checkpoint-t-prop-float", "topology-edge-delay-float",
         "topology-proc-delay-float", "topology-nodes-string", "eval-pool-size-float",
-        "dataset-optimal-delay-float", "dataset-topology-id-float", "dataset-chain-float"])
+        "dataset-optimal-delay-float", "dataset-topology-id-float", "dataset-chain-float",
+        "pool-strategy-unknown", "pool-strategy-list", "dataset-dropped-negative",
+        "dataset-dropped-over-budget-negative"])
 def test_a_malformed_artifact_is_one_error_line(tmp_path, capsys, argv, bad_file, doc):
     pool, ckpt, out = tmp_path / "pool", tmp_path / "good.ckpt", tmp_path / "out"
     assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
@@ -667,6 +699,15 @@ def test_exp_table1_validates_rl_seeds(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_exp_table1_refuses_a_seed_that_is_not_an_integer(tmp_path, capsys):
+    # --rl-seeds is split by _table1_config, so this is an error, not a usage error
+    rc = run("exp", "table1", "--out", str(tmp_path / "x"), "--rl-seeds", "1,x", *TINY_EXP)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'x'" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_exp_table1_refuses_a_bad_architecture_before_writing(tmp_path, capsys):
     out = tmp_path / "x"
     rc = run("exp", "table1", "--out", str(out), "--hidden-dim", "4", *TINY_EXP)
@@ -708,6 +749,19 @@ def test_exp_table1_flag_defaults_are_the_config_defaults():
         ["exp", "table1", "--out", "x", *TINY_EXP])) == TINY_CONFIG
 
 
+@pytest.mark.parametrize("field", fields(Table1Config), ids=lambda f: f.name)
+def test_each_exp_table1_flag_sets_only_its_field(field):
+    if isinstance(field.default, tuple):
+        value = tuple(seed + 1 for seed in field.default)
+        text = ",".join(map(str, value))
+    else:
+        value = field.default + 1 if isinstance(field.default, int) else field.default / 2
+        text = str(value)
+    args = build_parser().parse_args(
+        ["exp", "table1", "--out", "x", "--" + field.name.replace("_", "-"), text])
+    assert _table1_config(args) == replace(Table1Config(), **{field.name: value})
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 
@@ -715,3 +769,19 @@ def test_no_arguments_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         run()
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["topo fixture", "topo mutate", "topo pool", "dataset",
+                                  "train sl", "train rl", "eval", "solve", "exp table1"])
+def test_every_verb_prints_its_help(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        run(*verb.split(), "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: ggsfc {verb} [-h]")
+
+
+def test_exp_table1_help_lists_one_flag_per_config_field(capsys):
+    with pytest.raises(SystemExit):
+        run("exp", "table1", "--help")
+    flags = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert flags == ["--out", *("--" + f.name.replace("_", "-") for f in fields(Table1Config))]
