@@ -251,19 +251,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_chain(text: str) -> tuple[int, ...]:
-    chain = []
+def _int_list(flag: str, text: str) -> tuple[int, ...]:
+    """A flag's comma-separated integers; an empty text has none."""
+    entries = []
     for entry in text.split(",") if text else ():
         try:
-            chain.append(int(entry))
+            entries.append(int(entry))
         except ValueError:
-            raise ValueError(f"--chain {text!r}: entry {entry!r} is not an integer") from None
-    return tuple(chain)
+            raise ValueError(f"{flag} {text!r}: entry {entry!r} is not an integer") from None
+    return tuple(entries)
 
 
 def cmd_solve(args) -> int:
     t = _load_base_topology(args)
-    req = environment.SfcRequest(args.source, args.destination, _parse_chain(args.chain))
+    req = environment.SfcRequest(args.source, args.destination, _int_list("--chain", args.chain))
     res = oracle.solve_optimal(t, req)
     if not res.feasible:
         print("infeasible")
@@ -282,7 +283,7 @@ def cmd_solve(args) -> int:
 
 def _table1_config(args) -> experiment.Table1Config:
     settings = {f.name: getattr(args, f.name) for f in fields(experiment.Table1Config)}
-    settings["rl_seeds"] = tuple(int(p) for p in args.rl_seeds.split(","))
+    settings["rl_seeds"] = _int_list("--rl-seeds", args.rl_seeds)
     return experiment.Table1Config(**settings)
 
 

@@ -11,7 +11,9 @@ The experiment harness runs each checkpoint through three tests: the
 original topology, a pool of structurally mutated topologies, and a pool
 mutated with relocated VNF instances.  Requests are generated once per test
 from the experiment seed, so every checkpoint answers the same questions
-and reruns are byte-identical.
+and reruns are byte-identical.  A checkpoint's greedy walks of all three
+tests advance in lockstep (``policy.greedy_walks``), each with the bits of
+its own rollout, so the report is the one per-request walks would give.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .environment import (
 )
 from .nn import ParamSet
 from .oracle import solve_optimal
-from .policy import PolicyConfig, rollout
+from .policy import PolicyConfig, greedy_walks
 from .topology import Topology, TopologyPool
 
 TEST_RANDOM = "random"
@@ -86,14 +88,40 @@ def deterioration_rate(fr_random: float, fr_original: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# actors
+# policies and actors
 
-def greedy_actor(params: ParamSet, cfg: PolicyConfig) -> Actor:
-    def act(t: Topology, req: SfcRequest) -> tuple[bool, int]:
-        trace = rollout(params, cfg, t, req, mode="greedy")
-        return trace.success, trace.total_delay
+def _outcome(success: bool, delay: int, oracle_delay: int) -> RequestOutcome:
+    return RequestOutcome(success=success, generated_delay=delay if success else None,
+                          oracle_delay=oracle_delay)
 
-    return act
+
+def evaluate_policy(
+    params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
+) -> TestOutcome:
+    """The greedy policy on each (topology, request) pair, measured as
+    evaluate_requests measures an actor: the requests the exact solver
+    cannot serve are excluded and counted.  The feasible ones are walked
+    together (``policy.greedy_walks``), each as its own rollout would."""
+    return _evaluate_tests(params, cfg, [pairs])[0]
+
+
+def _evaluate_tests(
+    params: ParamSet, cfg: PolicyConfig, tests: Sequence[Sequence[tuple[Topology, SfcRequest]]]
+) -> list[TestOutcome]:
+    """evaluate_policy of each test, with the feasible pairs of every test
+    walked in one lockstep, so a test's long failing walks share their
+    steps with the other tests' walks."""
+    feasible = [[(pair, res) for pair, res in ((p, solve_optimal(*p)) for p in pairs)
+                 if res.feasible] for pairs in tests]
+    walks = iter(greedy_walks(params, cfg, [pair for test in feasible for pair, _ in test]))
+    return [
+        TestOutcome(
+            outcomes=tuple(_outcome(w.path.success, w.path.total_delay, res.optimal_delay)
+                           for (_, res), w in zip(test, walks)),
+            infeasible=len(pairs) - len(test),
+        )
+        for pairs, test in zip(tests, feasible)
+    ]
 
 
 def oracle_actor() -> Actor:
@@ -124,14 +152,7 @@ def evaluate_requests(
         if not res.feasible:
             infeasible += 1
             continue
-        success, delay = actor(t, req)
-        outcomes.append(
-            RequestOutcome(
-                success=success,
-                generated_delay=delay if success else None,
-                oracle_delay=res.optimal_delay,
-            )
-        )
+        outcomes.append(_outcome(*actor(t, req), res.optimal_delay))
     return TestOutcome(outcomes=tuple(outcomes), infeasible=infeasible)
 
 
@@ -174,6 +195,19 @@ def _pool_pairs(
     return [(pool.variants[tid], req) for tid, req in pairs]
 
 
+def _row(label: str, outcomes: list[TestOutcome]) -> ReportRow:
+    """A report row from the outcomes of the three tests, in order."""
+    metrics = []
+    for outcome in outcomes:
+        try:
+            dr = delay_ratio(outcome.outcomes)
+        except ValueError:
+            dr = float("nan")
+        metrics.append(TestMetrics(failure_ratio=failure_ratio(outcome.outcomes),
+                                   delay_ratio=dr, infeasible=outcome.infeasible))
+    return ReportRow(label, *metrics)
+
+
 def run_experiment(
     checkpoints: Sequence[tuple[str, ParamSet, PolicyConfig]],
     fixture: Topology,
@@ -186,8 +220,10 @@ def run_experiment(
     """Evaluate checkpoints on the original topology and both mutation pools.
 
     pools maps 'cs1' to the structural-mutation pool (Random Topo. test) and
-    'cs2' to the relocation pool (Random Topo.+VNFs test).  Extra non-model
-    actors (like oracle_actor) may ride along for reference rows.
+    'cs2' to the relocation pool (Random Topo.+VNFs test).  Each checkpoint's
+    row is its evaluate_policy on each test.  Extra non-model actors (like
+    oracle_actor) may ride along for reference rows, each measured by
+    evaluate_requests.
     """
     if request_count < 1:
         raise ValueError(f"request count must be >= 1, got {request_count}")
@@ -199,28 +235,10 @@ def run_experiment(
     pairs2 = _pool_pairs(pools["cs1"], request_count, chain_len_range, rng)
     pairs3 = _pool_pairs(pools["cs2"], request_count, chain_len_range, rng)
 
-    all_actors: list[tuple[str, Actor]] = [
-        (label, greedy_actor(params, cfg)) for label, params, cfg in checkpoints
-    ]
-    all_actors.extend(actors)
-
-    rows = []
-    for label, actor in all_actors:
-        metrics = []
-        for pairs in (pairs1, pairs2, pairs3):
-            outcome = evaluate_requests(actor, pairs)
-            try:
-                dr = delay_ratio(outcome.outcomes)
-            except ValueError:
-                dr = float("nan")
-            metrics.append(
-                TestMetrics(
-                    failure_ratio=failure_ratio(outcome.outcomes),
-                    delay_ratio=dr,
-                    infeasible=outcome.infeasible,
-                )
-            )
-        rows.append(ReportRow(label, metrics[0], metrics[1], metrics[2]))
+    tests = (pairs1, pairs2, pairs3)
+    rows = [_row(label, _evaluate_tests(params, cfg, tests)) for label, params, cfg in checkpoints]
+    rows += [_row(label, [evaluate_requests(actor, pairs) for pairs in tests])
+             for label, actor in actors]
     return MetricsReport(rows=tuple(rows), request_count=request_count, seed=seed)
 
 

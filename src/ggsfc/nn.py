@@ -25,6 +25,14 @@ results:
   of a 42 -> 96 product differed on this build.  Parameter gradients of a stack are per-slice products
   (``swapaxes(x, -1, -2) @ da``, ``da.sum(axis=-2)``), which callers add one
   slice at a time in the order the unstacked code did.
+- The same holds for the other stacks a lockstep walk makes: each slice of
+  ``(L, n, H) @ v`` with a 1-D ``v`` is the 2-D ``(n, H) @ v`` product,
+  each slice of ``(T, n, n) @ (T, n, H)`` is the ``a @ h`` of its own
+  adjacency, and each row of a batched ``masked_softmax`` is the 1-D call.
+  Gather after the product, never before: ``(s @ w)[rows, nodes]`` keeps
+  the bits of each row's own product, while ``s[rows, nodes] @ w`` is one
+  ``(L, H) @ w`` product over other operands, and it changed the bits in
+  1239 of 2000 random trials on this build.
 - ``ParamSet`` and ``GradSet`` keep their tensors as views into one flat
   buffer, so ``sgd_update`` is one elementwise step and one finiteness
   check on each side; elementwise arithmetic gives the same bits whatever
@@ -275,15 +283,20 @@ def gru_cell_backward(
 # masked softmax
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Softmax over unmasked entries; masked entries get exactly 0."""
+    """Softmax over the unmasked entries of the last axis; masked entries
+    get exactly 0.  Each row of an (L, n) batch gets the bits of the 1-D
+    call on it: the max is exact, and each row's sum runs over that row
+    alone, in the same order."""
     mask = np.asarray(mask, dtype=bool)
     if logits.shape != mask.shape:
         raise ValueError(f"logits shape {logits.shape} vs mask shape {mask.shape}")
-    if not mask.any():
-        raise ValueError("masked_softmax requires at least one unmasked entry")
-    shifted = logits - logits[mask].max()
+    shifted = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
     e = np.where(mask, np.exp(shifted), 0.0)
-    return e / e.sum()
+    total = e.sum(axis=-1, keepdims=True)
+    # a row with an unmasked entry sums exp(0) = 1 at its max (or a NaN)
+    if not total.all():
+        raise ValueError("masked_softmax requires at least one unmasked entry")
+    return e / total
 
 
 def log_prob_grad(probs: np.ndarray, index: int) -> np.ndarray:

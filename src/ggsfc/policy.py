@@ -26,6 +26,15 @@ each step its own caches, and ``episode_gradients(trace, coeffs)`` is the
 backward over them alone: exact analytic backprop of sum_t c_t log pi(a_t)
 with respect to the trace's params.  Supervised learning ascends
 it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
+
+Evaluation needs no backward, so ``greedy_walks`` walks many requests
+greedily in lockstep instead: the segments of every request on graphs of
+one node count are encoded together, in stacks of at most ENCODE_STACK,
+and each decode step is one ``decode_step`` over the (L, ...) stack of the
+live episodes.  Each walk keeps the bits of its own ``rollout`` (see the
+``nn`` docstring for the stacking rules), while the environment steps, the
+masks and the log-probs stay per episode.  It keeps no caches, so it
+returns actions, log-probs and paths, not traces.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +62,9 @@ from .topology import Topology, adjacency_matrix, json_int
 
 SCORER_VARIANT = "additive-tanh"
 ROLLOUT_MODES = ("greedy", "epsilon_greedy")
+# the most encoder segments greedy_walks propagates as one stack: a fixed
+# cap on its per-round GRU arrays, and so on peak memory
+ENCODE_STACK = 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -137,23 +150,25 @@ def encode(
     a: np.ndarray,
     t_prop: int,
     gru: nn.GruWeights,
+    keep_caches: bool = True,
 ) -> tuple[np.ndarray, list]:
     """T_prop propagation rounds through the fused ``enc.`` GRU; returns
     final node embeddings and caches.
 
     annotations are one segment's (n, H) node states or an (S, n, H) stack
-    of segments on the same graph.
+    of segments on the same graph.  For a forward alone, a may be an
+    (S, n, n) stack, one adjacency per segment, and keep_caches False keeps
+    no round's cache past the round (the caches list is then empty).
     """
     n = annotations.shape[-2]
-    if a.shape != (n, n):
+    if a.shape[-2:] != (n, n):
         raise ValueError(f"adjacency shape {a.shape} does not match {n} annotations")
     h = annotations
     caches = []
     for _ in range(t_prop):
-        msg = a @ h
-        h_new, gru_cache = nn.gru_cell(msg, h, gru)
-        caches.append((a, gru_cache))
-        h = h_new
+        h, gru_cache = nn.gru_cell(a @ h, h, gru)
+        if keep_caches:
+            caches.append((a, gru_cache))
     return h, caches
 
 
@@ -226,6 +241,11 @@ def decode_step(
     encoder row of the current node.  The masks are kept, not copied.
     Returns the action distribution, the advanced hidden state, and a cache
     for the backward pass.
+
+    Every argument may carry a leading batch axis of L episodes: enc_scores
+    (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks (L, n).  Each row then
+    gets the bits of its own 1-D step (see the ``nn`` docstring).  enc_h is
+    read only by the backward, so a batched step, which has none, passes None.
     """
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
     s_pre = enc_scores + hidden @ params["score.W_hid"]
@@ -450,6 +470,107 @@ def rollout(
         return _greedy_action(dist)
 
     return _run_episode(params, cfg, t, req, reward_cfg, None, select)
+
+
+@dataclass(frozen=True)
+class GreedyWalk:
+    """A greedy walk as ``rollout`` records it, without the caches."""
+
+    actions: tuple[Action, ...]
+    log_probs: tuple[float, ...]
+    path: PathResult
+
+
+def greedy_walks(
+    params: ParamSet,
+    cfg: PolicyConfig,
+    pairs: Sequence[tuple[Topology, SfcRequest]],
+) -> list[GreedyWalk]:
+    """The greedy walk of every (topology, request) pair, advanced in
+    lockstep (see the module docstring); walk i equals
+    ``rollout(params, cfg, *pairs[i], mode="greedy")`` in its actions, the
+    bits of its log-probs, and its path.
+
+    Pairs are grouped by node count, not by topology, since a pool test
+    spreads its requests over many variants of one size.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (t, _) in enumerate(pairs):
+        groups.setdefault(t.num_nodes, []).append(i)
+    walks: list = [None] * len(pairs)
+    for members in groups.values():
+        for i, walk in zip(members, _lockstep(params, cfg, [pairs[i] for i in members])):
+            walks[i] = walk
+    return walks
+
+
+def _lockstep(
+    params: ParamSet,
+    cfg: PolicyConfig,
+    pairs: list[tuple[Topology, SfcRequest]],
+) -> list[GreedyWalk]:
+    """Greedy walks of pairs whose topologies share one node count."""
+    states = [reset(t, req) for t, req in pairs]  # validates each request first
+    enc_gru = nn.fuse_gru(params, "enc.")
+    dec_gru = nn.fuse_gru(params, "dec.")
+    topologies = [t for t, _ in pairs]
+    n = topologies[0].num_nodes
+    adjacency = [adjacency_matrix(t) for t in topologies]
+    # segment i of pair j is row first[j] + i of the per-segment arrays
+    segments: list[tuple[int, int]] = []
+    first = []
+    for j, (_, req) in enumerate(pairs):
+        first.append(len(segments))
+        segments.extend((j, i) for i in range(len(req.chain) + 1))
+    enc_h = np.empty((len(segments), n, cfg.hidden_dim))
+    for lo in range(0, len(segments), ENCODE_STACK):
+        stack = segments[lo : lo + ENCODE_STACK]
+        h0 = np.stack([annotate(*pairs[j], i, cfg) for j, i in stack])
+        a = np.stack([adjacency[j] for j, _ in stack])
+        enc_h[lo : lo + len(stack)], _ = encode(h0, a, cfg.t_prop, enc_gru, keep_caches=False)
+    enc_scores = enc_h @ params["score.W_emb"]
+    heads = np.stack([_decoder_head(pairs[j][1], i, cfg.vnf_type_count) for j, i in segments])
+
+    reward_cfg = RewardConfig()
+    masks: list[dict] = [{} for _ in pairs]  # per episode, by (current node, chain index)
+    actions: list[list[Action]] = [[] for _ in pairs]
+    log_probs: list[list[float]] = [[] for _ in pairs]
+    live = list(range(len(pairs)))
+    hidden = np.zeros((len(pairs), 1, cfg.hidden_dim))
+    while live:
+        seg, node, step_masks = [], [], []
+        for j in live:
+            s = states[j]
+            key = (s.current_node, s.chain_index)
+            if key not in masks[j]:
+                masks[j][key] = _masks(s, topologies[j])
+            step_masks.append(masks[j][key])
+            seg.append(first[j] + s.chain_index)
+            node.append(s.current_node)
+        move = np.stack([m[0] for m in step_masks])
+        proc = np.stack([m[1] for m in step_masks])
+        x = np.concatenate([heads[seg], enc_h[seg, node]], axis=1)[:, None, :]
+        dist, hidden, _ = decode_step(None, enc_scores[seg], hidden, x, move, proc,
+                                      params, dec_gru)
+
+        # _greedy_action of each row, its logit gathered after the product
+        rows = np.arange(len(live))
+        chosen = dist.node_probs.argmax(axis=1)
+        process = proc[rows, chosen] & (nn.sigmoid(dist.process_logits[rows, chosen]) >= 0.5)
+        kept = []
+        for r, (j, u, p) in enumerate(zip(live, chosen.tolist(), process.tolist())):
+            action = Action(u, p)
+            row = ActionDistribution(dist.node_probs[r], move[r], proc[r], dist.process_logits[r])
+            log_probs[j].append(action_log_prob(row, action))
+            actions[j].append(action)
+            states[j], _, done = env_step(states[j], action, topologies[j], reward_cfg)
+            if not done:
+                kept.append(r)
+        if len(kept) < len(live):
+            live = [live[r] for r in kept]
+            hidden = hidden[kept]
+    return [GreedyWalk(tuple(a), tuple(lp), s.path_so_far)
+            for a, lp, s in zip(actions, log_probs, states)]
 
 
 def teacher_force(

@@ -21,9 +21,8 @@ from ggsfc.experiment import Table1Config, run_table1
 from ggsfc.evaluation import (
     delay_ratio,
     deterioration_rate,
-    evaluate_requests,
+    evaluate_policy,
     failure_ratio,
-    greedy_actor,
 )
 from ggsfc.nn import GradSet, ParamSet
 from ggsfc.oracle import brute_force_optimal, label_dataset, solve_optimal
@@ -130,9 +129,8 @@ def _assert_sound(t):
 
 
 def _deterioration_on(pairs, params, cfg):
-    actor = greedy_actor(params, cfg)
-    fr_orig = failure_ratio(evaluate_requests(actor, pairs.fixture).outcomes)
-    fr_rand = failure_ratio(evaluate_requests(actor, pairs.pool).outcomes)
+    fr_orig = failure_ratio(evaluate_policy(params, cfg, pairs.fixture).outcomes)
+    fr_rand = failure_ratio(evaluate_policy(params, cfg, pairs.pool).outcomes)
     if fr_orig == 0.0:
         # a flawless original-topology run would make the ratio undefined;
         # score it as half a failure so the ordering stays comparable
@@ -400,8 +398,7 @@ def test_c08_delay_penalty_shortens_successful_paths(sl_run, fixture_topo,
                                   episodes=RL_EPISODE_LIMIT, seed=17)
         params, _ = training.train_rl(sl_run.params.copy(), fixture_topo, hp,
                                       sl_run.cfg, stop_success_rate=RL_TARGET)
-        outcome = evaluate_requests(greedy_actor(params, sl_run.cfg),
-                                    eval_pairs.fixture)
+        outcome = evaluate_policy(params, sl_run.cfg, eval_pairs.fixture)
         delays = [o.generated_delay for o in outcome.outcomes if o.success]
         by_lam[lam] = (float(np.mean(delays)), delay_ratio(outcome.outcomes),
                        failure_ratio(outcome.outcomes))

@@ -15,17 +15,21 @@ from ggsfc.evaluation import (
     TEST_RANDOM_VNFS,
     delay_ratio,
     deterioration_rate,
+    evaluate_policy,
     evaluate_requests,
     failure_ratio,
     format_report,
-    greedy_actor,
     oracle_actor,
     report_to_csv,
     run_experiment,
     save_report,
 )
+from ggsfc.oracle import label_dataset
 from ggsfc.policy import PolicyConfig, init_policy_params, rollout
 from ggsfc.topology import Topology, VnfInstance, generate_pool, internet2_fixture
+from ggsfc.training import HyperParams, train_sl
+
+from support import fixture_like_graph
 
 
 def tiny_topology(instances=None):
@@ -87,15 +91,30 @@ def test_deterioration_rate():
 
 
 # ---------------------------------------------------------------------------
-# actors
+# policies and actors
 
-def test_greedy_actor_matches_direct_rollout():
-    t = tiny_topology()
+def rollout_actor(params, cfg):
+    """The checkpoint as an actor that walks each request on its own."""
+    def act(t, req):
+        trace = rollout(params, cfg, t, req, mode="greedy")
+        return trace.success, trace.total_delay
+
+    return act
+
+
+def test_evaluate_policy_matches_per_request_rollouts():
     cfg = PolicyConfig(hidden_dim=8, vnf_type_count=2, t_prop=2)
-    params = init_policy_params(cfg, seed=0)
-    req = SfcRequest(0, 3, (0,))
-    trace = rollout(params, cfg, t, req, mode="greedy")
-    assert greedy_actor(params, cfg)(t, req) == (trace.success, trace.total_delay)
+    t = tiny_topology()
+    no_type_1 = tiny_topology(instances=(VnfInstance(1, 0, 7),))
+    pairs = [(t, SfcRequest(0, 3, (0,))), (no_type_1, SfcRequest(0, 3, (1,))),
+             (t, SfcRequest(3, 0, (0, 1))), (no_type_1, SfcRequest(2, 0, (0,))),
+             (t, SfcRequest(1, 2, ()))]
+    for seed in range(8):
+        params = init_policy_params(cfg, seed=seed)
+        got = evaluate_policy(params, cfg, pairs)
+        assert got == evaluate_requests(rollout_actor(params, cfg), pairs)
+        assert got.infeasible == 1 and len(got.outcomes) == 4
+    assert evaluate_policy(params, cfg, []) == evaluate_requests(rollout_actor(params, cfg), [])
 
 
 def test_oracle_actor_is_exact():
@@ -184,6 +203,30 @@ def test_run_experiment_shape_and_reference_row():
 def test_run_experiment_is_deterministic():
     # nan delay ratios defeat dataclass equality, so compare the rendering
     assert report_to_csv(small_experiment()) == report_to_csv(small_experiment())
+
+
+def test_checkpoint_rows_equal_per_request_rollout_actors_on_mixed_sizes():
+    """Pools of 9-node graphs (cs1 adds nodes) beside the 12-node fixture:
+    the lockstep rows give the report, CSV byte for byte, that the same
+    checkpoints give as actors walking one request at a time.  A briefly
+    trained checkpoint fails some requests and solves others; an untrained
+    one fails nearly all."""
+    fixture = internet2_fixture()
+    base = fixture_like_graph(9, 2, seed=5)
+    pools = {"cs1": generate_pool(base, "cs1", pool_size=6, seed=33),
+             "cs2": generate_pool(base, "cs2", pool_size=6, seed=34)}
+    assert {v.num_nodes for v in pools["cs1"].variants} - {9, fixture.num_nodes}
+    cfg = PolicyConfig()
+    labels = label_dataset(fixture, generate_requests(fixture, 40, (1, 3),
+                                                      np.random.default_rng(0)))
+    trained, _ = train_sl(init_policy_params(cfg, seed=0), cfg, fixture, labels,
+                          HyperParams(alpha_sl=0.03, sl_epochs=6, seed=0))
+    ckpts = [("sl", trained, cfg), ("init", init_policy_params(cfg, seed=3), cfg)]
+    kwargs = dict(request_count=15, seed=2, chain_len_range=(1, 3))
+    lockstep = run_experiment(ckpts, fixture, pools, **kwargs)
+    per_request = run_experiment([], fixture, pools, **kwargs, actors=[
+        (label, rollout_actor(params, cfg)) for label, params, cfg in ckpts])
+    assert report_to_csv(lockstep) == report_to_csv(per_request)
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,90 @@ def test_fused_gru_cell_is_bit_identical_to_per_gate_products(shape):
 
 
 # ---------------------------------------------------------------------------
+# the stacks of a lockstep walk: each slice keeps its unstacked bits
+
+def test_decoder_stack_rows_equal_the_1d_product():
+    """(L, 1, d) @ W, as the decoder's GRU and scorer take it for L live
+    episodes, gives each row the bytes of the 1-D x @ W of one episode."""
+    rng = np.random.default_rng(21)
+    for d_in, d_out in ((42, 96), (32, 64), (32, 32)):
+        for live in (1, 2, 7, 40):
+            x = rng.normal(size=(live, d_in))
+            w = rng.normal(size=(d_in, d_out))
+            stacked = x[:, None, :] @ w
+            for row in range(live):
+                assert stacked[row, 0].tobytes() == (x[row] @ w).tobytes()
+
+
+def test_scorer_stack_slices_equal_the_2d_product():
+    """(L, n, H) @ v and @ proc.w give each slice the bytes of (n, H) @ v."""
+    rng = np.random.default_rng(22)
+    for n in (2, 12, 15):
+        s = np.tanh(rng.normal(size=(9, n, 32)))
+        for v in (rng.normal(size=32), rng.uniform(-0.2, 0.2, size=32)):
+            stacked = s @ v
+            for row in range(len(s)):
+                assert stacked[row].tobytes() == (s[row] @ v).tobytes()
+
+
+def test_adjacency_stack_slices_equal_the_broadcast_product():
+    """(T, n, n) @ (T, n, H), one adjacency per segment, gives each slice the
+    bytes of the a @ h an episode takes over its own (S, n, H) stack."""
+    rng = np.random.default_rng(23)
+    for n in (3, 12, 14):
+        a = (rng.random((16, n, n)) < 0.3).astype(float)
+        h = rng.normal(size=(16, n, 32))
+        stacked = a @ h
+        for t in range(len(a)):
+            assert stacked[t].tobytes() == (a[t] @ h)[t].tobytes()
+
+
+def test_gathering_after_the_product_keeps_each_rows_bits():
+    """The chosen node's process logit is (s @ w)[rows, nodes]: each entry is
+    the one the episode's own (n, H) @ w gives.  Gathering first,
+    s[rows, nodes] @ w, is an (L, H) @ w product, which differs on this
+    build (see the module docstring), so the lockstep never takes it."""
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        live = int(rng.integers(1, 60))
+        s = np.tanh(rng.normal(size=(live, 12, 32)))
+        w = rng.uniform(-0.2, 0.2, size=32)
+        nodes = rng.integers(0, 12, size=live)
+        gathered = (s @ w)[np.arange(live), nodes]
+        own = np.array([(s[row] @ w)[nodes[row]] for row in range(live)])
+        assert gathered.tobytes() == own.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # masked softmax
+
+def _masked_softmax_1d(logits, mask):
+    """The 1-D formula every trained parameter was computed with."""
+    shifted = logits - logits[mask].max()
+    e = np.where(mask, np.exp(shifted), 0.0)
+    return e / e.sum()
+
+
+def test_batched_masked_softmax_rows_equal_the_1d_call():
+    """Each row of an (L, n) call has the bytes of the 1-D call on that row,
+    and the 1-D call keeps the bytes of the 1-D formula."""
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 7, 12, 15, 33):
+        for scale in (0.1, 3.0, 60.0):
+            logits = rng.normal(scale=scale, size=(40, n))
+            mask = rng.random((40, n)) < 0.5
+            mask[np.arange(40), rng.integers(0, n, size=40)] = True
+            batched = masked_softmax(logits, mask)
+            for row in range(40):
+                one = masked_softmax(logits[row], mask[row])
+                assert one.tobytes() == _masked_softmax_1d(logits[row], mask[row]).tobytes()
+                assert batched[row].tobytes() == one.tobytes()
+
+
+def test_batched_masked_softmax_rejects_a_row_with_nothing_unmasked():
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(ValueError, match="at least one unmasked"):
+        masked_softmax(np.zeros((2, 2)), mask)
 
 def test_masked_softmax_properties():
     logits = np.array([1.0, 2.0, 3.0, 4.0])

@@ -2,18 +2,27 @@
 
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsfc.environment import Action, RewardConfig, SfcRequest, generate_requests, reset
-from ggsfc import nn
+from ggsfc.environment import (
+    Action,
+    RewardConfig,
+    SfcRequest,
+    generate_requests,
+    reset,
+    total_delay,
+)
+from ggsfc import nn, policy
 from ggsfc.nn import GradSet, ParamSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
+    ENCODE_STACK,
     MAX_T_PROP,
     ActionDistribution,
     PolicyConfig,
@@ -26,6 +35,7 @@ from ggsfc.policy import (
     encode,
     encode_backward,
     episode_gradients,
+    greedy_walks,
     init_policy_params,
     load_policy,
     rollout,
@@ -39,7 +49,14 @@ from ggsfc.topology import (
     generate_pool,
     internet2_fixture,
 )
-from support import FUZZ, deploy_vnfs, finite_diff_check, leaf_paths, one_leaf_replaced
+from support import (
+    FUZZ,
+    deploy_vnfs,
+    finite_diff_check,
+    fixture_like_graph,
+    leaf_paths,
+    one_leaf_replaced,
+)
 
 E2E_TOL = 1e-5
 
@@ -513,6 +530,91 @@ def test_greedy_caches_give_the_teacher_forced_gradients_bit_for_bit():
                     assert forced_grads[name].tobytes() == value.tobytes(), name
                 unreached += trace.steps[-1].segment < len(req.chain)
     assert unreached > 5
+
+
+# ---------------------------------------------------------------------------
+# lockstep greedy walks
+
+@st.composite
+def mixed_size_pairs(draw):
+    """Requests on random connected graphs of two node counts, in a drawn
+    order, with chains of 0-4 entries: 17 requests on graphs of the first
+    count, so that its segments cross an encoder stack boundary, and 1-8 on
+    the second."""
+    sizes = draw(st.lists(st.integers(3, 14), min_size=2, max_size=2, unique=True))
+    pairs = []
+    for n, count in zip(sizes, (ENCODE_STACK + 1, draw(st.integers(1, 8)))):
+        graphs = [fixture_like_graph(n, draw(st.integers(1, 2)), draw(st.integers(0, 2**16)))
+                  for _ in range(draw(st.integers(1, 3)))]
+        node = st.integers(0, n - 1)
+        for _ in range(count):
+            chain = draw(st.lists(st.integers(0, 4), max_size=4))
+            pairs.append((draw(st.sampled_from(graphs)),
+                          SfcRequest(draw(node), draw(node), tuple(chain))))
+    return draw(st.permutations(pairs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(mixed_size_pairs(), st.integers(0, 2**16))
+def test_greedy_walks_equal_per_request_rollouts(pairs, seed):
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=seed)
+    walks = greedy_walks(params, cfg, pairs)
+    assert len(walks) == len(pairs)
+    for (t, req), walk in zip(pairs, walks):
+        trace = rollout(params, cfg, t, req, mode="greedy")
+        assert walk.actions == tuple(s.action for s in trace.steps)
+        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
+        assert walk.path == trace.path
+        assert walk.path.total_delay == trace.total_delay == total_delay(walk.path, t)
+
+
+def test_greedy_walks_of_no_pairs_are_none():
+    cfg = tiny_cfg()
+    assert greedy_walks(init_policy_params(cfg), cfg, []) == []
+
+
+@pytest.mark.parametrize("req", [SfcRequest(-1, 3, (0,)), SfcRequest(0, 12, ()),
+                                 SfcRequest(0, 3, (0, 5))])
+def test_greedy_walks_refuse_a_request_as_rollout_does(req):
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg)
+    with pytest.raises(ValueError) as want:
+        rollout(params, cfg, t, req)
+    good = SfcRequest(0, 3, (0,))
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        greedy_walks(params, cfg, [(t, good), (t, req)])
+
+
+def test_greedy_walks_decide_processing_from_the_batched_logits(monkeypatch):
+    """Each process decision reads the chosen node's entry of the step's
+    (L, n) process logits, gathered after the (L, n, H) @ proc.w product,
+    never a product of gathered rows (see the ``nn`` docstring)."""
+    events = []
+    real_decode_step, real_sigmoid = policy.decode_step, nn.sigmoid
+
+    def decode_step(*args):
+        out = real_decode_step(*args)
+        events.append(out[0])
+        return out
+
+    def sigmoid(x):
+        events.append(np.array(x))
+        return real_sigmoid(x)
+
+    monkeypatch.setattr(policy, "decode_step", decode_step)
+    monkeypatch.setattr(nn, "sigmoid", sigmoid)
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    pairs = [(t, req) for req in generate_requests(t, 12, (1, 4), np.random.default_rng(3))]
+    greedy_walks(init_policy_params(cfg, seed=1), cfg, pairs)
+    steps = [i for i, e in enumerate(events) if isinstance(e, ActionDistribution)]
+    assert len(steps) >= 3 * t.num_nodes  # an untrained walk uses its whole budget
+    for i in steps:
+        dist, logits = events[i], events[i + 1]
+        chosen = dist.node_probs.argmax(axis=1)
+        assert logits.tobytes() == dist.process_logits[np.arange(len(chosen)), chosen].tobytes()
 
 
 # ---------------------------------------------------------------------------
