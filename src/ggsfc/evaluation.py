@@ -12,8 +12,9 @@ original topology, a pool of structurally mutated topologies, and a pool
 mutated with relocated VNF instances.  Requests are generated once per test
 from the experiment seed, so every checkpoint answers the same questions
 and reruns are byte-identical.  A checkpoint's greedy walks of all three
-tests advance in lockstep (``policy.greedy_walks``), each with the bits of
-its own rollout, so the report is the one per-request walks would give.
+tests advance in one ``policy.Lockstep``, and each request's walk is its
+``rollout`` taken from it, with the bits of its own rollout, so the report
+is the one per-request walks would give.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .environment import (
 )
 from .nn import ParamSet
 from .oracle import solve_optimal
-from .policy import PolicyConfig, greedy_walks
+from .policy import Lockstep, PolicyConfig, rollout
 from .topology import Topology, TopologyPool
 
 TEST_RANDOM = "random"
@@ -101,7 +102,7 @@ def evaluate_policy(
     """The greedy policy on each (topology, request) pair, measured as
     evaluate_requests measures an actor: the requests the exact solver
     cannot serve are excluded and counted.  The feasible ones are walked
-    together (``policy.greedy_walks``), each as its own rollout would."""
+    together (``policy.Lockstep``), each as its own rollout would."""
     return _evaluate_tests(params, cfg, [pairs])[0]
 
 
@@ -113,15 +114,15 @@ def _evaluate_tests(
     steps with the other tests' walks."""
     feasible = [[(pair, res) for pair, res in ((p, solve_optimal(*p)) for p in pairs)
                  if res.feasible] for pairs in tests]
-    walks = iter(greedy_walks(params, cfg, [pair for test in feasible for pair, _ in test]))
-    return [
-        TestOutcome(
-            outcomes=tuple(_outcome(w.path.success, w.path.total_delay, res.optimal_delay)
-                           for (_, res), w in zip(test, walks)),
-            infeasible=len(pairs) - len(test),
-        )
-        for pairs, test in zip(tests, feasible)
-    ]
+    lockstep = Lockstep(params, cfg, [pair for test in feasible for pair, _ in test])
+
+    def outcome(pair, res) -> RequestOutcome:
+        path = rollout(params, cfg, *pair, lockstep=lockstep).path
+        return _outcome(path.success, path.total_delay, res.optimal_delay)
+
+    return [TestOutcome(outcomes=tuple(outcome(pair, res) for pair, res in test),
+                        infeasible=len(pairs) - len(test))
+            for pairs, test in zip(tests, feasible)]
 
 
 def oracle_actor() -> Actor:

@@ -27,14 +27,16 @@ backward over them alone: exact analytic backprop of sum_t c_t log pi(a_t)
 with respect to the trace's params.  Supervised learning ascends
 it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 
-Evaluation needs no backward, so ``greedy_walks`` walks many requests
-greedily in lockstep instead: the segments of every request on graphs of
-one node count are encoded together, in stacks of at most ENCODE_STACK,
-and each decode step is one ``decode_step`` over the (L, ...) stack of the
+Evaluation needs no backward, so a ``Lockstep`` walks many requests
+greedily together instead: the segments of every request on graphs of one
+node count are encoded together, in stacks of at most ENCODE_STACK, and
+each decode step is one ``decode_step`` over the (L, ...) stack of the
 live episodes.  Each walk keeps the bits of its own ``rollout`` (see the
 ``nn`` docstring for the stacking rules), while the environment steps, the
 masks and the log-probs stay per episode.  It keeps no caches, so it
-returns actions, log-probs and paths, not traces.
+returns actions, log-probs and paths, not traces.  ``rollout(...,
+lockstep=)`` takes one request's walk from a lockstep, and ``greedy_walks``
+takes every walk of one.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .topology import Topology, adjacency_matrix, json_int
 
 SCORER_VARIANT = "additive-tanh"
 ROLLOUT_MODES = ("greedy", "epsilon_greedy")
-# the most encoder segments greedy_walks propagates as one stack: a fixed
+# the most encoder segments a Lockstep propagates as one stack: a fixed
 # cap on its per-round GRU arrays, and so on peak memory
 ENCODE_STACK = 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
@@ -448,16 +450,26 @@ def rollout(
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
     epsilon: float = 0.01,
-) -> EpisodeTrace:
+    lockstep: Lockstep | None = None,
+) -> EpisodeTrace | GreedyWalk:
     """Run one episode under the policy.
 
     greedy: argmax node, process iff its probability >= 0.5 (deterministic).
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
     probability of the taken action.
+
+    With a lockstep that holds (t, req), the greedy walk is taken from it:
+    this call advances the lockstep's walks together until this one ends.
+    That walk keeps no caches and records no rewards, so it is returned as
+    a ``GreedyWalk``, equal to the trace's actions, log-probs and path.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
+    if lockstep is not None:
+        if mode != "greedy" or params is not lockstep.params or cfg != lockstep.cfg:
+            raise ValueError("a lockstep walk is greedy, under the lockstep's params and config")
+        return lockstep.walk(t, req)
     if mode != "greedy" and rng is None:
         raise ValueError(f"mode {mode!r} needs an rng")
     if reward_cfg is None:
@@ -481,36 +493,69 @@ class GreedyWalk:
     path: PathResult
 
 
+class Lockstep:
+    """The greedy walks of many (topology, request) pairs, advanced in
+    lockstep (see the module docstring).
+
+    ``walk(t, req)`` returns the walk of that pair.  The first walk asked
+    for on graphs of one node count advances every walk of that count
+    together, one ``decode_step`` per step, to its end, and keeps them for
+    their own calls; so one group's encoder stack is alive at a time.
+    Walk i equals ``rollout(params, cfg, *pairs[i], mode="greedy")`` in its
+    actions, the bits of its log-probs, and its path.
+
+    Pairs are grouped by node count, not by topology, since a pool test
+    spreads its requests over many variants of one size.  Every request is
+    validated here, before any walk.
+    """
+
+    def __init__(
+        self, params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
+    ) -> None:
+        self.params, self.cfg = params, cfg
+        self._pairs = list(pairs)  # keeps the ids of the index alive
+        self._states = [reset(t, req) for t, req in self._pairs]  # validates each request first
+        self._walks: list[GreedyWalk | None] = [None] * len(self._pairs)
+        # a pair is found by the identity of the objects passed; a repeated
+        # pair is found at its first position, its walks being equal
+        self._index: dict[tuple[int, int], int] = {}
+        for i, (t, req) in enumerate(self._pairs):
+            self._index.setdefault((id(t), id(req)), i)
+
+    def walk(self, t: Topology, req: SfcRequest) -> GreedyWalk:
+        i = self._index.get((id(t), id(req)))
+        if i is None:
+            raise ValueError("the lockstep holds no walk of this (topology, request) pair")
+        if self._walks[i] is None:
+            group = [j for j, (u, _) in enumerate(self._pairs) if u.num_nodes == t.num_nodes]
+            walks = _lockstep(self.params, self.cfg, [self._pairs[j] for j in group],
+                              [self._states[j] for j in group])
+            for j, walk in zip(group, walks):
+                self._walks[j] = walk
+        return self._walks[i]
+
+
 def greedy_walks(
     params: ParamSet,
     cfg: PolicyConfig,
     pairs: Sequence[tuple[Topology, SfcRequest]],
 ) -> list[GreedyWalk]:
-    """The greedy walk of every (topology, request) pair, advanced in
-    lockstep (see the module docstring); walk i equals
-    ``rollout(params, cfg, *pairs[i], mode="greedy")`` in its actions, the
-    bits of its log-probs, and its path.
-
-    Pairs are grouped by node count, not by topology, since a pool test
-    spreads its requests over many variants of one size.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, (t, _) in enumerate(pairs):
-        groups.setdefault(t.num_nodes, []).append(i)
-    walks: list = [None] * len(pairs)
-    for members in groups.values():
-        for i, walk in zip(members, _lockstep(params, cfg, [pairs[i] for i in members])):
-            walks[i] = walk
-    return walks
+    """The greedy walk of every (topology, request) pair, all advanced in
+    one ``Lockstep``; walk i equals ``rollout(params, cfg, *pairs[i],
+    mode="greedy")`` in its actions, the bits of its log-probs, and its
+    path."""
+    lockstep = Lockstep(params, cfg, pairs)
+    return [lockstep.walk(t, req) for t, req in pairs]
 
 
 def _lockstep(
     params: ParamSet,
     cfg: PolicyConfig,
     pairs: list[tuple[Topology, SfcRequest]],
+    states: list[EnvState],
 ) -> list[GreedyWalk]:
-    """Greedy walks of pairs whose topologies share one node count."""
-    states = [reset(t, req) for t, req in pairs]  # validates each request first
+    """Greedy walks of pairs whose topologies share one node count, from
+    their reset states."""
     enc_gru = nn.fuse_gru(params, "enc.")
     dec_gru = nn.fuse_gru(params, "dec.")
     topologies = [t for t, _ in pairs]

@@ -205,6 +205,30 @@ def test_run_experiment_is_deterministic():
     assert report_to_csv(small_experiment()) == report_to_csv(small_experiment())
 
 
+def test_each_feasible_checkpoint_walk_is_one_rollout_from_the_rows_lockstep(monkeypatch):
+    """run_experiment calls rollout once per feasible request of each
+    checkpoint row, each call taking its walk from that row's lockstep."""
+    calls = []
+
+    def spy(params, cfg, t, req, **kwargs):
+        calls.append((id(params), kwargs["lockstep"]))
+        return rollout(params, cfg, t, req, **kwargs)
+
+    monkeypatch.setattr(evaluation, "rollout", spy)
+    fixture = internet2_fixture()
+    pools = {"cs1": generate_pool(fixture, "cs1", pool_size=4, seed=31),
+             "cs2": generate_pool(fixture, "cs2", pool_size=4, seed=32)}
+    cfg = PolicyConfig()
+    ckpts = [(f"m{seed}", init_policy_params(cfg, seed=seed), cfg) for seed in (0, 1)]
+    report = run_experiment(ckpts, fixture, pools, request_count=12, seed=4)
+    feasible = sum(12 - m.infeasible for m in (report.rows[0].original, report.rows[0].random,
+                                                report.rows[0].random_vnfs))
+    assert len(calls) == 2 * feasible
+    for (_, params, _), row_calls in zip(ckpts, (calls[:feasible], calls[feasible:])):
+        assert {p for p, _ in row_calls} == {id(params)}
+        assert len({id(lockstep) for _, lockstep in row_calls}) == 1
+
+
 def test_checkpoint_rows_equal_per_request_rollout_actors_on_mixed_sizes():
     """Pools of 9-node graphs (cs1 adds nodes) beside the 12-node fixture:
     the lockstep rows give the report, CSV byte for byte, that the same

@@ -25,6 +25,7 @@ from ggsfc.policy import (
     ENCODE_STACK,
     MAX_T_PROP,
     ActionDistribution,
+    Lockstep,
     PolicyConfig,
     _greedy_action,
     _masks,
@@ -567,6 +568,42 @@ def test_greedy_walks_equal_per_request_rollouts(pairs, seed):
         assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
         assert walk.path == trace.path
         assert walk.path.total_delay == trace.total_delay == total_delay(walk.path, t)
+
+
+def test_rollout_takes_its_walk_from_a_lockstep():
+    """Asked in any order, and twice for a repeated pair, each walk a
+    lockstep gives rollout equals that request's own rollout; the walks of
+    the other node count are not started."""
+    big, small = internet2_fixture(), fixture_like_graph(7, 2, seed=3)
+    rng = np.random.default_rng(5)
+    pairs = ([(big, r) for r in generate_requests(big, 5, (1, 3), rng)]
+             + [(small, r) for r in generate_requests(small, 4, (1, 3), rng)])
+    pairs.append(pairs[1])
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=2)
+    lockstep = Lockstep(params, cfg, pairs)
+    for t, req in [pairs[3], pairs[1], pairs[0], pairs[-1], pairs[4], pairs[2]]:
+        walk = rollout(params, cfg, t, req, lockstep=lockstep)
+        trace = rollout(params, cfg, t, req)
+        assert walk.actions == tuple(s.action for s in trace.steps)
+        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
+        assert walk.path == trace.path
+    assert lockstep._walks[5:9] == [None] * 4
+
+
+def test_rollout_refuses_a_lockstep_that_cannot_give_its_walk():
+    t = internet2_fixture()
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg)
+    req = SfcRequest(0, 3, (0,))
+    lockstep = Lockstep(params, cfg, [(t, req)])
+    with pytest.raises(ValueError, match="no walk"):
+        rollout(params, cfg, t, SfcRequest(0, 3, (0,)), lockstep=lockstep)
+    with pytest.raises(ValueError, match="lockstep's params"):
+        rollout(init_policy_params(cfg), cfg, t, req, lockstep=lockstep)
+    with pytest.raises(ValueError, match="lockstep's params"):
+        rollout(params, cfg, t, req, mode="epsilon_greedy",
+                rng=np.random.default_rng(0), lockstep=lockstep)
 
 
 def test_greedy_walks_of_no_pairs_are_none():
