@@ -152,9 +152,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     With e = exp(-|x|) this is 1/(1+e) for x >= 0 and e/(1+e) below: the
     same operations as splitting by sign, so the same bits.  min(x, -x) is
     -|x| but passes a NaN through with its sign bit, as exp(x) did.
+
+    The numerator is max(e, x >= 0) rather than where(x >= 0, 1, e), which
+    costs a branch per element: maximum returns one operand exactly, e <= 1
+    where x >= 0 gives 1 there, e >= 0 everywhere gives e elsewhere, and a
+    NaN e is passed through.  So the bytes are those of the where.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,18 @@ backward over them alone: exact analytic backprop of sum_t c_t log pi(a_t)
 with respect to the trace's params.  Supervised learning ascends
 it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 
-Evaluation needs no backward, so a ``Lockstep`` walks many requests
-greedily together instead: the segments of every request on graphs of one
-node count are encoded together, in stacks of at most ENCODE_STACK, and
-each decode step is one ``decode_step`` over the (L, ...) stack of the
-live episodes.  Each walk keeps the bits of its own ``rollout`` (see the
-``nn`` docstring for the stacking rules), while the environment steps, the
-masks and the log-probs stay per episode.  It keeps no caches, so it
+Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
+many requests greedily together instead.  On graphs of one node count it
+encodes each distinct segment once, in stacks of at most ENCODE_STACK: a
+segment's encoding depends only on its graph object, the request's
+endpoints and the pending type, so segments that share those share one
+encoding (graphs are told apart by identity, never by content).  Each
+decode step is one ``decode_step`` over the (L, ...) stack of the live
+episodes, its input one gather from a per-segment table of decoder inputs.
+Each walk keeps the bits of its own ``rollout`` (see the ``nn`` docstring
+for the stacking rules).  The environment steps and the log-probs stay per
+episode; the masks depend only on the current node and the pending type, so
+they are kept once per graph object.  A lockstep keeps no caches, so it
 returns actions, log-probs and paths, not traces.  ``rollout(...,
 lockstep=)`` takes one request's walk from a lockstep, and ``greedy_walks``
 takes every walk of one.
@@ -44,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,11 +198,11 @@ def encode_backward(
 # ---------------------------------------------------------------------------
 # decoder
 
-@dataclass(frozen=True)
-class ActionDistribution:
+class ActionDistribution(NamedTuple):
     """Per-node move distribution and per-node process logits; the process
     probability at u is sigmoid(process_logits[u]) where process_mask[u]
-    holds and 0 elsewhere."""
+    holds and 0 elsewhere.  A named tuple, as a lockstep builds one per
+    walk-step."""
 
     node_probs: np.ndarray
     move_mask: np.ndarray
@@ -325,7 +330,8 @@ def _decoder_head(req: SfcRequest, chain_index: int, k: int) -> np.ndarray:
 
 def _masks(state: EnvState, t: Topology) -> tuple[np.ndarray, np.ndarray, tuple[Action, ...]]:
     """Move and process masks plus the valid actions; the masks are
-    read-only, so one episode can reuse them at every visit."""
+    read-only, so they can be reused at every visit to the same node with
+    the same pending type."""
     acts = valid_actions(state, t)
     move = np.zeros(t.num_nodes, dtype=bool)
     proc = np.zeros(t.num_nodes, dtype=bool)
@@ -558,45 +564,65 @@ def _lockstep(
     their reset states."""
     enc_gru = nn.fuse_gru(params, "enc.")
     dec_gru = nn.fuse_gru(params, "dec.")
-    topologies = [t for t, _ in pairs]
-    n = topologies[0].num_nodes
-    adjacency = [adjacency_matrix(t) for t in topologies]
-    # segment i of pair j is row first[j] + i of the per-segment arrays
-    segments: list[tuple[int, int]] = []
-    first = []
-    for j, (_, req) in enumerate(pairs):
-        first.append(len(segments))
-        segments.extend((j, i) for i in range(len(req.chain) + 1))
-    enc_h = np.empty((len(segments), n, cfg.hidden_dim))
-    for lo in range(0, len(segments), ENCODE_STACK):
-        stack = segments[lo : lo + ENCODE_STACK]
+    k = cfg.vnf_type_count
+    n = pairs[0][0].num_nodes
+    # segment g = first[j] + i is chain index i of pair j; its encoding is
+    # row enc_row[g] of one per distinct segment, keyed by all that annotate
+    # and adjacency_matrix read: the graph object (never its content), the
+    # endpoints and the pending type
+    distinct: dict[tuple, int] = {}
+    encoded: list[tuple[int, int]] = []  # (pair, chain index) of each encoding
+    first, enc_row, heads = [], [], []
+    for j, (t, req) in enumerate(pairs):
+        first.append(len(enc_row))
+        for i in range(len(req.chain) + 1):
+            pending = req.chain[i] if i < len(req.chain) else None
+            key = (id(t), req.source, req.destination, pending)
+            if key not in distinct:
+                distinct[key] = len(encoded)
+                encoded.append((j, i))
+            enc_row.append(distinct[key])
+            heads.append(_decoder_head(req, i, k))
+    enc_h = np.empty((len(encoded), n, cfg.hidden_dim))
+    for lo in range(0, len(encoded), ENCODE_STACK):
+        stack = encoded[lo : lo + ENCODE_STACK]
         h0 = np.stack([annotate(*pairs[j], i, cfg) for j, i in stack])
-        a = np.stack([adjacency[j] for j, _ in stack])
+        a = np.stack([adjacency_matrix(pairs[j][0]) for j, _ in stack])
         enc_h[lo : lo + len(stack)], _ = encode(h0, a, cfg.t_prop, enc_gru, keep_caches=False)
     enc_scores = enc_h @ params["score.W_emb"]
-    heads = np.stack([_decoder_head(pairs[j][1], i, cfg.vnf_type_count) for j, i in segments])
+    # the decoder input [v_all | v_now | embedding] of segment g at node u
+    # is row g * n + u of one table
+    table = np.empty((len(enc_row), n, 2 * k + cfg.hidden_dim))
+    table[:, :, : 2 * k] = np.array(heads)[:, None, :]
+    # the rows are all in range; mode="clip" writes them into the table
+    # directly, where the default mode would first build an (S, n, H) copy
+    np.take(enc_h, enc_row, axis=0, out=table[:, :, 2 * k :], mode="clip")
+    table = table.reshape(len(enc_row) * n, -1)
+    del enc_h
 
     reward_cfg = RewardConfig()
-    masks: list[dict] = [{} for _ in pairs]  # per episode, by (current node, chain index)
+    graph_masks: dict[int, dict] = {}  # per graph object, by (current node, pending type)
+    masks = [graph_masks.setdefault(id(t), {}) for t, _ in pairs]
     actions: list[list[Action]] = [[] for _ in pairs]
     log_probs: list[list[float]] = [[] for _ in pairs]
     live = list(range(len(pairs)))
     hidden = np.zeros((len(pairs), 1, cfg.hidden_dim))
     while live:
-        seg, node, step_masks = [], [], []
+        cells, enc_rows, step_masks = [], [], []
         for j in live:
             s = states[j]
-            key = (s.current_node, s.chain_index)
+            key = (s.current_node, s.pending_type)
             if key not in masks[j]:
-                masks[j][key] = _masks(s, topologies[j])
+                masks[j][key] = _masks(s, pairs[j][0])
             step_masks.append(masks[j][key])
-            seg.append(first[j] + s.chain_index)
-            node.append(s.current_node)
-        move = np.stack([m[0] for m in step_masks])
-        proc = np.stack([m[1] for m in step_masks])
-        x = np.concatenate([heads[seg], enc_h[seg, node]], axis=1)[:, None, :]
-        dist, hidden, _ = decode_step(None, enc_scores[seg], hidden, x, move, proc,
-                                      params, dec_gru)
+            g = first[j] + s.chain_index
+            cells.append(g * n + s.current_node)
+            enc_rows.append(enc_row[g])
+        move = np.array([m[0] for m in step_masks])
+        proc = np.array([m[1] for m in step_masks])
+        x = table.take(cells, axis=0)[:, None, :]
+        dist, hidden, _ = decode_step(None, enc_scores.take(enc_rows, axis=0), hidden, x,
+                                      move, proc, params, dec_gru)
 
         # _greedy_action of each row, its logit gathered after the product
         rows = np.arange(len(live))
@@ -608,7 +634,7 @@ def _lockstep(
             row = ActionDistribution(dist.node_probs[r], move[r], proc[r], dist.process_logits[r])
             log_probs[j].append(action_log_prob(row, action))
             actions[j].append(action)
-            states[j], _, done = env_step(states[j], action, topologies[j], reward_cfg)
+            states[j], _, done = env_step(states[j], action, pairs[j][0], reward_cfg)
             if not done:
                 kept.append(r)
         if len(kept) < len(live):

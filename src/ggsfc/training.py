@@ -30,7 +30,7 @@ from .environment import (
 )
 from .nn import NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset
-from .policy import EpisodeTrace, PolicyConfig, episode_gradients, rollout, teacher_force
+from .policy import EpisodeTrace, Lockstep, PolicyConfig, episode_gradients, rollout, teacher_force
 from .topology import Topology, TopologyPool, as_topology_list
 
 logger = logging.getLogger(__name__)
@@ -135,15 +135,17 @@ def greedy_failure_ratio(
     cfg: PolicyConfig,
     pairs: Sequence[tuple[Topology, SfcRequest]],
 ) -> tuple[float, float]:
-    """(failure ratio, mean success delay) of greedy rollouts over the pairs."""
+    """(failure ratio, mean success delay) of greedy rollouts over the pairs,
+    each taken from one ``Lockstep`` that walks them all together."""
     if not pairs:
         return float("nan"), float("nan")
+    lockstep = Lockstep(params, cfg, pairs)
     failures = 0
     delays = []
     for t, req in pairs:
-        trace = rollout(params, cfg, t, req, mode="greedy")
-        if trace.success:
-            delays.append(trace.total_delay)
+        path = rollout(params, cfg, t, req, lockstep=lockstep).path
+        if path.success:
+            delays.append(path.total_delay)
         else:
             failures += 1
     mean_delay = float(np.mean(delays)) if delays else float("nan")

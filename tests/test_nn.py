@@ -192,6 +192,28 @@ def test_sigmoid_is_bit_identical_to_the_sign_split():
         assert sigmoid(x).tobytes() == reference_sigmoid(x).tobytes()
 
 
+def where_sigmoid(x):
+    """nn.sigmoid as it was before its numerator became a maximum."""
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+# the shapes the GRU gates take: a 1-D step (2H,), a lockstep decoder stack
+# (L, 1, 2H) and an encoder stack (S, n, 2H)
+@pytest.mark.parametrize("shape", [(64,), (7, 1, 64), (16, 12, 64)])
+def test_sigmoid_keeps_the_bytes_of_the_where_numerator(shape):
+    """Byte-equal to the np.where numerator, with signed zeros, infinities,
+    NaNs of both signs and |x| up to 800 placed among the values."""
+    edges = np.array(SIGMOID_EDGES + [800.0, -800.0])
+    assert np.signbit(edges[-3]) and not np.signbit(edges[-4])  # both NaN signs
+    rng = np.random.default_rng(len(shape))
+    for scale in (1.0, 40.0, 800.0):
+        for _ in range(20):
+            x = rng.uniform(-scale, scale, size=shape)
+            x.reshape(-1)[rng.permutation(x.size)[: len(edges)]] = edges
+            assert sigmoid(x).tobytes() == where_sigmoid(x).tobytes()
+
+
 def _random_gru(d_in, d_hidden, rng, prefix):
     return ParamSet({prefix + name: rng.normal(scale=0.5, size=shape)
                      for name, shape in gru_param_shapes(d_in, d_hidden).items()})

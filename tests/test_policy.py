@@ -591,6 +591,66 @@ def test_rollout_takes_its_walk_from_a_lockstep():
     assert lockstep._walks[5:9] == [None] * 4
 
 
+def test_lockstep_encodes_each_distinct_segment_once_and_shares_masks_per_graph(monkeypatch):
+    """Segments with the same graph object, endpoints and pending type are
+    encoded once, a repeated type within a chain included, while an equal
+    but distinct copy of the graph is encoded on its own; valid_actions runs
+    once per (graph, node, pending type) any walk visits.  Every walk still
+    equals its own rollout."""
+    t = internet2_fixture()
+    copy = Topology(t.num_nodes, t.edges, t.instances, t.vnf_type_count)
+    assert copy == t and copy is not t
+    pairs = [
+        (t, SfcRequest(0, 11, (1, 2))),   # keys (t, 0, 11, 1 | 2 | None): 3 new
+        (t, SfcRequest(0, 11, (2,))),     # (t, 0, 11, 2 | None): none new
+        (t, SfcRequest(0, 11, (3, 3))),   # (t, 0, 11, 3) twice, then None: 1 new
+        (copy, SfcRequest(0, 11, (1, 2))),  # the copy is not merged: 3 new
+        (t, SfcRequest(4, 7, (1,))),      # other endpoints: 2 new
+    ]
+    segments, distinct = 13, 9
+    encoded, annotated, visited = [], [], []
+    real_encode, real_annotate, real_valid = policy.encode, policy.annotate, policy.valid_actions
+
+    def spy_encode(annotations, *args, **kwargs):
+        encoded.append(annotations.shape[0])
+        return real_encode(annotations, *args, **kwargs)
+
+    def spy_annotate(graph, *args):
+        annotated.append(graph)
+        return real_annotate(graph, *args)
+
+    def spy_valid(state, graph):
+        visited.append((id(graph), state.current_node, state.pending_type))
+        return real_valid(state, graph)
+
+    monkeypatch.setattr(policy, "encode", spy_encode)
+    monkeypatch.setattr(policy, "annotate", spy_annotate)
+    monkeypatch.setattr(policy, "valid_actions", spy_valid)
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=4)
+    walks = greedy_walks(params, cfg, pairs)
+    monkeypatch.undo()
+
+    assert sum(encoded) == len(annotated) == distinct < segments
+    assert sum(g is copy for g in annotated) == 3
+    assert len(visited) == len(set(visited))
+    per_walk, per_graph = set(), set()
+    for (graph, req), walk in zip(pairs, walks):
+        node, index = req.source, 0
+        for action in walk.actions:
+            pending = req.chain[index] if index < len(req.chain) else None
+            per_walk.add((id(walk), node, index))
+            per_graph.add((id(graph), node, pending))
+            node, index = action.next_node, index + action.process
+    assert set(visited) == per_graph
+    assert len(per_graph) < len(per_walk)
+    for (graph, req), walk in zip(pairs, walks):
+        trace = rollout(params, cfg, graph, req)
+        assert walk.actions == tuple(s.action for s in trace.steps)
+        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
+        assert walk.path == trace.path
+
+
 def test_rollout_refuses_a_lockstep_that_cannot_give_its_walk():
     t = internet2_fixture()
     cfg = PolicyConfig()

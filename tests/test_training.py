@@ -323,6 +323,54 @@ def test_greedy_failure_ratio_empty_pairs():
     assert np.isnan(fr) and np.isnan(mean_delay)
 
 
+def test_greedy_failure_ratio_equals_a_per_request_rollout_loop():
+    """The lockstep FR and mean delay equal a per-request rollout loop's,
+    bit for bit, for a briefly trained policy on pairs on the fixture and
+    on cs2 variants, some of which it walks to success and some not."""
+    fixture = internet2_fixture()
+    cfg = PolicyConfig()
+    labels = label_dataset(fixture, generate_requests(fixture, 40, (1, 3),
+                                                      np.random.default_rng(0)))
+    params, _ = train_sl(init_policy_params(cfg, seed=0), cfg, fixture, labels,
+                         HyperParams(alpha_sl=0.03, sl_epochs=6, seed=0))
+    rng = np.random.default_rng(9)
+    graphs = [fixture, *generate_pool(fixture, "cs2", pool_size=3, seed=1).variants]
+    pairs = [(t, req) for t in graphs for req in generate_requests(t, 8, (1, 3), rng)]
+    fr, mean_delay = greedy_failure_ratio(params, cfg, pairs)
+    traces = [rollout(params, cfg, t, req) for t, req in pairs]
+    delays = [trace.total_delay for trace in traces if trace.success]
+    assert 0 < len(delays) < len(pairs)
+    assert fr.hex() == ((len(pairs) - len(delays)) / len(pairs)).hex()
+    assert mean_delay.hex() == float(np.mean(delays)).hex()
+
+
+def test_each_holdout_walk_is_one_rollout_from_the_epochs_lockstep(monkeypatch):
+    """train_sl takes each holdout walk with one training.rollout call, all
+    of an epoch's from one lockstep under that epoch's params."""
+    t, dataset = fixture_sl_setup(6)
+    holdout = label_dataset(t, generate_requests(t, 5, (1, 2), np.random.default_rng(3)))
+    calls = []
+    real_rollout = training.rollout
+
+    def spy(params, cfg, graph, req, *args, **kwargs):
+        calls.append((params, graph, req, kwargs.get("lockstep")))
+        return real_rollout(params, cfg, graph, req, *args, **kwargs)
+
+    monkeypatch.setattr(training, "rollout", spy)
+    cfg = PolicyConfig()
+    train_sl(init_policy_params(cfg, seed=0), cfg, t, dataset, HyperParams(sl_epochs=2),
+             holdout=holdout)
+    count = len(holdout.examples)
+    assert len(calls) == 2 * count
+    for epoch in (calls[:count], calls[count:]):
+        assert [req for _, _, req, _ in epoch] == [ex.request for ex in holdout.examples]
+        assert all(graph is t for _, graph, _, _ in epoch)
+        lockstep = epoch[0][3]
+        assert lockstep is not None and lockstep.params is epoch[0][0]
+        assert all(ls is lockstep and p is lockstep.params for p, _, _, ls in epoch)
+    assert calls[0][3] is not calls[count][3]
+
+
 # ---------------------------------------------------------------------------
 # reinforcement loop
 
