@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,33 +97,49 @@ def _outcome(success: bool, delay: int, oracle_delay: int) -> RequestOutcome:
                           oracle_delay=oracle_delay)
 
 
+def _evaluate_tests(
+    tests: Sequence[Sequence[tuple[Topology, SfcRequest]]],
+    answer: Callable[[list[tuple[Topology, SfcRequest]]], Iterator[tuple[bool, int]]],
+) -> list[TestOutcome]:
+    """The outcomes of each test.  Requests the exact solver cannot serve
+    are excluded from the metrics and counted, so the numbers measure policy
+    quality, not topology pathology; oracle delays are recorded for every
+    retained request.  One answer call takes the feasible pairs of every
+    test, in order, and yields (success, generated delay) for each."""
+    feasible = [[(pair, res) for pair, res in ((p, solve_optimal(*p)) for p in pairs)
+                 if res.feasible] for pairs in tests]
+    answers = answer([pair for test in feasible for pair, _ in test])
+    return [TestOutcome(tuple(_outcome(*next(answers), res.optimal_delay) for _, res in test),
+                        infeasible=len(pairs) - len(test))
+            for pairs, test in zip(tests, feasible)]
+
+
+def evaluate_requests(
+    actor: Actor, pairs: Sequence[tuple[Topology, SfcRequest]]
+) -> TestOutcome:
+    """The actor on each (topology, request) pair, measured as _evaluate_tests
+    measures: unservable requests excluded and counted."""
+    return _evaluate_tests([pairs], lambda feasible: (actor(*pair) for pair in feasible))[0]
+
+
+def _greedy_walks(
+    params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
+) -> Iterator[tuple[bool, int]]:
+    """Each pair's greedy walk, its rollout taken from one ``Lockstep``, so a
+    long failing walk shares its steps with the others."""
+    lockstep = Lockstep(params, cfg, pairs)
+    for pair in pairs:
+        path = rollout(params, cfg, *pair, lockstep=lockstep).path
+        yield path.success, path.total_delay
+
+
 def evaluate_policy(
     params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
 ) -> TestOutcome:
     """The greedy policy on each (topology, request) pair, measured as
-    evaluate_requests measures an actor: the requests the exact solver
-    cannot serve are excluded and counted.  The feasible ones are walked
-    together (``policy.Lockstep``), each as its own rollout would."""
-    return _evaluate_tests(params, cfg, [pairs])[0]
-
-
-def _evaluate_tests(
-    params: ParamSet, cfg: PolicyConfig, tests: Sequence[Sequence[tuple[Topology, SfcRequest]]]
-) -> list[TestOutcome]:
-    """evaluate_policy of each test, with the feasible pairs of every test
-    walked in one lockstep, so a test's long failing walks share their
-    steps with the other tests' walks."""
-    feasible = [[(pair, res) for pair, res in ((p, solve_optimal(*p)) for p in pairs)
-                 if res.feasible] for pairs in tests]
-    lockstep = Lockstep(params, cfg, [pair for test in feasible for pair, _ in test])
-
-    def outcome(pair, res) -> RequestOutcome:
-        path = rollout(params, cfg, *pair, lockstep=lockstep).path
-        return _outcome(path.success, path.total_delay, res.optimal_delay)
-
-    return [TestOutcome(outcomes=tuple(outcome(pair, res) for pair, res in test),
-                        infeasible=len(pairs) - len(test))
-            for pairs, test in zip(tests, feasible)]
+    evaluate_requests measures an actor, the feasible pairs walked together,
+    each as its own rollout would."""
+    return _evaluate_tests([pairs], partial(_greedy_walks, params, cfg))[0]
 
 
 def oracle_actor() -> Actor:
@@ -135,26 +152,6 @@ def oracle_actor() -> Actor:
         return True, res.optimal_delay
 
     return act
-
-
-def evaluate_requests(
-    actor: Actor, pairs: Sequence[tuple[Topology, SfcRequest]]
-) -> TestOutcome:
-    """Run the actor on each (topology, request) pair.
-
-    Requests the exact solver cannot serve are excluded from the metrics and
-    counted, so the numbers measure policy quality, not topology pathology.
-    Oracle delays are recorded for every retained request.
-    """
-    outcomes = []
-    infeasible = 0
-    for t, req in pairs:
-        res = solve_optimal(t, req)
-        if not res.feasible:
-            infeasible += 1
-            continue
-        outcomes.append(_outcome(*actor(t, req), res.optimal_delay))
-    return TestOutcome(outcomes=tuple(outcomes), infeasible=infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,8 @@ def run_experiment(
     pairs3 = _pool_pairs(pools["cs2"], request_count, chain_len_range, rng)
 
     tests = (pairs1, pairs2, pairs3)
-    rows = [_row(label, _evaluate_tests(params, cfg, tests)) for label, params, cfg in checkpoints]
+    rows = [_row(label, _evaluate_tests(tests, partial(_greedy_walks, params, cfg)))
+            for label, params, cfg in checkpoints]
     rows += [_row(label, [evaluate_requests(actor, pairs) for pairs in tests])
              for label, actor in actors]
     return MetricsReport(rows=tuple(rows), request_count=request_count, seed=seed)

@@ -319,6 +319,15 @@ def label_dataset(
     return LabeledDataset(tuple(examples), infeasible, over_budget)
 
 
+def check_topology_ids(ds: LabeledDataset, count: int, name: str) -> None:
+    """Refuse an example whose topology_id does not index ``count``
+    topologies; name leads the message, which gives the example's index."""
+    for i, ex in enumerate(ds.examples):
+        if not 0 <= ex.topology_id < count:
+            raise ValueError(f"{name}: example {i} (topology_id {ex.topology_id}) is out of "
+                             f"range: expected 0 <= id < {count}, the number of topologies given")
+
+
 def check_labels(
     ds: LabeledDataset,
     topologies: Topology | TopologyPool | Sequence[Topology],
@@ -326,16 +335,15 @@ def check_labels(
 ) -> None:
     """Refuse labels that do not belong to these topologies.
 
-    Each example must replay, on the topology its id names, to a successful
-    walk with its recorded optimal_delay.  name (the dataset's file) leads
-    the error message, which also gives the example index and topology id.
+    Each example's id must be in range, and it must replay, on the topology
+    its id names, to a successful walk with its recorded optimal_delay.  name
+    (the dataset's file) leads the error message, which also gives the
+    example index and topology id.
     """
     topo_list = as_topology_list(topologies)
+    check_topology_ids(ds, len(topo_list), name)
     for i, ex in enumerate(ds.examples):
         where = f"{name}: example {i} (topology_id {ex.topology_id})"
-        if not 0 <= ex.topology_id < len(topo_list):
-            raise ValueError(f"{where} is out of range: expected 0 <= id < "
-                             f"{len(topo_list)}, the number of topologies given")
         try:
             p = _replay(topo_list[ex.topology_id], ex.request, ex.actions)
         except ValueError as exc:

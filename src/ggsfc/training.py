@@ -29,7 +29,7 @@ from .environment import (
     generate_requests,
 )
 from .nn import NonFiniteGradientError, ParamSet, sgd_update
-from .oracle import LabeledDataset
+from .oracle import LabeledDataset, check_topology_ids
 from .policy import EpisodeTrace, Lockstep, PolicyConfig, episode_gradients, rollout, teacher_force
 from .topology import Topology, TopologyPool, as_topology_list
 
@@ -121,15 +121,6 @@ def reinforce_update(trace: EpisodeTrace, returns: np.ndarray, alpha: float) -> 
 # ---------------------------------------------------------------------------
 # supervised learning
 
-def _check_topology_ids(ds: LabeledDataset, count: int, name: str) -> None:
-    for ex in ds.examples:
-        if not 0 <= ex.topology_id < count:
-            raise ValueError(
-                f"{name} topology_id {ex.topology_id} is out of range: "
-                f"expected 0 <= id < {count}, the number of topologies given"
-            )
-
-
 def greedy_failure_ratio(
     params: ParamSet,
     cfg: PolicyConfig,
@@ -174,10 +165,10 @@ def train_sl(
     if not dataset.examples:
         raise ValueError("dataset is empty")
     topo_list = as_topology_list(topologies)
-    _check_topology_ids(dataset, len(topo_list), "dataset")
+    check_topology_ids(dataset, len(topo_list), "dataset")
     pairs = []
     if holdout is not None:
-        _check_topology_ids(holdout, len(topo_list), "holdout")
+        check_topology_ids(holdout, len(topo_list), "holdout")
         pairs = [(topo_list[ex.topology_id], ex.request) for ex in holdout.examples]
     rng = np.random.default_rng(hp.seed)
     history: list[HistoryRow] = []

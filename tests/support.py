@@ -1,12 +1,16 @@
 """Test tools kept out of the library: a finite-difference gradient check,
-random GRU parameters, random VNF placement, the seeded generator the bundled internet2 fixture
-was frozen from (at any size), a plain-Dijkstra reference solver, and hypothesis
+random GRU parameters, random VNF placement, what the suites share (the
+tiny 4-node graph and its policy config, seeded random connected graphs and
+small random instances, a briefly SL-trained fixture policy, and a call
+counter for spies), the seeded generator the bundled internet2 fixture was
+frozen from (at any size), a plain-Dijkstra reference solver, and hypothesis
 strategies for random requests and for artifact documents with one fuzzed
 value."""
 
 from __future__ import annotations
 
 import copy
+import functools
 import heapq
 import json
 from dataclasses import dataclass, replace
@@ -21,15 +25,46 @@ from ggsfc.environment import (
     PathResult,
     RewardConfig,
     SfcRequest,
+    generate_requests,
     reset,
     step,
     validate_request,
 )
 from ggsfc.nn import GradSet, ParamSet, gru_param_shapes, uniform_init
-from ggsfc.oracle import INFEASIBLE, OracleResult
-from ggsfc.topology import EDGE_DELAY_RANGE, Topology, TopologyError, VnfInstance
+from ggsfc.oracle import INFEASIBLE, OracleResult, label_dataset
+from ggsfc.policy import PolicyConfig, init_policy_params
+from ggsfc.topology import (
+    EDGE_DELAY_RANGE,
+    Topology,
+    TopologyError,
+    VnfInstance,
+    internet2_fixture,
+)
+from ggsfc.training import HyperParams, train_sl
 
 FIXTURE_SEED = 12
+
+
+def tiny_topology(instances=None):
+    """0 -2- 1 -3- 2 -1- 3 with chord 0 -9- 3; by default two type-0
+    instances on node 1 (processing 7 and 3) and one type-1 on node 2 (5)."""
+    if instances is None:
+        instances = (VnfInstance(1, 0, 7), VnfInstance(1, 0, 3), VnfInstance(2, 1, 5))
+    return Topology(num_nodes=4, edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
+                    instances=instances, vnf_type_count=2)
+
+
+def tiny_cfg(t_prop=2):
+    """A small policy over tiny_topology's two VNF types."""
+    return PolicyConfig(hidden_dim=8, vnf_type_count=2, t_prop=t_prop)
+
+
+def counted(calls: dict[str, int], key: str, fn: Callable) -> Callable:
+    """fn, adding one to calls[key] on each call."""
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 @dataclass
@@ -138,7 +173,7 @@ def deploy_vnfs(
     return replace(t, instances=tuple(instances), vnf_type_count=k)
 
 
-def _random_connected_graph(
+def random_connected_graph(
     num_nodes: int, num_edges: int, rng: np.random.Generator
 ) -> Topology:
     lo, hi = EDGE_DELAY_RANGE
@@ -159,12 +194,23 @@ def _random_connected_graph(
     )
 
 
+def random_instance(rng: np.random.Generator) -> Topology:
+    """A connected graph of n = 4-8 nodes with up to n - 1 extra edges, and
+    one instance of each of 1-3 VNF types."""
+    n = int(rng.integers(4, 9))
+    extra = int(rng.integers(0, n))
+    base = random_connected_graph(n, n - 1 + extra, rng)
+    k = int(rng.integers(1, 4))
+    return deploy_vnfs(base, per_type_count=1, proc_delay_range=(1, 10),
+                       rng=rng, vnf_type_count=k)
+
+
 def fixture_like_graph(num_nodes: int, sites_per_type: int, seed: int) -> Topology:
     """A random connected graph of the fixture's shape at any size: n + n // 4
     edges with delays 1..10, and five VNF types with sites_per_type
     instances each on distinct nodes, processing delays 1..10."""
     rng = np.random.default_rng(seed)
-    graph = _random_connected_graph(num_nodes, num_nodes + num_nodes // 4, rng)
+    graph = random_connected_graph(num_nodes, num_nodes + num_nodes // 4, rng)
     graph = replace(graph, vnf_type_count=5)
     return deploy_vnfs(graph, sites_per_type, proc_delay_range=(1, 10), rng=rng)
 
@@ -173,6 +219,25 @@ def generate_fixture_topology(seed: int = FIXTURE_SEED) -> Topology:
     """Regenerate the bundled 12-node fixture (the frozen data file's source):
     12 nodes, 15 edges, two sites per VNF type."""
     return fixture_like_graph(12, 2, seed)
+
+
+@functools.cache
+def _briefly_trained() -> tuple[ParamSet, PolicyConfig]:
+    fixture = internet2_fixture()
+    cfg = PolicyConfig()
+    labels = label_dataset(fixture, generate_requests(fixture, 40, (1, 3),
+                                                      np.random.default_rng(0)))
+    params, _ = train_sl(init_policy_params(cfg, seed=0), cfg, fixture, labels,
+                         HyperParams(alpha_sl=0.03, sl_epochs=6, seed=0))
+    return params, cfg
+
+
+def briefly_trained_policy() -> tuple[ParamSet, PolicyConfig]:
+    """A default-config policy SL-trained on 40 fixture labels (alpha 0.03,
+    6 epochs), which walks some requests to success and fails others.  It
+    is trained once per session; each caller gets its own copy."""
+    params, cfg = _briefly_trained()
+    return params.copy(), cfg
 
 
 @st.composite
@@ -206,7 +271,7 @@ def graph_requests(draw, nodes=(8, 48)):
     n = draw(st.integers(*nodes))
     spread = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    t = _random_connected_graph(n, n + n // 4, rng)
+    t = random_connected_graph(n, n + n // 4, rng)
     t = replace(t, edges=tuple((u, v, 1 + (d - 1) % spread) for u, v, d in t.edges),
                 vnf_type_count=5)
     t = deploy_vnfs(t, draw(st.integers(1, 3)), (1, spread), rng)

@@ -37,14 +37,19 @@ from ggsfc.policy import (
     teacher_force,
 )
 from ggsfc.topology import (
-    Topology,
     adjacency_matrix,
     generate_pool,
     internet2_fixture,
     mutate_cs1_stats,
     mutate_cs2,
 )
-from support import deploy_vnfs, finite_diff_check, init_gru_params
+from support import (
+    deploy_vnfs,
+    finite_diff_check,
+    init_gru_params,
+    random_connected_graph,
+    random_instance,
+)
 
 # the whole file is the release gate; `pytest -m "not gate"` skips it
 pytestmark = pytest.mark.gate
@@ -83,28 +88,6 @@ DET_REFERENCE = (
 
 # ---------------------------------------------------------------------------
 # helpers
-
-def _random_graph(n, m, rng):
-    edges = {}
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        edges[(u, v)] = int(rng.integers(1, 11))
-    while len(edges) < m:
-        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-        key = (min(u, v), max(u, v))
-        if key not in edges:
-            edges[key] = int(rng.integers(1, 11))
-    return Topology(n, tuple((u, v, d) for (u, v), d in edges.items()), (), 0)
-
-
-def _random_instance(rng, max_nodes=8):
-    n = int(rng.integers(4, max_nodes + 1))
-    extra = int(rng.integers(0, n))
-    base = _random_graph(n, n - 1 + extra, rng)
-    k = int(rng.integers(1, 4))
-    return deploy_vnfs(base, per_type_count=1, proc_delay_range=(1, 10),
-                       rng=rng, vnf_type_count=k)
-
 
 def _assert_sound(t):
     # connectivity and simplicity checked from scratch, not via Topology's
@@ -219,7 +202,7 @@ def test_c01_exact_solver_matches_exhaustive_search():
     t0 = time.perf_counter()
     feasible = 0
     for _ in range(200):
-        t = _random_instance(rng)
+        t = random_instance(rng)
         req = generate_requests(t, 1, (1, 3), rng)[0]
         a = solve_optimal(t, req)
         b = brute_force_optimal(t, req)
@@ -270,7 +253,7 @@ def test_c02_analytic_gradients_match_finite_differences():
 
     # end-to-end checks share a small policy on a 5-node topology
     cfg = PolicyConfig(hidden_dim=12, vnf_type_count=2, t_prop=3)
-    t = deploy_vnfs(_random_graph(5, 7, rng), per_type_count=1,
+    t = deploy_vnfs(random_connected_graph(5, 7, rng), per_type_count=1,
                     proc_delay_range=(1, 10), rng=rng, vnf_type_count=2)
     req = SfcRequest(0, 4, (0, 1))
     params = init_policy_params(cfg, seed=3)
@@ -413,7 +396,7 @@ def test_c08_delay_penalty_shortens_successful_paths(sl_run, fixture_topo,
 def test_c09_one_checkpoint_serves_three_topology_sizes(sl_run):
     for n in (8, 12, 20):
         rng = np.random.default_rng(n)
-        t = deploy_vnfs(_random_graph(n, n + 4, rng), per_type_count=2,
+        t = deploy_vnfs(random_connected_graph(n, n + 4, rng), per_type_count=2,
                         proc_delay_range=(1, 10), rng=rng,
                         vnf_type_count=sl_run.cfg.vnf_type_count)
         for req in generate_requests(t, 5, (1, 4), rng):

@@ -264,25 +264,23 @@ def test_train_rl_needs_an_initialization(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # config files
 
+def rl_config(sl_run, tmp_path, **values):
+    """tmp_path/rl.json, training RL from sl_run's checkpoint into
+    tmp_path/rl, with the given values; returns it and that out directory."""
+    out, config = tmp_path / "rl", tmp_path / "rl.json"
+    config.write_text(json.dumps({"init": str(sl_run[2] / "sl.ckpt"), "out": str(out), **values}))
+    return config, out
+
+
 def test_config_file_supplies_defaults(sl_run, tmp_path):
-    _, _, sl_out = sl_run
-    out = tmp_path / "rl"
-    config = tmp_path / "rl.json"
-    config.write_text(json.dumps({
-        "init": str(sl_out / "sl.ckpt"), "episodes": 2, "out": str(out),
-    }))
+    config, out = rl_config(sl_run, tmp_path, episodes=2)
     assert run("train", "rl", "--fixture", "--config", str(config)) == 0
     history = (out / "history.csv").read_text().splitlines()
     assert len(history) == 3
 
 
 def test_explicit_flags_beat_the_config_file(sl_run, tmp_path):
-    _, _, sl_out = sl_run
-    out = tmp_path / "rl"
-    config = tmp_path / "rl.json"
-    config.write_text(json.dumps({
-        "init": str(sl_out / "sl.ckpt"), "episodes": 2, "out": str(out),
-    }))
+    config, out = rl_config(sl_run, tmp_path, episodes=2)
     assert run("train", "rl", "--fixture", "--config", str(config),
                "--episodes", "1") == 0
     history = (out / "history.csv").read_text().splitlines()
@@ -290,13 +288,7 @@ def test_explicit_flags_beat_the_config_file(sl_run, tmp_path):
 
 
 def test_config_values_parse_like_their_flags(sl_run, tmp_path):
-    _, _, sl_out = sl_run
-    out = tmp_path / "rl"
-    config = tmp_path / "rl.json"
-    config.write_text(json.dumps({
-        "init": str(sl_out / "sl.ckpt"), "episodes": "2", "lam": 1, "gamma": None,
-        "out": str(out),
-    }))
+    config, out = rl_config(sl_run, tmp_path, episodes="2", lam=1, gamma=None)
     assert run("train", "rl", "--fixture", "--config", str(config)) == 0
     assert len((out / "history.csv").read_text().splitlines()) == 3
     echo = json.loads((out / "config.json").read_text())
@@ -305,12 +297,7 @@ def test_config_values_parse_like_their_flags(sl_run, tmp_path):
 
 
 def test_a_config_value_its_flag_refuses_is_a_usage_error(sl_run, tmp_path, capsys):
-    _, _, sl_out = sl_run
-    out = tmp_path / "rl"
-    config = tmp_path / "rl.json"
-    config.write_text(json.dumps({
-        "init": str(sl_out / "sl.ckpt"), "episodes": 2.5, "out": str(out),
-    }))
+    config, out = rl_config(sl_run, tmp_path, episodes=2.5)
     with pytest.raises(SystemExit) as exc:
         run("train", "rl", "--fixture", "--config", str(config))
     assert exc.value.code == 2

@@ -21,21 +21,7 @@ from ggsfc.environment import (
     validate_request,
 )
 from ggsfc.topology import Topology, TopologyError, VnfInstance, internet2_fixture
-from support import small_requests
-
-
-def tiny_topology():
-    # 0 -2- 1 -3- 2 -1- 3 with chord 0 -9- 3; type 0 on node 1, type 1 on node 2
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=(
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        ),
-        vnf_type_count=2,
-    )
+from support import small_requests, tiny_topology
 
 
 def walk(t, req, actions, lam=0.0, max_steps=None):

@@ -24,27 +24,16 @@ from ggsfc.evaluation import (
     run_experiment,
     save_report,
 )
-from ggsfc.oracle import label_dataset
 from ggsfc.policy import PolicyConfig, init_policy_params, rollout
-from ggsfc.topology import Topology, VnfInstance, generate_pool, internet2_fixture
-from ggsfc.training import HyperParams, train_sl
+from ggsfc.topology import VnfInstance, generate_pool, internet2_fixture
 
-from support import fixture_like_graph
-
-
-def tiny_topology(instances=None):
-    if instances is None:
-        instances = (
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        )
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=instances,
-        vnf_type_count=2,
-    )
+from support import (
+    briefly_trained_policy,
+    counted,
+    fixture_like_graph,
+    tiny_cfg,
+    tiny_topology,
+)
 
 
 def ok(generated, oracle):
@@ -103,7 +92,7 @@ def rollout_actor(params, cfg):
 
 
 def test_evaluate_policy_matches_per_request_rollouts():
-    cfg = PolicyConfig(hidden_dim=8, vnf_type_count=2, t_prop=2)
+    cfg = tiny_cfg()
     t = tiny_topology()
     no_type_1 = tiny_topology(instances=(VnfInstance(1, 0, 7),))
     pairs = [(t, SfcRequest(0, 3, (0,))), (no_type_1, SfcRequest(0, 3, (1,))),
@@ -166,12 +155,14 @@ def test_evaluate_requests_records_oracle_delay_for_failures():
 # ---------------------------------------------------------------------------
 # the experiment harness
 
+def small_pools(fixture):
+    return {"cs1": generate_pool(fixture, "cs1", pool_size=4, seed=31),
+            "cs2": generate_pool(fixture, "cs2", pool_size=4, seed=32)}
+
+
 def small_experiment(seed=4):
     fixture = internet2_fixture()
-    pools = {
-        "cs1": generate_pool(fixture, "cs1", pool_size=4, seed=31),
-        "cs2": generate_pool(fixture, "cs2", pool_size=4, seed=32),
-    }
+    pools = small_pools(fixture)
     cfg = PolicyConfig()
     ckpts = [("untrained", init_policy_params(cfg, seed=0), cfg)]
     return run_experiment(
@@ -216,8 +207,7 @@ def test_each_feasible_checkpoint_walk_is_one_rollout_from_the_rows_lockstep(mon
 
     monkeypatch.setattr(evaluation, "rollout", spy)
     fixture = internet2_fixture()
-    pools = {"cs1": generate_pool(fixture, "cs1", pool_size=4, seed=31),
-             "cs2": generate_pool(fixture, "cs2", pool_size=4, seed=32)}
+    pools = small_pools(fixture)
     cfg = PolicyConfig()
     ckpts = [(f"m{seed}", init_policy_params(cfg, seed=seed), cfg) for seed in (0, 1)]
     report = run_experiment(ckpts, fixture, pools, request_count=12, seed=4)
@@ -227,6 +217,24 @@ def test_each_feasible_checkpoint_walk_is_one_rollout_from_the_rows_lockstep(mon
     for (_, params, _), row_calls in zip(ckpts, (calls[:feasible], calls[feasible:])):
         assert {p for p, _ in row_calls} == {id(params)}
         assert len({id(lockstep) for _, lockstep in row_calls}) == 1
+
+
+def test_run_experiment_call_counts_with_an_oracle_row(monkeypatch):
+    """The counts the eval benchmark's traced run pins: each of three rows
+    solves all 3r pairs, the oracle actor solves each feasible one again,
+    and each checkpoint row walks each feasible pair once."""
+    calls = {"solve": 0, "rollout": 0, "actor": 0}
+    monkeypatch.setattr(evaluation, "solve_optimal",
+                        counted(calls, "solve", evaluation.solve_optimal))
+    monkeypatch.setattr(evaluation, "rollout", counted(calls, "rollout", evaluation.rollout))
+    fixture = internet2_fixture()
+    cfg = PolicyConfig()
+    ckpts = [(f"m{seed}", init_policy_params(cfg, seed=seed), cfg) for seed in (0, 1)]
+    report = run_experiment(ckpts, fixture, small_pools(fixture), request_count=12, seed=4,
+                            actors=[("oracle", counted(calls, "actor", oracle_actor()))])
+    row = report.rows[-1]
+    feasible = sum(12 - m.infeasible for m in (row.original, row.random, row.random_vnfs))
+    assert calls == {"solve": 3 * 3 * 12 + feasible, "rollout": 2 * feasible, "actor": feasible}
 
 
 def test_checkpoint_rows_equal_per_request_rollout_actors_on_mixed_sizes():
@@ -240,11 +248,7 @@ def test_checkpoint_rows_equal_per_request_rollout_actors_on_mixed_sizes():
     pools = {"cs1": generate_pool(base, "cs1", pool_size=6, seed=33),
              "cs2": generate_pool(base, "cs2", pool_size=6, seed=34)}
     assert {v.num_nodes for v in pools["cs1"].variants} - {9, fixture.num_nodes}
-    cfg = PolicyConfig()
-    labels = label_dataset(fixture, generate_requests(fixture, 40, (1, 3),
-                                                      np.random.default_rng(0)))
-    trained, _ = train_sl(init_policy_params(cfg, seed=0), cfg, fixture, labels,
-                          HyperParams(alpha_sl=0.03, sl_epochs=6, seed=0))
+    trained, cfg = briefly_trained_policy()
     ckpts = [("sl", trained, cfg), ("init", init_policy_params(cfg, seed=3), cfg)]
     kwargs = dict(request_count=15, seed=2, chain_len_range=(1, 3))
     lockstep = run_experiment(ckpts, fixture, pools, **kwargs)

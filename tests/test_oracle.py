@@ -37,48 +37,15 @@ from ggsfc.topology import (
 )
 from support import (
     FUZZ,
-    deploy_vnfs,
+    counted,
     dijkstra_optimal,
     fixture_like_graph,
     graph_requests,
     one_leaf_replaced,
+    random_instance,
     small_requests,
+    tiny_topology,
 )
-
-
-def tiny_topology():
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=(
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        ),
-        vnf_type_count=2,
-    )
-
-
-def random_topology(rng, max_nodes=8):
-    n = int(rng.integers(4, max_nodes + 1))
-    extra = int(rng.integers(0, n))
-    base = _random_graph(n, n - 1 + extra, rng)
-    k = int(rng.integers(1, 4))
-    return deploy_vnfs(base, per_type_count=1, proc_delay_range=(1, 10),
-                       rng=rng, vnf_type_count=k)
-
-
-def _random_graph(n, m, rng):
-    edges = {}
-    for v in range(1, n):
-        u = int(rng.integers(0, v))
-        edges[(u, v)] = int(rng.integers(1, 11))
-    while len(edges) < m:
-        u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
-        key = (min(u, v), max(u, v))
-        if key not in edges:
-            edges[key] = int(rng.integers(1, 11))
-    return Topology(n, tuple((u, v, d) for (u, v), d in edges.items()), (), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +133,7 @@ def test_solver_matches_exhaustive_search_on_random_instances():
     rng = np.random.default_rng(17)
     checked = 0
     for _ in range(60):
-        t = random_topology(rng)
+        t = random_instance(rng)
         for req in generate_requests(t, 2, (1, 3), rng):
             a = solve_optimal(t, req)
             b = brute_force_optimal(t, req)
@@ -180,7 +147,7 @@ def test_solver_matches_exhaustive_search_on_random_instances():
 
 def test_solver_matches_exhaustive_search_on_chainless_requests():
     rng = np.random.default_rng(29)
-    topologies = [internet2_fixture()] + [random_topology(rng) for _ in range(10)]
+    topologies = [internet2_fixture()] + [random_instance(rng) for _ in range(10)]
     for t in topologies:
         for src in range(t.num_nodes):
             for dst in range(t.num_nodes):
@@ -280,15 +247,8 @@ def test_a_feasible_solve_replays_once(monkeypatch):
     # one reset and one step per action: the count a traced label pass checks
     t = internet2_fixture()
     calls = {"reset": 0, "step": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(oracle, "reset", counted("reset", oracle.reset))
-    monkeypatch.setattr(oracle, "step", counted("step", oracle.step))
+    monkeypatch.setattr(oracle, "reset", counted(calls, "reset", oracle.reset))
+    monkeypatch.setattr(oracle, "step", counted(calls, "step", oracle.step))
     res = solve_optimal(t, SfcRequest(0, 11, (1, 2)))
     assert res.feasible and len(res.actions) > 2
     assert calls == {"reset": 1, "step": len(res.actions)}

@@ -45,7 +45,6 @@ from ggsfc.policy import (
 )
 from ggsfc.topology import (
     Topology,
-    VnfInstance,
     adjacency_matrix,
     generate_pool,
     internet2_fixture,
@@ -57,26 +56,12 @@ from support import (
     fixture_like_graph,
     leaf_paths,
     one_leaf_replaced,
+    random_connected_graph,
+    tiny_cfg,
+    tiny_topology,
 )
 
 E2E_TOL = 1e-5
-
-
-def tiny_topology():
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=(
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        ),
-        vnf_type_count=2,
-    )
-
-
-def tiny_cfg(hidden=8, t_prop=2):
-    return PolicyConfig(hidden_dim=hidden, vnf_type_count=2, t_prop=t_prop)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +398,7 @@ def test_one_parameter_set_runs_on_different_graph_sizes():
     params = init_policy_params(cfg, seed=0)
     rng = np.random.default_rng(6)
     for n in (8, 12, 20):
-        edges = {}
-        for v in range(1, n):
-            u = int(rng.integers(0, v))
-            edges[(u, v)] = int(rng.integers(1, 11))
-        base = Topology(n, tuple((u, v, d) for (u, v), d in edges.items()), (), 0)
-        t = deploy_vnfs(base, 2, (1, 10), rng, vnf_type_count=3)
+        t = deploy_vnfs(random_connected_graph(n, n - 1, rng), 2, (1, 10), rng, vnf_type_count=3)
         req = generate_requests(t, 1, (1, 2), rng)[0]
         trace = rollout(params, cfg, t, req, mode="greedy")
         assert len(trace.steps) >= 1

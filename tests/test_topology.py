@@ -34,21 +34,8 @@ from support import (
     generate_fixture_topology,
     one_leaf_replaced,
     small_requests,
+    tiny_topology,
 )
-
-
-def tiny_topology():
-    # 0 -2- 1 -3- 2 -1- 3, plus chord 0-3; two type-0 instances on node 1
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=(
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        ),
-        vnf_type_count=2,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Returns, REINFORCE updates, and the two training loops."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from ggsfc.policy import (
     rollout,
     teacher_force,
 )
-from ggsfc.topology import Topology, VnfInstance, generate_pool, internet2_fixture
+from ggsfc.topology import generate_pool, internet2_fixture
 from ggsfc.training import (
     HistoryRow,
     HyperParams,
@@ -27,23 +28,7 @@ from ggsfc.training import (
     train_rl,
     train_sl,
 )
-
-
-def tiny_topology():
-    return Topology(
-        num_nodes=4,
-        edges=((0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)),
-        instances=(
-            VnfInstance(1, 0, 7),
-            VnfInstance(1, 0, 3),
-            VnfInstance(2, 1, 5),
-        ),
-        vnf_type_count=2,
-    )
-
-
-def tiny_cfg():
-    return PolicyConfig(hidden_dim=8, vnf_type_count=2, t_prop=2)
+from support import briefly_trained_policy, tiny_cfg, tiny_topology
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +241,9 @@ def test_train_sl_rejects_topology_ids_outside_the_list():
         dropped_infeasible=0, dropped_over_budget=0,
     )
     for ds, holdout, name in ((bad, None, "dataset"), (dataset, bad, "holdout")):
-        with pytest.raises(ValueError, match=f"{name} topology_id -1 .* < 1"):
+        message = (f"{name}: example 2 (topology_id -1) is out of range: "
+                   "expected 0 <= id < 1, the number of topologies given")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train_sl(init_policy_params(cfg, seed=0), cfg, t, ds,
                      HyperParams(sl_epochs=1), holdout=holdout)
 
@@ -328,11 +315,7 @@ def test_greedy_failure_ratio_equals_a_per_request_rollout_loop():
     bit for bit, for a briefly trained policy on pairs on the fixture and
     on cs2 variants, some of which it walks to success and some not."""
     fixture = internet2_fixture()
-    cfg = PolicyConfig()
-    labels = label_dataset(fixture, generate_requests(fixture, 40, (1, 3),
-                                                      np.random.default_rng(0)))
-    params, _ = train_sl(init_policy_params(cfg, seed=0), cfg, fixture, labels,
-                         HyperParams(alpha_sl=0.03, sl_epochs=6, seed=0))
+    params, cfg = briefly_trained_policy()
     rng = np.random.default_rng(9)
     graphs = [fixture, *generate_pool(fixture, "cs2", pool_size=3, seed=1).variants]
     pairs = [(t, req) for t in graphs for req in generate_requests(t, 8, (1, 3), rng)]
