@@ -7,11 +7,17 @@ sizes here are tiny, so clarity and verifiability win over speed, except
 on the forward hot path, where speed is bought only with bit-identical
 results:
 
-- The GRU forward is fused.  ``fuse_gru`` concatenates the gate matrices
-  into ``[W_z|W_r|W_h]`` and ``[U_z|U_r]``; one product with each replaces
-  five, and the gates are sliced back out.  Each output element is still
-  the same dot product summed in the same order, so the bits equal those of
-  the separate products.
+- The GRU forward is fused.  ``fuse_gru`` concatenates the z and r gate
+  matrices into ``[W_z|W_r]`` and ``[U_z|U_r]``, so the forward takes four
+  products: ``x [W_z|W_r]``, ``h [U_z|U_r]``, ``x W_h`` and ``(r*h) U_h``,
+  and slices z and r back out.  Each output element is still the same dot
+  product summed in the same order, so the bits equal those of the separate
+  products, and of the column slices of one ``x [W_z|W_r|W_h]`` product.
+- A forward kernel writes only into arrays it allocated in the same call,
+  with the same ufuncs on the same operands in the same order as the
+  out-of-place formula, so the bytes hold.  It never writes an argument or
+  an array it caches: ``h_new`` is its own array, and a view the caller
+  passes, such as one segment's ``enc_scores``, is only read.
 - The GRU backward is not fused.  ``dx = da_h W_h^T + da_z W_z^T +
   da_r W_r^T`` keeps its three products and their order: one product over
   the concatenated gates would sum all 3H terms in one pass, a different
@@ -158,8 +164,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     where x >= 0 gives 1 there, e >= 0 everywhere gives e elsewhere, and a
     NaN e is passed through.  So the bytes are those of the where.
     """
-    e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    e = np.negative(x)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    np.add(1.0, e, out=e)
+    return np.divide(out, e, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +193,10 @@ class GruWeights:
     change, e.g. once per episode.
     """
 
-    W_x: np.ndarray   # [W_z | W_r | W_h]
+    W_zr: np.ndarray  # [W_z | W_r]
     U_zr: np.ndarray  # [U_z | U_r]
     b_zr: np.ndarray  # [b_z | b_r]
+    W_h: np.ndarray
     U_h: np.ndarray
     b_h: np.ndarray
     params: Mapping[str, np.ndarray]
@@ -195,9 +206,10 @@ class GruWeights:
 def fuse_gru(params: Mapping[str, np.ndarray], prefix: str = "") -> GruWeights:
     p = lambda name: params[prefix + name]
     return GruWeights(
-        W_x=np.concatenate([p("W_z"), p("W_r"), p("W_h")], axis=1),
+        W_zr=np.concatenate([p("W_z"), p("W_r")], axis=1),
         U_zr=np.concatenate([p("U_z"), p("U_r")], axis=1),
         b_zr=np.concatenate([p("b_z"), p("b_r")]),
+        W_h=p("W_h"),
         U_h=p("U_h"),
         b_h=p("b_h"),
         params=params,
@@ -217,13 +229,20 @@ def gru_cell(
     h_new = (1 - z) * h + z * hbar
     """
     d = w.U_h.shape[0]
-    xw = x @ w.W_x
-    zr = sigmoid(xw[..., : 2 * d] + h_prev @ w.U_zr + w.b_zr)
+    a_zr = x @ w.W_zr
+    a_zr += h_prev @ w.U_zr
+    a_zr += w.b_zr
+    zr = sigmoid(a_zr)
     z = zr[..., :d]
     r = zr[..., d:]
     rh = r * h_prev
-    hbar = np.tanh(xw[..., 2 * d :] + rh @ w.U_h + w.b_h)
-    h_new = (1.0 - z) * h_prev + z * hbar
+    hbar = x @ w.W_h
+    hbar += rh @ w.U_h
+    hbar += w.b_h
+    np.tanh(hbar, out=hbar)
+    h_new = np.subtract(1.0, z)
+    h_new *= h_prev
+    h_new += z * hbar
     cache = (x, h_prev, z, r, rh, hbar, w.params, w.prefix)
     return h_new, cache
 
@@ -295,13 +314,15 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if logits.shape != mask.shape:
         raise ValueError(f"logits shape {logits.shape} vs mask shape {mask.shape}")
-    shifted = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
-    e = np.where(mask, np.exp(shifted), 0.0)
+    e = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=~mask)
     total = e.sum(axis=-1, keepdims=True)
     # a row with an unmasked entry sums exp(0) = 1 at its max (or a NaN)
     if not total.all():
         raise ValueError("masked_softmax requires at least one unmasked entry")
-    return e / total
+    e /= total
+    return e
 
 
 def log_prob_grad(probs: np.ndarray, index: int) -> np.ndarray:

@@ -299,14 +299,17 @@ def label_dataset(
     or a pool (ids index its variants).  Each request is an SfcRequest or a
     (topology_id, SfcRequest) pair.  Infeasible requests are dropped and
     counted, as are optima too long to replay inside the environment's
-    default step budget.
+    default step budget.  A topology id that does not index the topologies
+    is refused, naming the request's position.
     """
     topo_list = as_topology_list(topologies)
     examples: list[LabeledExample] = []
     infeasible = 0
     over_budget = 0
-    for entry in requests:
+    for i, entry in enumerate(requests):
         tid, req = entry if isinstance(entry, tuple) else (0, entry)
+        if not 0 <= tid < len(topo_list):
+            raise ValueError(_id_out_of_range(f"request {i}", tid, len(topo_list)))
         t = topo_list[tid]
         res = solve_optimal(t, req)
         if not res.feasible:
@@ -319,13 +322,17 @@ def label_dataset(
     return LabeledDataset(tuple(examples), infeasible, over_budget)
 
 
+def _id_out_of_range(where: str, tid: int, count: int) -> str:
+    return (f"{where} (topology_id {tid}) is out of range: expected 0 <= id < {count}, "
+            "the number of topologies given")
+
+
 def check_topology_ids(ds: LabeledDataset, count: int, name: str) -> None:
     """Refuse an example whose topology_id does not index ``count``
     topologies; name leads the message, which gives the example's index."""
     for i, ex in enumerate(ds.examples):
         if not 0 <= ex.topology_id < count:
-            raise ValueError(f"{name}: example {i} (topology_id {ex.topology_id}) is out of "
-                             f"range: expected 0 <= id < {count}, the number of topologies given")
+            raise ValueError(_id_out_of_range(f"{name}: example {i}", ex.topology_id, count))
 
 
 def check_labels(

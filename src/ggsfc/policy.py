@@ -28,20 +28,21 @@ with respect to the trace's params.  Supervised learning ascends
 it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
-many requests greedily together instead.  On graphs of one node count it
-encodes each distinct segment once, in stacks of at most ENCODE_STACK: a
-segment's encoding depends only on its graph object, the request's
-endpoints and the pending type, so segments that share those share one
-encoding (graphs are told apart by identity, never by content).  Each
-decode step is one ``decode_step`` over the (L, ...) stack of the live
-episodes, its input one gather from a per-segment table of decoder inputs.
-Each walk keeps the bits of its own ``rollout`` (see the ``nn`` docstring
-for the stacking rules).  The environment steps and the log-probs stay per
-episode; the masks depend only on the current node and the pending type, so
-they are kept once per graph object.  A lockstep keeps no caches, so it
-returns actions, log-probs and paths, not traces.  ``rollout(...,
-lockstep=)`` takes one request's walk from a lockstep, and ``greedy_walks``
-takes every walk of one.
+many requests greedily together instead, in slices of at most
+LOCKSTEP_SLICE walks on graphs of one node count.  A slice encodes each
+distinct segment once, in stacks of at most ENCODE_STACK: a segment's
+encoding depends only on its graph object, the request's endpoints and the
+pending type, so segments that share those share one encoding (graphs are
+told apart by identity, never by content).  Each decode step is one
+``decode_step`` over the (L, ...) stack of the live episodes, its input one
+gather from a per-segment table of decoder inputs.  Each walk keeps the
+bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
+rules).  The environment steps and the log-probs stay per episode; the
+masks depend only on the current node and the pending type, so they are
+kept once per graph object.  A lockstep keeps no caches, so it returns
+actions, log-probs and paths, not traces.  ``rollout(..., lockstep=)``
+takes one request's walk from a lockstep, and ``greedy_walks`` takes every
+walk of one.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ ROLLOUT_MODES = ("greedy", "epsilon_greedy")
 # the most encoder segments a Lockstep propagates as one stack: a fixed
 # cap on its per-round GRU arrays, and so on peak memory
 ENCODE_STACK = 16
+# the most walks a Lockstep advances together: a fixed cap on its decoder
+# table and encodings, and so on peak memory
+LOCKSTEP_SLICE = 64
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -255,11 +259,12 @@ def decode_step(
     read only by the backward, so a batched step, which has none, passes None.
     """
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
-    s_pre = enc_scores + hidden @ params["score.W_hid"]
-    s = np.tanh(s_pre)
+    s = enc_scores + hidden @ params["score.W_hid"]
+    np.tanh(s, out=s)
     node_logits = s @ params["score.v"]
     node_probs = nn.masked_softmax(node_logits, move_mask)
-    process_logits = s @ params["proc.w"] + params["proc.b"][0]
+    process_logits = s @ params["proc.w"]
+    process_logits += params["proc.b"][0]
     dist = ActionDistribution(
         node_probs=node_probs,
         move_mask=move_mask,
@@ -503,15 +508,15 @@ class Lockstep:
     """The greedy walks of many (topology, request) pairs, advanced in
     lockstep (see the module docstring).
 
-    ``walk(t, req)`` returns the walk of that pair.  The first walk asked
-    for on graphs of one node count advances every walk of that count
-    together, one ``decode_step`` per step, to its end, and keeps them for
-    their own calls; so one group's encoder stack is alive at a time.
-    Walk i equals ``rollout(params, cfg, *pairs[i], mode="greedy")`` in its
-    actions, the bits of its log-probs, and its path.
-
-    Pairs are grouped by node count, not by topology, since a pool test
-    spreads its requests over many variants of one size.  Every request is
+    ``walk(t, req)`` returns the walk of that pair.  Pairs are grouped by
+    node count, not by topology, since a pool test spreads its requests over
+    many variants of one size, and each group is cut, in order, into slices
+    of at most LOCKSTEP_SLICE.  The first walk asked for in a slice advances
+    the whole slice together, one ``decode_step`` per step, to its end, and
+    keeps the walks for their own calls; so one slice's encodings and
+    decoder table are alive at a time.  Walk i equals ``rollout(params, cfg,
+    *pairs[i], mode="greedy")`` in its actions, the bits of its log-probs,
+    and its path, whichever walks share its slice.  Every request is
     validated here, before any walk.
     """
 
@@ -534,6 +539,8 @@ class Lockstep:
             raise ValueError("the lockstep holds no walk of this (topology, request) pair")
         if self._walks[i] is None:
             group = [j for j, (u, _) in enumerate(self._pairs) if u.num_nodes == t.num_nodes]
+            lo = group.index(i) // LOCKSTEP_SLICE * LOCKSTEP_SLICE
+            group = group[lo : lo + LOCKSTEP_SLICE]
             walks = _lockstep(self.params, self.cfg, [self._pairs[j] for j in group],
                               [self._states[j] for j in group])
             for j, walk in zip(group, walks):

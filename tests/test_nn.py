@@ -241,6 +241,111 @@ def test_fused_gru_cell_is_bit_identical_to_per_gate_products(shape):
 
 
 # ---------------------------------------------------------------------------
+# the kernels write their temporaries in place, into arrays of their own,
+# and keep the bytes of the out-of-place formulas they replaced
+
+def out_of_place_gru(x, h_prev, params, prefix):
+    """nn.gru_cell as it was before it wrote in place: one fused
+    x @ [W_z|W_r|W_h] product, sliced; returns h_new and the cached arrays."""
+    p = lambda name: params[prefix + name]
+    d = p("U_h").shape[0]
+    xw = x @ np.concatenate([p("W_z"), p("W_r"), p("W_h")], axis=1)
+    u_zr = np.concatenate([p("U_z"), p("U_r")], axis=1)
+    zr = where_sigmoid(xw[..., : 2 * d] + h_prev @ u_zr + np.concatenate([p("b_z"), p("b_r")]))
+    z, r = zr[..., :d], zr[..., d:]
+    rh = r * h_prev
+    hbar = np.tanh(xw[..., 2 * d :] + rh @ p("U_h") + p("b_h"))
+    return (1.0 - z) * h_prev + z * hbar, (x, h_prev, z, r, rh, hbar)
+
+
+def out_of_place_masked_softmax(logits, mask):
+    shifted = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    e = np.where(mask, np.exp(shifted), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(64,), (7, 1, 64), (16, 12, 64)])
+def test_sigmoid_writes_only_an_array_of_its_own(shape):
+    """x is not written, NaNs and infinities among its values, and the
+    result shares no memory with it (its bytes: see the where test above)."""
+    rng = np.random.default_rng(len(shape))
+    edges = np.array(SIGMOID_EDGES)
+    for scale in (1.0, 40.0, 800.0):
+        x = rng.uniform(-scale, scale, size=shape)
+        x.reshape(-1)[rng.permutation(x.size)[: len(edges)]] = edges
+        before = x.copy()
+        out = sigmoid(x)
+        assert x.tobytes() == before.tobytes() and not np.shares_memory(out, x)
+
+
+# 1-D decoder steps, (L, 1, d) lockstep decoder stacks and (S, n, H) encoder stacks
+GRU_SHAPES = ([(42,), (1, 1, 42), (7, 1, 42), (40, 1, 42)]
+              + [(stack, n, 32) for stack in (1, 7, 16) for n in (12, 13, 14, 16)])
+
+
+@pytest.mark.parametrize("shape", GRU_SHAPES, ids=str)
+def test_gru_cell_keeps_the_out_of_place_bytes_of_h_new_and_every_cache(shape):
+    """Byte-equal h_new and cached x, h_prev, z, r, rh and hbar; no argument
+    is written, and h_new shares no memory with anything cached."""
+    rng = np.random.default_rng(sum(shape))
+    h_shape = shape[:-1] + (32,)
+    for _ in range(10):
+        params = _random_gru(shape[-1], 32, rng, "g.")
+        w = fuse_gru(params, "g.")
+        x = rng.normal(size=shape)
+        h = np.tanh(rng.normal(size=h_shape))
+        before = [a.copy() for a in (x, h, params._flat)]
+        weights = [a.copy() for a in (w.W_zr, w.U_zr, w.b_zr, w.W_h, w.U_h, w.b_h)]
+        h_new, cache = gru_cell(x, h, w)
+        want_h, want_cache = out_of_place_gru(x, h, params, "g.")
+        assert h_new.tobytes() == want_h.tobytes()
+        assert cache[6] is w.params and cache[7] == "g."
+        for got, want in zip(cache[:6], want_cache):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(h_new, got)
+        assert [a.tobytes() for a in (x, h, params._flat)] == [a.tobytes() for a in before]
+        assert [a.tobytes() for a in (w.W_zr, w.U_zr, w.b_zr, w.W_h, w.U_h, w.b_h)] == \
+            [a.tobytes() for a in weights]
+
+
+@pytest.mark.parametrize("shape", GRU_SHAPES, ids=str)
+def test_split_input_products_equal_the_fused_products_column_slices(shape):
+    """x @ W_x[:, :2H] and x @ W_x[:, 2H:], strided or contiguous, give the
+    bytes of the fused x @ W_x product's column slices: each element is the
+    same dot product, summed in the same order."""
+    rng = np.random.default_rng(sum(shape) + 1)
+    for _ in range(10):
+        w_x = rng.normal(scale=0.5, size=(shape[-1], 96))
+        x = rng.normal(size=shape)
+        fused = x @ w_x
+        for cols in (slice(None, 64), slice(64, None)):
+            assert (x @ w_x[:, cols]).tobytes() == fused[..., cols].tobytes()
+            assert (x @ np.ascontiguousarray(w_x[:, cols])).tobytes() == fused[..., cols].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 15])
+def test_masked_softmax_keeps_the_out_of_place_bytes_and_its_arguments(n):
+    """Byte-equal rows, a row with one unmasked entry among them, for 1-D
+    and (L, n) calls; logits and mask are not written, and the result is
+    an array of its own."""
+    rng = np.random.default_rng(n)
+    for scale in (0.1, 3.0, 60.0):
+        logits = rng.normal(scale=scale, size=(9, n))
+        mask = rng.random((9, n)) < 0.5
+        mask[np.arange(9), rng.integers(0, n, size=9)] = True
+        mask[0] = False
+        mask[0, n // 2] = True  # a row with a single unmasked entry
+        for got_logits, got_mask in ((logits, mask), (logits[4], mask[4]), (logits[0], mask[0])):
+            before = got_logits.copy(), got_mask.copy()
+            out = masked_softmax(got_logits, got_mask)
+            assert out.tobytes() == out_of_place_masked_softmax(got_logits, got_mask).tobytes()
+            assert got_logits.tobytes() == before[0].tobytes()
+            assert got_mask.tobytes() == before[1].tobytes()
+            assert not np.shares_memory(out, got_logits)
+        assert masked_softmax(logits[0], mask[0]).tolist() == [float(i == n // 2) for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # the stacks of a lockstep walk: each slice keeps its unstacked bits
 
 def test_decoder_stack_rows_equal_the_1d_product():

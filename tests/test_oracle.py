@@ -1,6 +1,7 @@
 """Exact solver vs. independent exhaustive search, plus dataset labeling."""
 
 import json
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -300,6 +301,18 @@ def test_label_dataset_maps_ids_to_pool_variants():
     for ex in ds.examples:
         expect = solve_optimal(pool.variants[ex.topology_id], ex.request)
         assert ex.actions == expect.actions
+
+
+@pytest.mark.parametrize("tid", [-1, 3])
+def test_label_dataset_refuses_a_topology_id_it_cannot_index(tid):
+    """-1 would label on the last topology, and 3 would raise a bare
+    IndexError; both are refused in check_topology_ids' form."""
+    t = internet2_fixture()
+    pairs = [(0, SfcRequest(0, 5, (1,))), (tid, SfcRequest(0, 5, (1,)))]
+    message = (f"request 1 (topology_id {tid}) is out of range: "
+               "expected 0 <= id < 1, the number of topologies given")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        label_dataset([t], pairs)
 
 
 def test_dataset_round_trip():

@@ -23,6 +23,7 @@ from ggsfc.nn import GradSet, ParamSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
     ENCODE_STACK,
+    LOCKSTEP_SLICE,
     MAX_T_PROP,
     ActionDistribution,
     Lockstep,
@@ -234,6 +235,51 @@ def test_decode_step_masks_and_normalizes():
     assert 0.0 < p_process < 1.0
     # the recurrent state advanced
     assert not np.array_equal(hidden, hidden2)
+
+
+def out_of_place_scorer(enc_scores, hidden, move_mask, params):
+    """decode_step's scorer as it was before it wrote in place: the cached
+    activations s, node probs and process logits from the advanced hidden
+    state."""
+    s = np.tanh(enc_scores + hidden @ params["score.W_hid"])
+    logits = s @ params["score.v"]
+    e = np.where(move_mask, np.exp(logits - logits.max(axis=-1, keepdims=True, where=move_mask,
+                                                       initial=-np.inf)), 0.0)
+    return s, e / e.sum(axis=-1, keepdims=True), s @ params["proc.w"] + params["proc.b"][0]
+
+
+@pytest.mark.parametrize("live", [None, 1, 6, 37])
+def test_decode_step_keeps_the_out_of_place_bytes_and_its_arguments(live):
+    """Byte-equal node probs, process logits, hidden state and cached scorer
+    activations for a 1-D step (live None) and an (L, ...) stack; no
+    argument is written, enc_scores being a view of a larger array as in an
+    episode."""
+    rng = np.random.default_rng(live or 0)
+    cfg = PolicyConfig()
+    n, h, d = 12, cfg.hidden_dim, cfg.decoder_input_width
+    lead = () if live is None else (live,)
+    for seed in range(5):
+        params = init_policy_params(cfg, seed=seed)
+        table = rng.normal(size=(3,) + lead + (n, h))
+        enc_scores = table[1]
+        hidden = np.tanh(rng.normal(size=lead + (1,) * bool(lead) + (h,)))
+        x = rng.normal(size=lead + (1,) * bool(lead) + (d,))
+        move = rng.random(lead + (n,)) < 0.4
+        move[..., seed] = True
+        proc = move & (rng.random(lead + (n,)) < 0.5)
+        args = (table, hidden, x, move, proc, params._flat)
+        before = [a.copy() for a in args]
+        dist, new_hidden, cache = decode_step(None, enc_scores, hidden, x, move, proc, params,
+                                              fuse_gru(params, "dec."))
+        want_hidden, _ = nn.gru_cell(x, hidden, fuse_gru(params, "dec."))
+        want_s, want_probs, want_process = out_of_place_scorer(enc_scores, want_hidden, move,
+                                                               params)
+        assert new_hidden.tobytes() == want_hidden.tobytes()
+        assert cache[2].tobytes() == want_s.tobytes()
+        assert dist.node_probs.tobytes() == want_probs.tobytes()
+        assert dist.process_logits.tobytes() == want_process.tobytes()
+        assert dist.move_mask is move and dist.process_mask is proc and cache[4] is dist
+        assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
 
 
 def test_masks_are_read_only():
@@ -569,6 +615,28 @@ def test_rollout_takes_its_walk_from_a_lockstep():
         assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
         assert walk.path == trace.path
     assert lockstep._walks[5:9] == [None] * 4
+
+
+def test_a_lockstep_walks_only_the_slice_that_holds_the_pair():
+    """A node-count group is cut, in order, into slices of LOCKSTEP_SLICE
+    walks (other node counts skipped); asking for one walk advances its
+    slice alone, and the walks of a slice equal their own rollouts."""
+    big, small = internet2_fixture(), fixture_like_graph(7, 2, seed=3)
+    rng = np.random.default_rng(8)
+    pairs = [(small, generate_requests(small, 1, (1, 2), rng)[0])]
+    pairs += [(big, r) for r in generate_requests(big, LOCKSTEP_SLICE + 6, (1, 2), rng)]
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=1)
+    lockstep = Lockstep(params, cfg, pairs)
+    tail = pairs[LOCKSTEP_SLICE + 1 :]
+    for t, req in tail:
+        walk = rollout(params, cfg, t, req, lockstep=lockstep)
+        trace = rollout(params, cfg, t, req)
+        assert walk.actions == tuple(s.action for s in trace.steps)
+        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
+    assert lockstep._walks[: LOCKSTEP_SLICE + 1] == [None] * (LOCKSTEP_SLICE + 1)
+    rollout(params, cfg, *pairs[1], lockstep=lockstep)
+    assert lockstep._walks[0] is None and None not in lockstep._walks[1:]
 
 
 def test_lockstep_encodes_each_distinct_segment_once_and_shares_masks_per_graph(monkeypatch):
