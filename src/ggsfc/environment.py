@@ -15,9 +15,12 @@ Moves and processing sites come from the topology's ``arcs`` and
 ``proc_delays``, the tables the exact solver searches: a move's edge delay
 is one lookup in ``arcs[node]``, and a processing step records the
 cheapest instance there as ``VnfInstance(node, type, delay)``.  The
-records a step builds (``EnvState``, ``PathResult``, ``Action``) are
-immutable named tuples, the cheapest immutable records to build; they
-compare equal to plain tuples of their fields.
+records a step builds (``EnvState``, ``PathResult``, ``VnfInstance``) and
+the ``Action`` it takes are immutable named tuples, the cheapest immutable
+records to build; they compare equal to plain tuples of their fields.
+``reset`` and ``step`` build theirs with ``tuple.__new__(cls, fields)``,
+which skips the Python-level ``__new__`` a named tuple's constructor runs
+and gives the same record.
 
 This module holds the rules alone; a recorded episode with the policy's
 log-probs is a ``policy.EpisodeTrace``.
@@ -34,6 +37,10 @@ from .topology import Topology, TopologyError, VnfInstance
 
 DEFAULT_SUCCESS_BASE = 10000.0
 DEFAULT_CHAIN_LEN_RANGE = (1, 4)
+
+# a record from a tuple of all its fields, built without the named tuple's
+# Python-level __new__: reset and step run once per move of every walk
+_record = tuple.__new__
 
 
 class InvalidActionError(ValueError):
@@ -121,7 +128,7 @@ def reset(t: Topology, req: SfcRequest, max_steps: int | None = None) -> EnvStat
         max_steps = default_max_steps(t, req)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    return EnvState(req, req.source, 0, 0, EMPTY_PATH, False, max_steps)
+    return _record(EnvState, (req, req.source, 0, 0, EMPTY_PATH, False, max_steps))
 
 
 def valid_actions(s: EnvState, t: Topology) -> tuple[Action, ...]:
@@ -163,7 +170,7 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
         if proc is None:
             raise InvalidActionError(f"node {v} hosts no instance of type {want}")
         delay += proc
-        instance_uses = instance_uses + (VnfInstance(v, want, proc),)
+        instance_uses = instance_uses + (_record(VnfInstance, (v, want, proc)),)
         chain_index += 1
 
     total = path.total_delay + delay
@@ -171,9 +178,10 @@ def step(s: EnvState, a: Action, t: Topology, cfg: RewardConfig) -> tuple[EnvSta
     req = s.request
     success = v == req.destination and chain_index == len(req.chain)
     done = success or steps_taken >= s.max_steps
-    path = PathResult(path.edge_uses + ((u, v),), instance_uses, total, success)
+    path = _record(PathResult, (path.edge_uses + ((u, v),), instance_uses, total, success))
     reward = DEFAULT_SUCCESS_BASE - cfg.lam * total if success else 0.0
-    return EnvState(req, v, chain_index, steps_taken, path, done, s.max_steps), reward, done
+    s = _record(EnvState, (req, v, chain_index, steps_taken, path, done, s.max_steps))
+    return s, reward, done
 
 
 def total_delay(p: PathResult, t: Topology) -> int:

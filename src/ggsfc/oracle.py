@@ -25,7 +25,9 @@ is a lower bound on the delay from s to the goal.  At the last layer h is
 the shortest edge delay to the destination.  Below it, h(l, u) is the least,
 over the sites x hosting chain type l, of u's shortest edge delay to x plus
 x's processing delay plus h(l + 1, x).  A chain type with no site makes the
-request infeasible before any search.
+request infeasible before any search.  A layer's row starts as its first
+site's terms and folds in each further site's with one comparison per node,
+keeping the smaller: exact integers, so the row is the per-node minimum.
 
 h is consistent on both kinds of move.  A plain move u -> v of edge delay w
 keeps the layer, and h(l, u) <= w + h(l, v), because each term of h(l, u)
@@ -138,8 +140,10 @@ def delay_bound(t: Topology, req: SfcRequest) -> list[Sequence[int]] | None:
     for k in reversed(req.chain):
         # per site x of type k: processing there plus the bound beyond it
         sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
-        rows = [[d + c for d in dist(x)] for x, c in sites]
-        row = rows[0] if len(rows) == 1 else list(map(min, *rows))
+        (x, c), rest = sites[0], sites[1:]
+        row = [d + c for d in dist(x)]
+        for x, c in rest:
+            row = [a if a <= d + c else d + c for a, d in zip(row, dist(x))]
         bound.append(row)
     bound.reverse()
     return bound
@@ -175,7 +179,8 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
             continue
         settled[state] = 1
         if state == goal:
-            actions = tuple(Action(code >> 1, bool(code & 1)) for code in acts)
+            # decoded as environment.step builds its records
+            actions = tuple([tuple.__new__(Action, (c >> 1, bool(c & 1))) for c in acts])
             return _result_from_actions(t, req, actions, delay)
         layer, node = divmod(state, n)
         proc = procs[layer]

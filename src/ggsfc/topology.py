@@ -29,7 +29,7 @@ from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,9 +49,9 @@ class TopologyError(ValueError):
     """Malformed topology document or violated structural invariant."""
 
 
-@dataclass(frozen=True, order=True)
-class VnfInstance:
-    """One deployed VNF: a type hosted on a node with a processing delay."""
+class VnfInstance(NamedTuple):
+    """One deployed VNF: a type hosted on a node with a processing delay.
+    Instances sort by (node, vnf_type, proc_delay)."""
 
     node: int
     vnf_type: int
@@ -373,7 +373,7 @@ def mutate_cs1(t: Topology, rng: np.random.Generator) -> Topology:
 def relocate_instances(t: Topology, rng: np.random.Generator) -> Topology:
     """Move every VNF instance to a uniformly chosen node, keeping type/delay."""
     moved = tuple(
-        replace(inst, node=int(rng.integers(0, t.num_nodes))) for inst in t.instances
+        inst._replace(node=int(rng.integers(0, t.num_nodes))) for inst in t.instances
     )
     return replace(t, instances=moved)
 

@@ -3,9 +3,9 @@ random GRU parameters, random VNF placement, what the suites share (the
 tiny 4-node graph and its policy config, seeded random connected graphs and
 small random instances, a briefly SL-trained fixture policy, and a call
 counter for spies), the seeded generator the bundled internet2 fixture was
-frozen from (at any size), a plain-Dijkstra reference solver, and hypothesis
-strategies for random requests and for artifact documents with one fuzzed
-value."""
+frozen from (at any size), a plain-Dijkstra reference solver and the
+search bound's reference rows, and hypothesis strategies for random
+requests and for artifact documents with one fuzzed value."""
 
 from __future__ import annotations
 
@@ -278,6 +278,23 @@ def graph_requests(draw, nodes=(8, 48)):
     node = st.integers(0, n - 1)
     chain = draw(st.lists(st.integers(0, 4), max_size=4))
     return t, SfcRequest(draw(node), draw(node), tuple(chain))
+
+
+def reference_delay_bound(t: Topology, req: SfcRequest) -> list[list[int]] | None:
+    """oracle.delay_bound's rows by their first formula: one row per site of
+    a chain type, then the per-node min() over them; the reference the
+    solver's folded rows must equal."""
+    if not set(req.chain).issubset(t.deployed_types):
+        return None
+    row = t.distances_from(req.destination)
+    bound = [row]
+    for k in reversed(req.chain):
+        sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
+        rows = [[d + c for d in t.distances_from(x)] for x, c in sites]
+        row = rows[0] if len(rows) == 1 else list(map(min, *rows))
+        bound.append(row)
+    bound.reverse()
+    return bound
 
 
 def dijkstra_optimal(t: Topology, req: SfcRequest) -> OracleResult:

@@ -233,6 +233,59 @@ def test_record_reprs_name_every_field():
         f"chain_index=1, steps_taken=1, path_so_far={path}, done=False, max_steps=14)")
 
 
+def assert_same_record(got, cls, want):
+    """got is a cls of every field, equal to want, a cls built by keyword."""
+    assert type(got) is cls
+    assert len(got) == len(cls._fields)
+    assert got == want
+    for name in cls._fields:
+        assert getattr(got, name) == getattr(want, name)
+
+
+def assert_same_state(got, want):
+    assert_same_record(got, EnvState, want)
+    assert_same_record(got.path_so_far, PathResult, want.path_so_far)
+    for inst, want_inst in zip(got.path_so_far.instance_uses, want.path_so_far.instance_uses,
+                               strict=True):
+        assert_same_record(inst, VnfInstance, want_inst)
+
+
+REQ = SfcRequest(0, 3, (0,))
+USED = VnfInstance(node=1, vnf_type=0, proc_delay=3)
+
+
+@pytest.mark.parametrize("actions, max_steps, want", [
+    ((), None, EnvState(
+        request=REQ, current_node=0, chain_index=0, steps_taken=0,
+        path_so_far=PathResult(edge_uses=(), instance_uses=(), total_delay=0, success=False),
+        done=False, max_steps=14)),
+    ([Action(1, False)], None, EnvState(
+        request=REQ, current_node=1, chain_index=0, steps_taken=1,
+        path_so_far=PathResult(edge_uses=((0, 1),), instance_uses=(), total_delay=2,
+                               success=False),
+        done=False, max_steps=14)),
+    ([Action(1, True)], None, EnvState(
+        request=REQ, current_node=1, chain_index=1, steps_taken=1,
+        path_so_far=PathResult(edge_uses=((0, 1),), instance_uses=(USED,), total_delay=5,
+                               success=False),
+        done=False, max_steps=14)),
+    ([Action(1, True), Action(2, False), Action(3, False)], None, EnvState(
+        request=REQ, current_node=3, chain_index=1, steps_taken=3,
+        path_so_far=PathResult(edge_uses=((0, 1), (1, 2), (2, 3)), instance_uses=(USED,),
+                               total_delay=9, success=True),
+        done=True, max_steps=14)),
+    ([Action(1, True), Action(0, False)], 2, EnvState(
+        request=REQ, current_node=0, chain_index=1, steps_taken=2,
+        path_so_far=PathResult(edge_uses=((0, 1), (1, 0)), instance_uses=(USED,),
+                               total_delay=7, success=False),
+        done=True, max_steps=2)),
+], ids=["reset", "move", "process", "success", "budget"])
+def test_reset_and_step_build_whole_records(actions, max_steps, want):
+    s, rewards = walk(tiny_topology(), REQ, actions, max_steps=max_steps)
+    assert_same_state(s, want)
+    assert sum(rewards) == (10000.0 if want.path_so_far.success else 0.0)
+
+
 def test_random_walks_keep_bookkeeping_consistent():
     t = internet2_fixture()
     rng = np.random.default_rng(3)

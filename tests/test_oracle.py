@@ -43,7 +43,9 @@ from support import (
     fixture_like_graph,
     graph_requests,
     one_leaf_replaced,
+    random_connected_graph,
     random_instance,
+    reference_delay_bound,
     small_requests,
     tiny_topology,
 )
@@ -59,6 +61,7 @@ def test_optimal_path_on_the_tiny_graph():
     assert res.feasible
     assert res.optimal_delay == 9
     assert res.actions == (Action(1, True), Action(2, False), Action(3, False))
+    assert all(type(a) is Action and len(a) == len(Action._fields) for a in res.actions)
     assert res.path.success
 
 
@@ -194,6 +197,40 @@ def test_the_delay_bound_is_consistent_and_zero_at_the_goal(case):
                 assert h[layer][u] <= w + h[layer][v]
                 if procs is not None and procs[v] is not None:
                     assert h[layer][u] <= w + procs[v] + h[layer + 1][v]
+
+
+def mixed_site_graph(num_nodes: int, seed: int) -> Topology:
+    """A fixture-density graph whose five VNF types have 1, 2, 1, n // 4 and
+    n sites: types with one site and types with many in one chain."""
+    rng = np.random.default_rng(seed)
+    t = random_connected_graph(num_nodes, num_nodes + num_nodes // 4, rng)
+    instances = tuple(
+        VnfInstance(int(x), k, int(rng.integers(1, 11)))
+        for k, count in enumerate((1, 2, 1, num_nodes // 4, num_nodes))
+        for x in rng.choice(num_nodes, size=count, replace=False))
+    return replace(t, instances=instances, vnf_type_count=5)
+
+
+@pytest.mark.parametrize("num_nodes", [8, 13, 40, 120, 300])
+def test_the_folded_bound_rows_equal_the_per_site_minimum(num_nodes):
+    graphs = [fixture_like_graph(num_nodes, sites, seed=num_nodes)
+              for sites in (1, 2, min(num_nodes, 7))]
+    graphs.append(mixed_site_graph(num_nodes, seed=num_nodes))
+    for i, t in enumerate(graphs):
+        rng = np.random.default_rng(i)
+        for req in generate_requests(t, 12, (1, 6), rng):
+            assert delay_bound(t, req) == reference_delay_bound(t, req)
+
+
+def test_the_folded_bound_rows_equal_the_per_site_minimum_on_small_instances():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        t = random_instance(rng)
+        for req in generate_requests(t, 3, (1, 4), rng):
+            assert delay_bound(t, req) == reference_delay_bound(t, req)
+    t = internet2_fixture()
+    for req in generate_requests(t, 300, (1, 4), np.random.default_rng(0)):
+        assert delay_bound(t, req) == reference_delay_bound(t, req)
 
 
 def test_a_solve_keeps_only_the_distance_rows_its_bound_reads():

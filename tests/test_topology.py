@@ -1,7 +1,9 @@
 """Topology model, change strategies, pools."""
 
+import hashlib
 import json
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -257,6 +259,25 @@ def test_fixture_shape():
 def test_fixture_file_matches_its_generator():
     # the bundled data file is frozen output of the seeded generator
     assert generate_fixture_topology(FIXTURE_SEED) == internet2_fixture()
+
+
+def test_instance_records_keep_their_order_text_and_pool_variants():
+    t = internet2_fixture()
+    assert [(i.node, i.vnf_type, i.proc_delay) for i in t.instances] == [
+        (0, 1, 4), (0, 4, 3), (2, 2, 5), (2, 3, 9), (3, 1, 10),
+        (5, 0, 9), (7, 2, 9), (7, 4, 8), (8, 3, 8), (10, 0, 10)]
+    assert all(type(i) is VnfInstance for i in t.instances)
+    assert save_topology(t) == (
+        resources.files("ggsfc.data").joinpath("internet2.json").read_text())
+    assert repr(t.instances[0]) == "VnfInstance(node=0, vnf_type=1, proc_delay=4)"
+    assert sorted([VnfInstance(1, 0, 3), VnfInstance(0, 2, 9), VnfInstance(1, 0, 2)]) == [
+        VnfInstance(0, 2, 9), VnfInstance(1, 0, 2), VnfInstance(1, 0, 3)]
+    # the sha256 of these variants' files as written with the record's first,
+    # dataclass form
+    pool = generate_pool(t, "cs2", pool_size=20, seed=3)
+    text = "".join(save_topology(v) for v in pool.variants)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6d086d7f050c9a6407bf8b5434a9d1d6f9d97ad2a1a51aa29931e31a2a7a667e")
 
 
 def test_fixture_generator_is_deterministic():
