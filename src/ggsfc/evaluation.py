@@ -13,8 +13,8 @@ mutated with relocated VNF instances.  Requests are generated once per test
 from the experiment seed, so every checkpoint answers the same questions
 and reruns are byte-identical.  A checkpoint's greedy walks of all three
 tests advance in one ``policy.Lockstep``, and each request's walk is its
-``rollout`` taken from it, with the bits of its own rollout, so the report
-is the one per-request walks would give.
+``rollout`` taken from it, the path its own rollout gives, so the report is
+the one per-request walks would give.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def _greedy_walks(
     long failing walk shares its steps with the others."""
     lockstep = Lockstep(params, cfg, pairs)
     for pair in pairs:
-        path = rollout(params, cfg, *pair, lockstep=lockstep).path
+        path = rollout(params, cfg, *pair, lockstep=lockstep)
         yield path.success, path.total_delay
 
 

@@ -37,12 +37,12 @@ told apart by identity, never by content).  Each decode step is one
 ``decode_step`` over the (L, ...) stack of the live episodes, its input one
 gather from a per-segment table of decoder inputs.  Each walk keeps the
 bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
-rules).  The environment steps and the log-probs stay per episode; the
-masks depend only on the current node and the pending type, so they are
-kept once per graph object.  A lockstep keeps no caches, so it returns
-actions, log-probs and paths, not traces.  ``rollout(..., lockstep=)``
-takes one request's walk from a lockstep, and ``greedy_walks`` takes every
-walk of one.
+rules).  The environment steps stay per episode; the masks depend only on
+the current node and the pending type, so they are kept once per graph
+object.  A lockstep keeps no caches and computes no log-probs: evaluation
+and the holdout read only whether a walk succeeded and its delay, so a
+lockstep walk is its ``PathResult``.  ``rollout(..., lockstep=)`` takes one
+request's walk from a lockstep.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ def encode_backward(
 class ActionDistribution(NamedTuple):
     """Per-node move distribution and per-node process logits; the process
     probability at u is sigmoid(process_logits[u]) where process_mask[u]
-    holds and 0 elsewhere.  A named tuple, as a lockstep builds one per
-    walk-step."""
+    holds and 0 elsewhere.  A batched ``decode_step`` returns one whose
+    fields carry a leading axis of rows."""
 
     node_probs: np.ndarray
     move_mask: np.ndarray
@@ -460,20 +460,20 @@ def rollout(
     reward_cfg: RewardConfig | None = None,
     mode: str = "greedy",
     rng: np.random.Generator | None = None,
-    epsilon: float = 0.01,
+    epsilon: float | None = None,
     lockstep: Lockstep | None = None,
-) -> EpisodeTrace | GreedyWalk:
+) -> EpisodeTrace | PathResult:
     """Run one episode under the policy.
 
     greedy: argmax node, process iff its probability >= 0.5 (deterministic).
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
-    probability of the taken action.
+    probability of the taken action.  It needs both an rng and an epsilon.
 
     With a lockstep that holds (t, req), the greedy walk is taken from it:
     this call advances the lockstep's walks together until this one ends.
-    That walk keeps no caches and records no rewards, so it is returned as
-    a ``GreedyWalk``, equal to the trace's actions, log-probs and path.
+    That walk keeps no caches and records no rewards or log-probs, so it is
+    returned as its ``PathResult``, equal to the trace's path.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -483,6 +483,8 @@ def rollout(
         return lockstep.walk(t, req)
     if mode != "greedy" and rng is None:
         raise ValueError(f"mode {mode!r} needs an rng")
+    if mode != "greedy" and epsilon is None:
+        raise ValueError(f"mode {mode!r} needs an epsilon")
     if reward_cfg is None:
         reward_cfg = RewardConfig()
     greedy = mode == "greedy"
@@ -495,29 +497,21 @@ def rollout(
     return _run_episode(params, cfg, t, req, reward_cfg, None, select)
 
 
-@dataclass(frozen=True)
-class GreedyWalk:
-    """A greedy walk as ``rollout`` records it, without the caches."""
-
-    actions: tuple[Action, ...]
-    log_probs: tuple[float, ...]
-    path: PathResult
-
-
 class Lockstep:
     """The greedy walks of many (topology, request) pairs, advanced in
     lockstep (see the module docstring).
 
-    ``walk(t, req)`` returns the walk of that pair.  Pairs are grouped by
-    node count, not by topology, since a pool test spreads its requests over
-    many variants of one size, and each group is cut, in order, into slices
-    of at most LOCKSTEP_SLICE.  The first walk asked for in a slice advances
-    the whole slice together, one ``decode_step`` per step, to its end, and
-    keeps the walks for their own calls; so one slice's encodings and
-    decoder table are alive at a time.  Walk i equals ``rollout(params, cfg,
-    *pairs[i], mode="greedy")`` in its actions, the bits of its log-probs,
-    and its path, whichever walks share its slice.  Every request is
-    validated here, before any walk.
+    ``walk(t, req)`` returns the path of that pair's walk.  Pairs are
+    grouped by node count, not by topology, since a pool test spreads its
+    requests over many variants of one size, and each group is cut, in
+    order, into slices of at most LOCKSTEP_SLICE.  The first walk asked for
+    in a slice advances the whole slice together, one ``decode_step`` per
+    step, to its end, and keeps the paths for their own calls; so one
+    slice's encodings and decoder table are alive at a time.  Each row of
+    every step's batched distribution has the bytes of that walk's own
+    ``rollout(params, cfg, *pairs[i], mode="greedy")`` step, and so walk i
+    has that rollout's path, whichever walks share its slice.  Every request
+    is validated here, before any walk.
     """
 
     def __init__(
@@ -526,14 +520,14 @@ class Lockstep:
         self.params, self.cfg = params, cfg
         self._pairs = list(pairs)  # keeps the ids of the index alive
         self._states = [reset(t, req) for t, req in self._pairs]  # validates each request first
-        self._walks: list[GreedyWalk | None] = [None] * len(self._pairs)
+        self._walks: list[PathResult | None] = [None] * len(self._pairs)
         # a pair is found by the identity of the objects passed; a repeated
         # pair is found at its first position, its walks being equal
         self._index: dict[tuple[int, int], int] = {}
         for i, (t, req) in enumerate(self._pairs):
             self._index.setdefault((id(t), id(req)), i)
 
-    def walk(self, t: Topology, req: SfcRequest) -> GreedyWalk:
+    def walk(self, t: Topology, req: SfcRequest) -> PathResult:
         i = self._index.get((id(t), id(req)))
         if i is None:
             raise ValueError("the lockstep holds no walk of this (topology, request) pair")
@@ -548,27 +542,14 @@ class Lockstep:
         return self._walks[i]
 
 
-def greedy_walks(
-    params: ParamSet,
-    cfg: PolicyConfig,
-    pairs: Sequence[tuple[Topology, SfcRequest]],
-) -> list[GreedyWalk]:
-    """The greedy walk of every (topology, request) pair, all advanced in
-    one ``Lockstep``; walk i equals ``rollout(params, cfg, *pairs[i],
-    mode="greedy")`` in its actions, the bits of its log-probs, and its
-    path."""
-    lockstep = Lockstep(params, cfg, pairs)
-    return [lockstep.walk(t, req) for t, req in pairs]
-
-
 def _lockstep(
     params: ParamSet,
     cfg: PolicyConfig,
     pairs: list[tuple[Topology, SfcRequest]],
     states: list[EnvState],
-) -> list[GreedyWalk]:
-    """Greedy walks of pairs whose topologies share one node count, from
-    their reset states."""
+) -> list[PathResult]:
+    """The paths of the greedy walks of pairs whose topologies share one
+    node count, from their reset states."""
     enc_gru = nn.fuse_gru(params, "enc.")
     dec_gru = nn.fuse_gru(params, "dec.")
     k = cfg.vnf_type_count
@@ -610,8 +591,6 @@ def _lockstep(
     reward_cfg = RewardConfig()
     graph_masks: dict[int, dict] = {}  # per graph object, by (current node, pending type)
     masks = [graph_masks.setdefault(id(t), {}) for t, _ in pairs]
-    actions: list[list[Action]] = [[] for _ in pairs]
-    log_probs: list[list[float]] = [[] for _ in pairs]
     live = list(range(len(pairs)))
     hidden = np.zeros((len(pairs), 1, cfg.hidden_dim))
     while live:
@@ -637,18 +616,13 @@ def _lockstep(
         process = proc[rows, chosen] & (nn.sigmoid(dist.process_logits[rows, chosen]) >= 0.5)
         kept = []
         for r, (j, u, p) in enumerate(zip(live, chosen.tolist(), process.tolist())):
-            action = Action(u, p)
-            row = ActionDistribution(dist.node_probs[r], move[r], proc[r], dist.process_logits[r])
-            log_probs[j].append(action_log_prob(row, action))
-            actions[j].append(action)
-            states[j], _, done = env_step(states[j], action, pairs[j][0], reward_cfg)
+            states[j], _, done = env_step(states[j], Action(u, p), pairs[j][0], reward_cfg)
             if not done:
                 kept.append(r)
         if len(kept) < len(live):
             live = [live[r] for r in kept]
             hidden = hidden[kept]
-    return [GreedyWalk(tuple(a), tuple(lp), s.path_so_far)
-            for a, lp, s in zip(actions, log_probs, states)]
+    return [s.path_so_far for s in states]
 
 
 def teacher_force(

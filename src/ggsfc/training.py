@@ -134,7 +134,7 @@ def greedy_failure_ratio(
     failures = 0
     delays = []
     for t, req in pairs:
-        path = rollout(params, cfg, t, req, lockstep=lockstep).path
+        path = rollout(params, cfg, t, req, lockstep=lockstep)
         if path.success:
             delays.append(path.total_delay)
         else:

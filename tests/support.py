@@ -4,8 +4,9 @@ tiny 4-node graph and its policy config, seeded random connected graphs and
 small random instances, a briefly SL-trained fixture policy, and a call
 counter for spies), the seeded generator the bundled internet2 fixture was
 frozen from (at any size), a plain-Dijkstra reference solver and the
-search bound's reference rows, and hypothesis strategies for random
-requests and for artifact documents with one fuzzed value."""
+search bound's reference rows, a row-by-row check of lockstep walks against
+their own rollouts, and hypothesis strategies for random requests and for
+artifact documents with one fuzzed value."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from ggsfc import nn, policy
 from ggsfc.environment import (
     Action,
     PathResult,
@@ -32,7 +34,7 @@ from ggsfc.environment import (
 )
 from ggsfc.nn import GradSet, ParamSet, gru_param_shapes, uniform_init
 from ggsfc.oracle import INFEASIBLE, OracleResult, label_dataset
-from ggsfc.policy import PolicyConfig, init_policy_params
+from ggsfc.policy import ActionDistribution, Lockstep, PolicyConfig, init_policy_params, rollout
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
     Topology,
@@ -238,6 +240,67 @@ def briefly_trained_policy() -> tuple[ParamSet, PolicyConfig]:
     is trained once per session; each caller gets its own copy."""
     params, cfg = _briefly_trained()
     return params.copy(), cfg
+
+
+def walk_lockstep(params: ParamSet, cfg: PolicyConfig, pairs, order=None):
+    """Walk a ``Lockstep`` of pairs with one ``rollout(..., lockstep=)`` call
+    per pair of order (by default pairs itself), with ``policy.decode_step``
+    and ``nn.sigmoid`` spied on.  Returns the lockstep and, per call, the
+    walks that call filled, in slice order, with each ``decode_step`` it
+    made: its distribution and the logits of the next sigmoid call, the
+    process decision's.  ``check_lockstep_rows`` maps the rows to walks."""
+    lockstep = Lockstep(params, cfg, pairs)
+    calls, steps = [], []
+    real_decode_step, real_sigmoid = policy.decode_step, nn.sigmoid
+
+    def decode_step(*args):
+        out = real_decode_step(*args)
+        steps.append([out[0], None])
+        return out
+
+    def sigmoid(x):
+        if steps and steps[-1][1] is None:
+            steps[-1][1] = np.array(x)
+        return real_sigmoid(x)
+
+    policy.decode_step, nn.sigmoid = decode_step, sigmoid
+    try:
+        for t, req in pairs if order is None else order:
+            unwalked = [j for j, w in enumerate(lockstep._walks) if w is None]
+            rollout(params, cfg, t, req, lockstep=lockstep)
+            calls.append(([j for j in unwalked if lockstep._walks[j] is not None], steps[:]))
+            steps.clear()
+    finally:
+        policy.decode_step, nn.sigmoid = real_decode_step, real_sigmoid
+    return lockstep, calls
+
+
+def check_lockstep_rows(lockstep: Lockstep, calls) -> int:
+    """Check a ``walk_lockstep`` run against each walk's own greedy rollout:
+    at a slice's k-th step its rows are its walks still running, in slice
+    order, and each row's distribution (node probabilities, masks, process
+    logits) has the bytes of step k of that walk's rollout, and its process
+    decision read the bytes of the rollout's logit at the chosen node, so
+    its action and log-prob are the rollout's; each walk's path is the
+    rollout's.  Returns the number of rows checked."""
+    rows = 0
+    for filled, steps in calls:
+        traces = {j: rollout(lockstep.params, lockstep.cfg, *lockstep._pairs[j]) for j in filled}
+        assert len(steps) == max((len(tr.steps) for tr in traces.values()), default=0)
+        for k, (dist, decided) in enumerate(steps):
+            live = [j for j in filled if len(traces[j].steps) > k]
+            assert len(dist.node_probs) == len(decided) == len(live), (k, live)
+            for r, j in enumerate(live):
+                want = traces[j].steps[k]
+                for name in ActionDistribution._fields:
+                    got = getattr(dist, name)[r].tobytes()
+                    assert got == getattr(want.cache[4], name).tobytes(), (j, k, name)
+                chosen = want.cache[4].process_logits[want.action.next_node]
+                assert decided[r].tobytes() == chosen.tobytes(), (j, k, "decision")
+            rows += len(live)
+        for j in filled:
+            assert lockstep._walks[j] == traces[j].path, j
+    return rows
 
 
 @st.composite

@@ -37,7 +37,6 @@ from ggsfc.policy import (
     encode,
     encode_backward,
     episode_gradients,
-    greedy_walks,
     init_policy_params,
     load_policy,
     rollout,
@@ -52,6 +51,7 @@ from ggsfc.topology import (
 )
 from support import (
     FUZZ,
+    check_lockstep_rows,
     deploy_vnfs,
     finite_diff_check,
     fixture_like_graph,
@@ -60,6 +60,7 @@ from support import (
     random_connected_graph,
     tiny_cfg,
     tiny_topology,
+    walk_lockstep,
 )
 
 E2E_TOL = 1e-5
@@ -391,7 +392,9 @@ def test_rollout_argument_validation():
     with pytest.raises(ValueError, match="mode"):
         rollout(params, cfg, t, req, mode="thermal")
     with pytest.raises(ValueError, match="rng"):
-        rollout(params, cfg, t, req, mode="epsilon_greedy")
+        rollout(params, cfg, t, req, mode="epsilon_greedy", epsilon=0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        rollout(params, cfg, t, req, mode="epsilon_greedy", rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind", ["greedy", "epsilon_greedy", "teacher_forced"])
@@ -583,17 +586,13 @@ def mixed_size_pairs(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(mixed_size_pairs(), st.integers(0, 2**16))
-def test_greedy_walks_equal_per_request_rollouts(pairs, seed):
+def test_lockstep_walks_equal_per_request_rollouts_row_by_row(pairs, seed):
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=seed)
-    walks = greedy_walks(params, cfg, pairs)
-    assert len(walks) == len(pairs)
-    for (t, req), walk in zip(pairs, walks):
-        trace = rollout(params, cfg, t, req, mode="greedy")
-        assert walk.actions == tuple(s.action for s in trace.steps)
-        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
-        assert walk.path == trace.path
-        assert walk.path.total_delay == trace.total_delay == total_delay(walk.path, t)
+    lockstep, calls = walk_lockstep(params, cfg, pairs)
+    assert check_lockstep_rows(lockstep, calls) >= len(pairs)
+    for (t, _), walk in zip(pairs, lockstep._walks):
+        assert walk.total_delay == total_delay(walk, t)
 
 
 def test_rollout_takes_its_walk_from_a_lockstep():
@@ -607,13 +606,12 @@ def test_rollout_takes_its_walk_from_a_lockstep():
     pairs.append(pairs[1])
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=2)
-    lockstep = Lockstep(params, cfg, pairs)
-    for t, req in [pairs[3], pairs[1], pairs[0], pairs[-1], pairs[4], pairs[2]]:
-        walk = rollout(params, cfg, t, req, lockstep=lockstep)
-        trace = rollout(params, cfg, t, req)
-        assert walk.actions == tuple(s.action for s in trace.steps)
-        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
-        assert walk.path == trace.path
+    order = [pairs[3], pairs[1], pairs[0], pairs[-1], pairs[4], pairs[2]]
+    lockstep, calls = walk_lockstep(params, cfg, pairs, order)
+    assert check_lockstep_rows(lockstep, calls) > 0
+    assert [filled for filled, _ in calls] == [[0, 1, 2, 3, 4, 9], [], [], [], [], []]
+    for t, req in order:
+        assert rollout(params, cfg, t, req, lockstep=lockstep) == rollout(params, cfg, t, req).path
     assert lockstep._walks[5:9] == [None] * 4
 
 
@@ -627,13 +625,9 @@ def test_a_lockstep_walks_only_the_slice_that_holds_the_pair():
     pairs += [(big, r) for r in generate_requests(big, LOCKSTEP_SLICE + 6, (1, 2), rng)]
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=1)
-    lockstep = Lockstep(params, cfg, pairs)
-    tail = pairs[LOCKSTEP_SLICE + 1 :]
-    for t, req in tail:
-        walk = rollout(params, cfg, t, req, lockstep=lockstep)
-        trace = rollout(params, cfg, t, req)
-        assert walk.actions == tuple(s.action for s in trace.steps)
-        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
+    lockstep, calls = walk_lockstep(params, cfg, pairs, pairs[LOCKSTEP_SLICE + 1 :])
+    assert check_lockstep_rows(lockstep, calls) > 0
+    assert calls[0][0] == list(range(LOCKSTEP_SLICE + 1, len(pairs)))
     assert lockstep._walks[: LOCKSTEP_SLICE + 1] == [None] * (LOCKSTEP_SLICE + 1)
     rollout(params, cfg, *pairs[1], lockstep=lockstep)
     assert lockstep._walks[0] is None and None not in lockstep._walks[1:]
@@ -676,27 +670,23 @@ def test_lockstep_encodes_each_distinct_segment_once_and_shares_masks_per_graph(
     monkeypatch.setattr(policy, "valid_actions", spy_valid)
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=4)
-    walks = greedy_walks(params, cfg, pairs)
+    lockstep, calls = walk_lockstep(params, cfg, pairs)
     monkeypatch.undo()
 
     assert sum(encoded) == len(annotated) == distinct < segments
     assert sum(g is copy for g in annotated) == 3
     assert len(visited) == len(set(visited))
+    assert check_lockstep_rows(lockstep, calls) > 0
     per_walk, per_graph = set(), set()
-    for (graph, req), walk in zip(pairs, walks):
+    for w, (graph, req) in enumerate(pairs):
         node, index = req.source, 0
-        for action in walk.actions:
+        for step in rollout(params, cfg, graph, req).steps:
             pending = req.chain[index] if index < len(req.chain) else None
-            per_walk.add((id(walk), node, index))
+            per_walk.add((w, node, index))
             per_graph.add((id(graph), node, pending))
-            node, index = action.next_node, index + action.process
+            node, index = step.action.next_node, index + step.action.process
     assert set(visited) == per_graph
     assert len(per_graph) < len(per_walk)
-    for (graph, req), walk in zip(pairs, walks):
-        trace = rollout(params, cfg, graph, req)
-        assert walk.actions == tuple(s.action for s in trace.steps)
-        assert [lp.hex() for lp in walk.log_probs] == [s.log_prob.hex() for s in trace.steps]
-        assert walk.path == trace.path
 
 
 def test_rollout_refuses_a_lockstep_that_cannot_give_its_walk():
@@ -714,9 +704,12 @@ def test_rollout_refuses_a_lockstep_that_cannot_give_its_walk():
                 rng=np.random.default_rng(0), lockstep=lockstep)
 
 
-def test_greedy_walks_of_no_pairs_are_none():
+def test_a_lockstep_of_no_pairs_gives_no_walk():
     cfg = tiny_cfg()
-    assert greedy_walks(init_policy_params(cfg), cfg, []) == []
+    params = init_policy_params(cfg)
+    lockstep = Lockstep(params, cfg, [])
+    with pytest.raises(ValueError, match="no walk"):
+        rollout(params, cfg, tiny_topology(), SfcRequest(0, 3, (0,)), lockstep=lockstep)
 
 
 @pytest.mark.parametrize("req", [SfcRequest(-1, 3, (0,)), SfcRequest(0, 12, ()),
@@ -729,37 +722,21 @@ def test_greedy_walks_refuse_a_request_as_rollout_does(req):
         rollout(params, cfg, t, req)
     good = SfcRequest(0, 3, (0,))
     with pytest.raises(ValueError, match=re.escape(str(want.value))):
-        greedy_walks(params, cfg, [(t, good), (t, req)])
+        Lockstep(params, cfg, [(t, good), (t, req)])
 
 
-def test_greedy_walks_decide_processing_from_the_batched_logits(monkeypatch):
+def test_a_lockstep_decides_processing_from_the_batched_logits():
     """Each process decision reads the chosen node's entry of the step's
     (L, n) process logits, gathered after the (L, n, H) @ proc.w product,
-    never a product of gathered rows (see the ``nn`` docstring)."""
-    events = []
-    real_decode_step, real_sigmoid = policy.decode_step, nn.sigmoid
-
-    def decode_step(*args):
-        out = real_decode_step(*args)
-        events.append(out[0])
-        return out
-
-    def sigmoid(x):
-        events.append(np.array(x))
-        return real_sigmoid(x)
-
-    monkeypatch.setattr(policy, "decode_step", decode_step)
-    monkeypatch.setattr(nn, "sigmoid", sigmoid)
+    never a product of gathered rows (see the ``nn`` docstring): the row
+    check compares the logit each decision read with its rollout's."""
     t = internet2_fixture()
     cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=1)
     pairs = [(t, req) for req in generate_requests(t, 12, (1, 4), np.random.default_rng(3))]
-    greedy_walks(init_policy_params(cfg, seed=1), cfg, pairs)
-    steps = [i for i, e in enumerate(events) if isinstance(e, ActionDistribution)]
-    assert len(steps) >= 3 * t.num_nodes  # an untrained walk uses its whole budget
-    for i in steps:
-        dist, logits = events[i], events[i + 1]
-        chosen = dist.node_probs.argmax(axis=1)
-        assert logits.tobytes() == dist.process_logits[np.arange(len(chosen)), chosen].tobytes()
+    lockstep, calls = walk_lockstep(params, cfg, pairs)
+    assert len(calls[0][1]) >= 3 * t.num_nodes  # an untrained walk uses its whole budget
+    assert check_lockstep_rows(lockstep, calls) > 3 * t.num_nodes
 
 
 # ---------------------------------------------------------------------------
