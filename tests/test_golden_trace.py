@@ -2,7 +2,9 @@
 
 The policy's greedy and epsilon-greedy walks, every step's log-prob (as
 ``float.hex``) and the sha256 of the episode-gradient bytes along solver
-labels are pinned in ``golden_trace.json``.  A refactor of the episode core
+labels (coefficients -1) and along each epsilon-greedy walk (coefficients
+``linspace(-1, 1, T)``, the REINFORCE path) are pinned in
+``golden_trace.json``.  A refactor of the episode core
 (environment stepping, decoding, replay) must leave all of them unchanged.
 
 The bits depend on the numpy/BLAS build as well as on the code.  To write
@@ -69,6 +71,8 @@ def snapshot(requests: list[SfcRequest]) -> dict:
             "greedy": _walk(greedy),
             "epsilon_greedy": _walk(eps),
         }
+        grads = episode_gradients(eps, np.linspace(-1.0, 1.0, len(eps.steps)))
+        entry["epsilon_greedy"]["grad_sha256"] = _grad_sha256(grads)
         if i < LABELED:
             label = solve_optimal(t, req).actions
             forced = teacher_force(params, cfg, t, req, label)
