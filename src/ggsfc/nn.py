@@ -4,8 +4,7 @@ analytic backprop, and plain SGD.
 Everything is float64.  Forward ops return (output, cache); the matching
 backward op consumes the cache and returns exact gradients.  The model
 sizes here are tiny, so clarity and verifiability win over speed, except
-on the forward hot path, where speed is bought only with bit-identical
-results:
+on the hot paths, where speed is bought only with bit-identical results:
 
 - The GRU forward is fused.  ``fuse_gru`` concatenates the z and r gate
   matrices into ``[W_z|W_r]`` and ``[U_z|U_r]``, so the forward takes four
@@ -18,19 +17,19 @@ results:
   out-of-place formula, so the bytes hold.  It never writes an argument or
   an array it caches: ``h_new`` is its own array, and a view the caller
   passes, such as one segment's ``enc_scores``, is only read.
-- The GRU backward is not fused.  ``dx = da_h W_h^T + da_z W_z^T +
-  da_r W_r^T`` keeps its three products and their order: one product over
-  the concatenated gates would sum all 3H terms in one pass, a different
-  summation order, and so different bits in every trained parameter.
+- The GRU backward keeps the per-gate products: ``dx = da_h W_h^T + da_z
+  W_z^T + da_r W_r^T`` keeps its three, in order, where one product over
+  the concatenated gates would sum all 3H terms in one pass and change
+  every trained bit.  The gates' parameter gradients share one product
+  per input, ``x^T [da_z|da_r|da_h]``, whose column slices keep each bit.
 - Stacking keeps bits only along a leading axis.  numpy runs an
   ``(S, n, h) @ (h, k)`` stack as one BLAS product per 2-D slice, so each
   slice gets the bits of the 2-D product on its own; likewise a
   ``(B, 1, d) @ W`` stack gives each row the bits of the 1-D product
-  ``x @ W``.  A ``(B, d) @ W`` product does not: BLAS computes the rows of
-  a matrix product differently from a vector product, and 300 of 300 rows
-  of a 42 -> 96 product differed on this build.  Parameter gradients of a stack are per-slice products
-  (``swapaxes(x, -1, -2) @ da``, ``da.sum(axis=-2)``), which callers add one
-  slice at a time in the order the unstacked code did.
+  ``x @ W``, and an elementwise ``x[:, :, None] * da[:, None, :]`` the bits
+  of each row's ``np.outer``.  A ``(B, d) @ W`` product does not: BLAS
+  computes the rows of a matrix product differently from a vector product,
+  and 300 of 300 rows of a 42 -> 96 product differed on this build.
 - The same holds for the other stacks a lockstep walk makes: each slice of
   ``(L, n, H) @ v`` with a 1-D ``v`` is the 2-D ``(n, H) @ v`` product,
   each slice of ``(T, n, n) @ (T, n, H)`` is the ``a @ h`` of its own
@@ -39,6 +38,9 @@ results:
   the bits of each row's own product, while ``s[rows, nodes] @ w`` is one
   ``(L, H) @ w`` product over other operands, and it changed the bits in
   1239 of 2000 random trials on this build.
+- Sums keep their order.  A parameter's per-step products are added one
+  at a time, in step order, the running sum carried from stack to stack
+  (``sum_in_order``): numpy's own sum adds a (T,) or (T, 1) stack pairwise.
 - ``ParamSet`` and ``GradSet`` keep their tensors as views into one flat
   buffer, so ``sgd_update`` is one elementwise step and one finiteness
   check on each side; elementwise arithmetic gives the same bits whatever
@@ -123,24 +125,24 @@ class GradSet:
         self._flat = np.zeros_like(params._flat)
         self._layout = params._layout
         self._tensors = _views(self._flat, self._layout)
+        self._zero = set(self._tensors)  # slots never added to nor handed out
 
     def __getitem__(self, name: str) -> np.ndarray:
+        self._zero.discard(name)
         return self._tensors[name]
 
     def items(self):
+        self._zero.clear()
         return self._tensors.items()
 
-    def add(self, name: str, value: np.ndarray) -> None:
-        slot = self._tensors[name]
-        if np.shape(value) != slot.shape:
-            raise ValueError(
-                f"gradient for {name!r} has shape {np.shape(value)}, expected {slot.shape}"
-            )
-        slot += value
-
-    def add_all(self, grads: Mapping[str, np.ndarray]) -> None:
-        for name, value in grads.items():
-            self.add(name, value)
+    def add_stack(self, name: str, stack: np.ndarray) -> None:
+        """Add a stack's items along its leading axis, in order."""
+        start = 0.0 if name in self._zero else self._tensors[name]
+        slot = self[name]
+        if stack.shape[1:] != slot.shape:
+            raise ValueError(f"gradient stack for {name!r} has shape {stack.shape}, "
+                             f"expected items of {slot.shape}")
+        slot[...] = sum_in_order(start, stack, out=slot)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._flat).all())
@@ -150,6 +152,19 @@ def uniform_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
     """Uniform in [-s, s] with s = 1/sqrt(fan-in); fan-in is the first axis."""
     s = 1.0 / np.sqrt(shape[0])
     return rng.uniform(-s, s, size=shape)
+
+
+def sum_in_order(start, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """start (0.0, or an array, added into stack[0]) + stack[0] + stack[1] +
+    ..., one item at a time: numpy reduces the leading axis item by item
+    unless each item has one element, which it sums pairwise."""
+    if stack.size == len(stack):
+        acc = np.concatenate([np.full((1,) + stack.shape[1:], start), stack])
+        return np.add.accumulate(acc, axis=0)[-1]
+    if isinstance(start, np.ndarray):
+        stack[0] += start
+        return np.add.reduce(stack, axis=0, out=out)
+    return np.add.reduce(stack, axis=0, initial=start, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -187,11 +202,8 @@ def gru_param_shapes(d_in: int, d_hidden: int) -> dict[str, tuple[int, ...]]:
 @dataclass(frozen=True)
 class GruWeights:
     """One GRU's gate matrices fused for the forward pass (see the module
-    docstring), plus the parameter set and prefix the backward reads.
-
-    The fused arrays are copies: build them again after the parameters
-    change, e.g. once per episode.
-    """
+    docstring); the backward reads each gate's columns.  The fused arrays
+    are copies: build them again after the parameters change."""
 
     W_zr: np.ndarray  # [W_z | W_r]
     U_zr: np.ndarray  # [U_z | U_r]
@@ -199,8 +211,6 @@ class GruWeights:
     W_h: np.ndarray
     U_h: np.ndarray
     b_h: np.ndarray
-    params: Mapping[str, np.ndarray]
-    prefix: str
 
 
 def fuse_gru(params: Mapping[str, np.ndarray], prefix: str = "") -> GruWeights:
@@ -212,8 +222,6 @@ def fuse_gru(params: Mapping[str, np.ndarray], prefix: str = "") -> GruWeights:
         W_h=p("W_h"),
         U_h=p("U_h"),
         b_h=p("b_h"),
-        params=params,
-        prefix=prefix,
     )
 
 
@@ -243,64 +251,60 @@ def gru_cell(
     h_new = np.subtract(1.0, z)
     h_new *= h_prev
     h_new += z * hbar
-    cache = (x, h_prev, z, r, rh, hbar, w.params, w.prefix)
+    cache = (x, h_prev, z, r, rh, hbar, w)
     return h_new, cache
 
 
 def gru_cell_backward(
-    grad_h_new: np.ndarray, cache: tuple
-) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Returns (grad_x, grad_h_prev, param gradients keyed with the prefix).
-
-    x may be 1-D, a 2-D batch, or an (S, n, d) stack of batches; a stack
-    gets one parameter gradient per slice, stacked along the first axis.
-    """
-    x, h_prev, z, r, rh, hbar, params, prefix = cache
-    p = lambda name: params[prefix + name]
-
+    grad_h_new: np.ndarray, cache: tuple, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(grad_x, or None without input_grad; grad_h_prev; gate gradients
+    [da_z|da_r|da_h]) of a 1-D cell, a 2-D batch or an (S, n, d) stack."""
+    x, h_prev, z, r, rh, hbar, w = cache
+    d = z.shape[-1]
     dz = grad_h_new * (hbar - h_prev)
-    dhbar = grad_h_new * z
-    dh_prev = grad_h_new * (1.0 - z)
+    omz = 1.0 - z
+    dh_prev = grad_h_new * omz
+    da_h = grad_h_new * z * (1.0 - hbar * hbar)
+    drh = da_h @ w.U_h.T
+    dh_prev += drh * r
+    da_z = dz * z * omz
+    da_r = drh * h_prev * r * (1.0 - r)
+    dh_prev += da_z @ w.U_zr[:, :d].T
+    dh_prev += da_r @ w.U_zr[:, d:].T
+    da = np.concatenate([da_z, da_r, da_h], axis=-1)
+    return gru_input_grad(da, w) if input_grad else None, dh_prev, da
 
-    da_h = dhbar * (1.0 - hbar * hbar)
-    drh = da_h @ p("U_h").T
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
 
-    da_z = dz * z * (1.0 - z)
-    da_r = dr * r * (1.0 - r)
+def gru_input_grad(da: np.ndarray, w: GruWeights) -> np.ndarray:
+    """grad_x from the gates; an (L, 1, 3H) stack keeps each 1-D cell's bits."""
+    d = w.U_h.shape[0]
+    return (da[..., 2 * d :] @ w.W_h.T + da[..., :d] @ w.W_zr[:, :d].T
+            + da[..., d : 2 * d] @ w.W_zr[:, d:].T)
 
-    dx = da_h @ p("W_h").T + da_z @ p("W_z").T + da_r @ p("W_r").T
-    dh_prev = dh_prev + da_z @ p("U_z").T + da_r @ p("U_r").T
 
-    if x.ndim == 1:
-        grads = {
-            prefix + "W_z": np.outer(x, da_z),
-            prefix + "U_z": np.outer(h_prev, da_z),
-            prefix + "b_z": da_z,
-            prefix + "W_r": np.outer(x, da_r),
-            prefix + "U_r": np.outer(h_prev, da_r),
-            prefix + "b_r": da_r,
-            prefix + "W_h": np.outer(x, da_h),
-            prefix + "U_h": np.outer(rh, da_h),
-            prefix + "b_h": da_h,
-        }
-    else:
-        # one gradient per 2-D slice of a stack (see the module docstring)
-        xt = np.swapaxes(x, -1, -2)
-        ht = np.swapaxes(h_prev, -1, -2)
-        grads = {
-            prefix + "W_z": xt @ da_z,
-            prefix + "U_z": ht @ da_z,
-            prefix + "b_z": da_z.sum(axis=-2),
-            prefix + "W_r": xt @ da_r,
-            prefix + "U_r": ht @ da_r,
-            prefix + "b_r": da_r.sum(axis=-2),
-            prefix + "W_h": xt @ da_h,
-            prefix + "U_h": np.swapaxes(rh, -1, -2) @ da_h,
-            prefix + "b_h": da_h.sum(axis=-2),
-        }
-    return dx, dh_prev, grads
+def gru_param_grads(x: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
+                    da: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(dW, dU_zr, dU_h, db) of each cell of a stack along the leading axis,
+    gates side by side, each item with its own cell's bits.  x, h_prev, r*h
+    and da stack 1-D cells, (L, d), whose weight gradients are outer
+    products, or 2-D batches, (L, ..., n, d): 2-D products, column sums."""
+    d = da.shape[-1] // 3
+    if x.ndim == 2:
+        return (x[:, :, None] * da[:, None, :], h_prev[:, :, None] * da[:, None, : 2 * d],
+                rh[:, :, None] * da[:, None, 2 * d :], da)
+    return (np.swapaxes(x, -1, -2) @ da, np.swapaxes(h_prev, -1, -2) @ da[..., : 2 * d],
+            np.swapaxes(rh, -1, -2) @ da[..., 2 * d :], da.sum(axis=-2))
+
+
+def gru_grads_by_name(w, u_zr, u_h, b) -> dict[str, np.ndarray]:
+    """The slices of ``gru_param_grads`` by parameter name, without prefix."""
+    d, grads = u_h.shape[-1], {}
+    for k, gate in enumerate("zrh"):
+        c = slice(k * d, (k + 1) * d)
+        grads.update({f"W_{gate}": w[..., c], f"b_{gate}": b[..., c],
+                      f"U_{gate}": u_h if gate == "h" else u_zr[..., c]})
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +329,15 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return e
 
 
-def log_prob_grad(probs: np.ndarray, index: int) -> np.ndarray:
-    """Gradient of log(probs[index]) w.r.t. the logits of masked_softmax.
-
-    d log p_i / d logit_j = delta_ij - p_j; masked entries have p_j = 0 and
-    therefore zero gradient automatically.
-    """
-    if probs[index] <= 0.0:
+def log_prob_grad(probs: np.ndarray, index) -> np.ndarray:
+    """Gradient of log(probs[index]) w.r.t. the logits of masked_softmax,
+    one index per row of an (L, n) batch: d log p_i / d logit_j = delta_ij
+    - p_j, so masked entries, with p_j = 0, get zero gradient."""
+    at = (np.arange(len(probs)), index) if probs.ndim == 2 else index
+    if np.any(probs[at] <= 0.0):
         raise ValueError(f"index {index} has zero probability (masked?)")
-    grad = -probs.copy()
-    grad[index] += 1.0
+    grad = -probs
+    grad[at] += 1.0
     return grad
 
 

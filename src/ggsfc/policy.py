@@ -22,27 +22,26 @@ docstring), including segments the episode never reaches.
 Every episode is one forward pass that returns one ``EpisodeTrace``: a
 ``rollout`` picks its actions from the policy, ``teacher_force`` takes them
 from a label.  The trace carries the params and the caches of that pass,
-each step its own caches, and ``episode_gradients(trace, coeffs)`` is the
-backward over them alone: exact analytic backprop of sum_t c_t log pi(a_t)
-with respect to the trace's params.  Supervised learning ascends
-it with c_t = 1 along a label, REINFORCE with c_t = G_t along a rollout.
+and ``episode_gradients(trace, coeffs)`` backpropagates sum_t c_t log pi(a_t)
+through them alone; SL ascends it with c_t = 1 along a label, REINFORCE
+with c_t = G_t along a rollout.  It takes the decode steps last first, in
+stacks, each in two passes: the scorer, which needs no recurrence, over the
+stack, then the GRU step by step.  Each parameter's per-step products form
+one stack, added in step order, so every gradient keeps the bytes of the
+per-step backward (see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
-many requests greedily together instead, in slices of at most
-LOCKSTEP_SLICE walks on graphs of one node count.  A slice encodes each
-distinct segment once, in stacks of at most ENCODE_STACK: a segment's
-encoding depends only on its graph object, the request's endpoints and the
-pending type, so segments that share those share one encoding (graphs are
-told apart by identity, never by content).  Each decode step is one
-``decode_step`` over the (L, ...) stack of the live episodes, its input one
-gather from a per-segment table of decoder inputs.  Each walk keeps the
-bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
-rules).  The environment steps stay per episode; the masks depend only on
-the current node and the pending type, so they are kept once per graph
-object.  A lockstep keeps no caches and computes no log-probs: evaluation
-and the holdout read only whether a walk succeeded and its delay, so a
-lockstep walk is its ``PathResult``.  ``rollout(..., lockstep=)`` takes one
-request's walk from a lockstep.
+many requests greedily together, in slices of at most LOCKSTEP_SLICE walks
+on graphs of one node count.  A slice encodes each distinct segment once,
+in stacks of at most ENCODE_STACK: an encoding depends only on the graph
+object (never its content), the endpoints and the pending type.  Each
+decode step is one ``decode_step`` over the (L, ...) stack of the live
+walks, its input gathered from a per-segment table, and each walk keeps
+the bits of its own ``rollout`` (see ``nn``).  The environment steps stay
+per walk, with masks kept per graph object, node and pending type.  A
+walk keeps no caches or log-probs: evaluation and the holdout read only
+its success and delay, so it is its ``PathResult``, which
+``rollout(..., lockstep=)`` takes.
 """
 
 from __future__ import annotations
@@ -76,6 +75,10 @@ ENCODE_STACK = 16
 # the most walks a Lockstep advances together: a fixed cap on its decoder
 # table and encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
+# episode_gradients' stacks: at most this many decode steps (a fixture
+# episode's budget fits) and node rows (kept in cache), and the steps whose
+# GRU products it holds at once (a cap on memory)
+BACKWARD_STACK, SCORER_ROWS, PRODUCT_STACK = 64, 1024, 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -187,16 +190,17 @@ def encode_backward(
     grad_h: np.ndarray, caches: list
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Backprop through the propagation rounds; returns (grad_annotations,
-    param grads).  For a stack, each parameter gradient has one slice per
-    segment."""
-    grads: dict[str, np.ndarray] = {}
+    param grads, one slice per segment of a stack, rounds added last first)."""
+    grads = [0.0] * 4  # the gates side by side (see nn.gru_param_grads)
     dh = grad_h
     for a, gru_cache in reversed(caches):
-        dmsg, dh_prev, g = nn.gru_cell_backward(dh, gru_cache)
-        for name, value in g.items():
-            grads[name] = grads.get(name, 0.0) + value
+        dmsg, dh_prev, da = nn.gru_cell_backward(dh, gru_cache)
+        # the round as a one-item stack, of one segment or S
+        products = nn.gru_param_grads(*(gru_cache[i][None] for i in (0, 1, 4)), da[None])
+        grads = [g + p[0] for g, p in zip(grads, products)]
         dh = a.T @ dmsg + dh_prev
-    return dh, grads
+    names = nn.gru_grads_by_name(*grads) if caches else {}
+    return dh, {"enc." + name: g for name, g in names.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +248,14 @@ def decode_step(
     gru: nn.GruWeights,
 ) -> tuple[ActionDistribution, np.ndarray, tuple]:
     """One decoder step: advance the fused ``dec.`` GRU, score nodes, mask,
-    normalize.
-
-    enc_scores is enc_h @ score.W_emb, which changes only with the encoder
-    segment.  x is the step input [v_all | v_now | node_embedding]: the
-    remaining chain as a multi-hot, the pending type as a one-hot, and the
-    encoder row of the current node.  The masks are kept, not copied.
-    Returns the action distribution, the advanced hidden state, and a cache
-    for the backward pass.
-
-    Every argument may carry a leading batch axis of L episodes: enc_scores
-    (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks (L, n).  Each row then
-    gets the bits of its own 1-D step (see the ``nn`` docstring).  enc_h is
-    read only by the backward, so a batched step, which has none, passes None.
-    """
+    normalize; returns the action distribution, the advanced hidden state
+    and a cache for the backward.  enc_scores is enc_h @ score.W_emb, and x
+    is [v_all | v_now | node_embedding]: the remaining chain as a multi-hot,
+    the pending type as a one-hot, and the current node's encoder row.  The
+    masks are kept, not copied.  Every argument may carry a leading axis of
+    L episodes, enc_scores (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks
+    (L, n), each row with its own 1-D step's bits (see ``nn``); such a step
+    has no backward and passes None for enc_h."""
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
     s = enc_scores + hidden @ params["score.W_hid"]
     np.tanh(s, out=s)
@@ -276,48 +274,13 @@ def decode_step(
 
 
 def decode_step_backward(
-    coeff: float,
-    action: Action,
-    cache: tuple,
-    params: ParamSet,
-    grad_hidden_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-    """Gradient of coeff * log pi(action) for one decode step.
-
-    grad_hidden_out carries the downstream gradient flowing into this step's
-    advanced hidden state (the recurrence; zeros at an episode's last step);
-    it is folded in before the GRU backward.  Returns (grad_enc_h,
-    grad_hidden_prev, grad_node_embedding_input, grads); grad_enc_h covers
-    the scorer's use of all embeddings, while the node-embedding input
-    gradient belongs at the current node's row.
-    """
-    enc_h, hidden, s, gru_cache, dist = cache
-    i = action.next_node
-
-    dlogits = coeff * nn.log_prob_grad(dist.node_probs, i)
-    ds = np.outer(dlogits, params["score.v"])
-    grads: dict[str, np.ndarray] = {"score.v": s.T @ dlogits}
-
-    if dist.process_mask[i]:
-        sig = nn.sigmoid(dist.process_logits[i : i + 1])[0]
-        dproc = coeff * ((1.0 - sig) if action.process else -sig)
-        ds[i] += dproc * params["proc.w"]
-        grads["proc.w"] = dproc * s[i]
-        grads["proc.b"] = np.array([dproc])
-
-    ds_pre = ds * (1.0 - s * s)
-    grad_enc_h = ds_pre @ params["score.W_emb"].T
-    grads["score.W_emb"] = enc_h.T @ ds_pre
-    ds_pre_sum = ds_pre.sum(axis=0)
-    grads["score.W_hid"] = np.outer(hidden, ds_pre_sum)
-    dhidden = ds_pre_sum @ params["score.W_hid"].T + grad_hidden_out
-
-    dx, dh_prev, gru_grads = nn.gru_cell_backward(dhidden, gru_cache)
-    for name, value in gru_grads.items():
-        grads[name] = grads.get(name, 0.0) + value
-    k2 = dx.shape[0] - hidden.shape[0]
-    grad_node_embedding = dx[k2:]
-    return grad_enc_h, dh_prev, grad_node_embedding, grads
+    grad_hidden: np.ndarray, cache: tuple, grad_hidden_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recurrence of one decode step's backward: from the scorer's and
+    the downstream gradient on its hidden state, (grad_hidden_prev, gates)."""
+    _, dh_prev, da = nn.gru_cell_backward(grad_hidden + grad_hidden_out, cache[3],
+                                          input_grad=False)
+    return dh_prev, da
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +409,7 @@ def _run_episode(
 
 def _greedy_action(dist: ActionDistribution) -> Action:
     node = int(np.argmax(dist.node_probs))
-    # the chosen node's sigmoid alone, as decode_step_backward takes it
+    # the chosen node's sigmoid alone; episode_gradients' batched call keeps its bits
     process = bool(dist.process_mask[node]
                    and nn.sigmoid(dist.process_logits[node : node + 1])[0] >= 0.5)
     return Action(node, process)
@@ -469,11 +432,9 @@ def rollout(
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
     probability of the taken action.  It needs both an rng and an epsilon.
-
-    With a lockstep that holds (t, req), the greedy walk is taken from it:
-    this call advances the lockstep's walks together until this one ends.
-    That walk keeps no caches and records no rewards or log-probs, so it is
-    returned as its ``PathResult``, equal to the trace's path.
+    With a lockstep that holds (t, req), the greedy walk is taken from it,
+    advancing its walks together until this one ends, and returned as its
+    ``PathResult``, equal to the trace's path.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -504,14 +465,11 @@ class Lockstep:
     ``walk(t, req)`` returns the path of that pair's walk.  Pairs are
     grouped by node count, not by topology, since a pool test spreads its
     requests over many variants of one size, and each group is cut, in
-    order, into slices of at most LOCKSTEP_SLICE.  The first walk asked for
-    in a slice advances the whole slice together, one ``decode_step`` per
-    step, to its end, and keeps the paths for their own calls; so one
-    slice's encodings and decoder table are alive at a time.  Each row of
-    every step's batched distribution has the bytes of that walk's own
-    ``rollout(params, cfg, *pairs[i], mode="greedy")`` step, and so walk i
-    has that rollout's path, whichever walks share its slice.  Every request
-    is validated here, before any walk.
+    order, into slices.  The first walk asked for in a slice advances the
+    whole slice to its end and keeps the paths, so one slice's encodings
+    and decoder table are alive at a time.  Walk i has the path of its own
+    ``rollout(params, cfg, *pairs[i])``, whichever walks share its slice.
+    Every request is validated here, before any walk.
     """
 
     def __init__(
@@ -650,39 +608,78 @@ def teacher_force(
 
 
 def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> GradSet:
-    """Backprop sum_t coeff_t * log pi(a_t) through the trace's own caches,
-    with respect to the params it ran under.
-
-    Only the segments the episode decoded from, 0 through the last step's,
-    are backpropagated through the encoder; each slice of the stack keeps
-    its bits (see the ``nn`` docstring) and is added in segment order, as
-    when each segment was encoded on its own.
-    """
+    """Backprop sum_t coeff_t * log pi(a_t) through the trace's own caches
+    to the params it ran under (see the module docstring), through the
+    encoder for the segments decoded from, 0 through the last step's."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if len(coeffs) != len(trace.steps):
-        raise ValueError(f"{len(trace.steps)} steps but {len(coeffs)} coefficients")
-
-    params = trace.params
-    hidden_dim = len(params["score.v"])
-    reached = trace.steps[-1].segment + 1
+    steps, params = trace.steps, trace.params
+    if len(coeffs) != len(steps):
+        raise ValueError(f"{len(steps)} steps but {len(coeffs)} coefficients")
+    reached = steps[-1].segment + 1
     grads = GradSet(params)
-    grad_enc = np.zeros((reached, trace.topology.num_nodes, hidden_dim))
-    dh_next = np.zeros(hidden_dim)
-    for step, coeff in zip(reversed(trace.steps), reversed(coeffs)):
-        genc, dh_next, gnode, step_grads = decode_step_backward(
-            coeff, step.action, step.cache, params, dh_next
-        )
-        grads.add_all(step_grads)
-        grad_enc[step.segment] += genc
-        grad_enc[step.segment][step.node] += gnode
-
+    grad_enc = np.zeros((reached, trace.topology.num_nodes, len(params["score.v"])))
+    # each process decision's sigmoid, in one call whose elements have the
+    # bits of _greedy_action's 1-element calls
+    taken = [(step.cache[4], step.action.next_node) for step in steps]
+    nodes = np.array([i for _, i in taken])
+    decided = np.array([d.process_mask[i] for d, i in taken])
+    sig = nn.sigmoid(np.array([d.process_logits[i] for d, i in taken])[decided])
+    processed = np.array([step.action.process for step in steps])[decided]
+    dproc = np.zeros(len(steps))
+    dproc[decided] = coeffs[decided] * np.where(processed, 1.0 - sig, -sig)
+    dh = np.zeros(len(params["score.v"]))
+    per_stack = min(BACKWARD_STACK, max(1, SCORER_ROWS // trace.topology.num_nodes))
+    for hi in range(len(steps), 0, -per_stack):
+        last = np.arange(hi - 1, max(hi - per_stack, 0) - 1, -1)  # last first
+        dh = _decoder_stack_backward([steps[k] for k in last], coeffs[last], nodes[last],
+                                     decided[last], dproc[last], params, grads, grad_enc, dh)
     # each round's GRU cache arrays, cut to the reached segments
-    encoder = [(a, tuple(c[:reached] if isinstance(c, np.ndarray) else c for c in gru_cache))
+    encoder = [(a, (*(c[:reached] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]
-    _, enc_grads = encode_backward(grad_enc, encoder)
-    for seg in range(reached):
-        grads.add_all({name: g[seg] for name, g in enc_grads.items()})
+    for name, per_segment in encode_backward(grad_enc, encoder)[1].items():
+        grads.add_stack(name, per_segment)
     return grads
+
+
+def _decoder_stack_backward(steps, coeffs, nodes, decided, dproc, params, grads, grad_enc, dh):
+    """One stack of decode steps, given last first: adds its gradients to
+    grads and grad_enc; returns the gradient on the hidden state before it."""
+    caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
+    s = np.stack([c[2] for c in caches])
+    dlogits = nn.log_prob_grad(np.stack([c[4].node_probs for c in caches]), nodes)
+    dlogits *= coeffs[:, None]
+    grads.add_stack("score.v", (np.swapaxes(s, 1, 2) @ dlogits[:, :, None])[:, :, 0])
+    ds = dlogits[:, :, None] * params["score.v"]
+    rows, at, dp = np.flatnonzero(decided), nodes[decided], dproc[decided][:, None]
+    ds[rows, at] += dp * params["proc.w"]
+    grads.add_stack("proc.w", dp * s[rows, at])
+    grads.add_stack("proc.b", dp)
+    np.multiply(s, s, out=s)
+    ds *= np.subtract(1.0, s, out=s)  # ds_pre = ds * (1 - s*s)
+    ds_sum = ds.sum(axis=1)
+    hidden = np.stack([c[1] for c in caches])
+    grads.add_stack("score.W_hid", hidden[:, :, None] * ds_sum[:, None, :])
+    grads.add_stack("score.W_emb", np.stack([c[0].T @ d for c, d in zip(caches, ds)]))
+    genc = np.matmul(ds, params["score.W_emb"].T, out=s)
+    grad_hidden = (ds_sum[:, None, :] @ params["score.W_hid"].T)[:, 0]
+    gates = []
+    for k, cache in enumerate(caches):
+        dh, da = decode_step_backward(grad_hidden[k], cache, dh)
+        gates.append(da)
+    gates = np.stack(gates)
+    gnode = nn.gru_input_grad(gates[:, None, :], caches[0][3][6])[:, 0, -len(dh) :]
+    for k, step in enumerate(steps):
+        grad_enc[step.segment] += genc[k]
+        grad_enc[step.segment][step.node] += gnode[k]
+    del s, ds, genc  # before the products
+    for lo in range(0, len(steps), PRODUCT_STACK):
+        gru = [c[3] for c in caches[lo : lo + PRODUCT_STACK]]  # (x, h_prev, z, r, rh, ...)
+        for name, g in nn.gru_grads_by_name(*nn.gru_param_grads(
+                *(np.stack([c[i] for c in gru]) for i in (0, 1, 4)),
+                gates[lo : lo + PRODUCT_STACK])).items():
+            grads.add_stack("dec." + name, g)
+        del g  # frees this block's products before the next block forms its own
+    return dh
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ small random instances, a briefly SL-trained fixture policy, and a call
 counter for spies), the seeded generator the bundled internet2 fixture was
 frozen from (at any size), a plain-Dijkstra reference solver and the
 search bound's reference rows, a row-by-row check of lockstep walks against
-their own rollouts, and hypothesis strategies for random requests and for
-artifact documents with one fuzzed value."""
+their own rollouts, the per-step episode backward as a byte reference, and
+hypothesis strategies for random requests and for artifact documents with
+one fuzzed value."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import functools
 import heapq
 import json
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -301,6 +303,110 @@ def check_lockstep_rows(lockstep: Lockstep, calls) -> int:
         for j in filled:
             assert lockstep._walks[j] == traces[j].path, j
     return rows
+
+
+def grad_set(params: ParamSet, grads) -> GradSet:
+    """A GradSet holding the given gradients, each added as a one-item
+    stack."""
+    g = GradSet(params)
+    for name, value in grads.items():
+        g.add_stack(name, np.array(value, dtype=np.float64)[None])
+    return g
+
+
+def reference_gru_cell_backward(grad_h_new, cache, params, prefix):
+    """One GRU cell's backward, reading the prefixed parameters, with its
+    parameter gradients as products of this cell alone, keyed with the
+    prefix: np.outer for a 1-D cell, one product per 2-D slice otherwise."""
+    x, h_prev, z, r, rh, hbar, _ = cache
+    w = SimpleNamespace(**{name: params[prefix + name] for name in gru_param_shapes(1, 1)})
+    dz = grad_h_new * (hbar - h_prev)
+    dhbar = grad_h_new * z
+    dh_prev = grad_h_new * (1.0 - z)
+    da_h = dhbar * (1.0 - hbar * hbar)
+    drh = da_h @ w.U_h.T
+    dr = drh * h_prev
+    dh_prev = dh_prev + drh * r
+    da_z = dz * z * (1.0 - z)
+    da_r = dr * r * (1.0 - r)
+    dx = da_h @ w.W_h.T + da_z @ w.W_z.T + da_r @ w.W_r.T
+    dh_prev = dh_prev + da_z @ w.U_z.T + da_r @ w.U_r.T
+    grads = {}
+    for gate, da, h in (("z", da_z, h_prev), ("r", da_r, h_prev), ("h", da_h, rh)):
+        if x.ndim == 1:
+            grads.update({f"W_{gate}": np.outer(x, da), f"U_{gate}": np.outer(h, da),
+                          f"b_{gate}": da})
+        else:
+            grads.update({f"W_{gate}": np.swapaxes(x, -1, -2) @ da,
+                          f"U_{gate}": np.swapaxes(h, -1, -2) @ da,
+                          f"b_{gate}": da.sum(axis=-2)})
+    return dx, dh_prev, {prefix + name: g for name, g in grads.items()}
+
+
+def reference_encode_backward(grad_h, caches, params):
+    """(grad_annotations, param grads) round by round, each parameter's
+    rounds added last round first; a stack has one slice per segment."""
+    grads: dict[str, np.ndarray] = {}
+    dh = grad_h
+    for a, gru_cache in reversed(caches):
+        dmsg, dh_prev, g = reference_gru_cell_backward(dh, gru_cache, params, "enc.")
+        for name, value in g.items():
+            grads[name] = grads.get(name, 0.0) + value
+        dh = a.T @ dmsg + dh_prev
+    return dh, grads
+
+
+def reference_decode_step_backward(coeff, action, cache, params, grad_hidden_out):
+    """(grad_enc_h, grad_hidden_prev, grad_node_embedding, param grads) of
+    coeff * log pi(action) at one decode step, every product this step's
+    own."""
+    enc_h, hidden, s, gru_cache, dist = cache
+    i = action.next_node
+    dlogits = coeff * nn.log_prob_grad(dist.node_probs, i)
+    ds = np.outer(dlogits, params["score.v"])
+    grads = {"score.v": s.T @ dlogits}
+    if dist.process_mask[i]:
+        sig = nn.sigmoid(dist.process_logits[i : i + 1])[0]
+        dproc = coeff * ((1.0 - sig) if action.process else -sig)
+        ds[i] += dproc * params["proc.w"]
+        grads["proc.w"] = dproc * s[i]
+        grads["proc.b"] = np.array([dproc])
+    ds_pre = ds * (1.0 - s * s)
+    grad_enc_h = ds_pre @ params["score.W_emb"].T
+    grads["score.W_emb"] = enc_h.T @ ds_pre
+    ds_pre_sum = ds_pre.sum(axis=0)
+    grads["score.W_hid"] = np.outer(hidden, ds_pre_sum)
+    dhidden = ds_pre_sum @ params["score.W_hid"].T + grad_hidden_out
+    dx, dh_prev, gru_grads = reference_gru_cell_backward(dhidden, gru_cache, params, "dec.")
+    grads.update(gru_grads)
+    return grad_enc_h, dh_prev, dx[len(dx) - len(hidden) :], grads
+
+
+def reference_episode_gradients(trace, coeffs, every_segment=False) -> GradSet:
+    """The episode backward step by step: each decode step's gradients
+    added as one dict, then the encoder's round by round, each reached
+    segment's added as one dict in segment order.  With every_segment the
+    encoder backward runs over the unreached segments too."""
+    params, steps = trace.params, trace.steps
+    reached = steps[-1].segment + 1
+    segments = len(trace.request.chain) + 1 if every_segment else reached
+    grads = GradSet(params)
+    grad_enc = np.zeros((segments, trace.topology.num_nodes, len(params["score.v"])))
+    dh = np.zeros(len(params["score.v"]))
+    for step, coeff in zip(reversed(steps), reversed(np.asarray(coeffs, dtype=np.float64))):
+        genc, dh, gnode, step_grads = reference_decode_step_backward(
+            coeff, step.action, step.cache, params, dh)
+        for name, value in step_grads.items():
+            grads.add_stack(name, np.array(value)[None])
+        grad_enc[step.segment] += genc
+        grad_enc[step.segment][step.node] += gnode
+    encoder = [(a, (*(c[:segments] for c in gru_cache[:6]), gru_cache[6]))
+               for a, gru_cache in trace.encoder]
+    _, enc_grads = reference_encode_backward(grad_enc, encoder, params)
+    for seg in range(reached):
+        for name, g in enc_grads.items():
+            grads.add_stack(name, g[seg : seg + 1].copy())
+    return grads
 
 
 @st.composite

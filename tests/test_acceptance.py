@@ -24,7 +24,7 @@ from ggsfc.evaluation import (
     evaluate_policy,
     failure_ratio,
 )
-from ggsfc.nn import GradSet, ParamSet
+from ggsfc.nn import ParamSet
 from ggsfc.oracle import brute_force_optimal, label_dataset, solve_optimal
 from ggsfc.policy import (
     PolicyConfig,
@@ -46,6 +46,7 @@ from ggsfc.topology import (
 from support import (
     deploy_vnfs,
     finite_diff_check,
+    grad_set,
     init_gru_params,
     random_connected_graph,
     random_instance,
@@ -230,10 +231,10 @@ def test_c02_analytic_gradients_match_finite_differences():
 
     def f_gru(ps):
         h_new, cache = nn.gru_cell(ps["x"], ps["h"], nn.fuse_gru(ps))
-        dx, dh, grads = nn.gru_cell_backward(vg, cache)
-        g = GradSet(ps)
-        g.add_all(dict(grads, x=dx, h=dh))
-        return float(vg @ h_new), g
+        dx, dh, da = nn.gru_cell_backward(vg, cache)
+        grads = nn.gru_param_grads(ps["x"][None], ps["h"][None], cache[4][None], da[None])
+        grads = {name: value[0] for name, value in nn.gru_grads_by_name(*grads).items()}
+        return float(vg @ h_new), grad_set(ps, dict(grads, x=dx, h=dh))
 
     report = finite_diff_check(f_gru, p_gru, tolerance=UNIT_GRAD_TOL)
     assert report.passed, str(report)
@@ -244,9 +245,7 @@ def test_c02_analytic_gradients_match_finite_differences():
 
     def f_softmax(ps):
         probs = nn.masked_softmax(ps["logits"], mask)
-        g = GradSet(ps)
-        g.add("logits", nn.log_prob_grad(probs, 3))
-        return float(np.log(probs[3])), g
+        return float(np.log(probs[3])), grad_set(ps, {"logits": nn.log_prob_grad(probs, 3)})
 
     report = finite_diff_check(f_softmax, p_sm, tolerance=UNIT_GRAD_TOL)
     assert report.passed, str(report)
@@ -269,9 +268,7 @@ def test_c02_analytic_gradients_match_finite_differences():
     def f_encoder(ps):
         h, caches = encode(ann, a_matrix, cfg.t_prop, nn.fuse_gru(ps, "enc."))
         _, grads = encode_backward(probe, caches)
-        g = GradSet(ps)
-        g.add_all(grads)
-        return float(np.sum(probe * h)), g
+        return float(np.sum(probe * h)), grad_set(ps, grads)
 
     report = finite_diff_check(f_encoder, enc_only, tolerance=E2E_GRAD_TOL)
     assert report.passed, str(report)

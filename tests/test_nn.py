@@ -10,15 +10,19 @@ from ggsfc.nn import (
     fuse_gru,
     gru_cell,
     gru_cell_backward,
+    gru_grads_by_name,
+    gru_input_grad,
+    gru_param_grads,
     gru_param_shapes,
     log_prob_grad,
     masked_softmax,
     sgd_update,
     sigmoid,
+    sum_in_order,
     uniform_init,
 )
 from ggsfc.topology import generate_pool, internet2_fixture
-from support import finite_diff_check, init_gru_params
+from support import finite_diff_check, grad_set, init_gru_params, reference_gru_cell_backward
 
 UNIT_TOL = 1e-6
 
@@ -50,20 +54,23 @@ def test_param_set_accessors():
 def test_grad_set_accumulates_and_scales():
     p = ParamSet({"w": np.zeros(2)})
     g = GradSet(p)
-    g.add("w", np.array([1.0, 2.0]))
-    g.add_all({"w": np.array([1.0, 1.0])})
+    g.add_stack("w", np.array([[1.0, 2.0]]))
+    g.add_stack("w", np.array([[1.0, 1.0]]))
     for _, v in g.items():  # items() yields the live slots
         v *= 0.5
+    g.add_stack("w", np.zeros((1, 2)))  # from the scaled slot, not from zero
     assert np.array_equal(g["w"], [1.0, 1.5])
     assert g.is_finite()
-    g.add("w", np.array([np.nan, 0.0]))
+    g.add_stack("w", np.array([[np.nan, 0.0]]))
     assert not g.is_finite()
 
 
 def test_grad_set_rejects_shape_mismatch():
     g = GradSet(ParamSet({"w": np.zeros(2)}))
     with pytest.raises(ValueError, match="shape"):
-        g.add("w", np.zeros(3))
+        g.add_stack("w", np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        g.add_stack("w", np.zeros(2))
 
 
 def test_uniform_init_bounds_and_determinism():
@@ -107,13 +114,21 @@ def test_gru_cell_gradients_match_finite_differences():
     def f(p):
         h, cache = gru_cell(x, h0, fuse_gru(p, "g."))
         value = float(v @ h)
-        _, _, grads = gru_cell_backward(v, cache)
-        g = GradSet(p)
-        g.add_all(grads)
-        return value, g
+        _, _, da = gru_cell_backward(v, cache)
+        return value, _param_grads(p, [cache], [da])
 
     report = finite_diff_check(f, params, tolerance=UNIT_TOL)
     assert report.passed, str(report)
+
+
+def _param_grads(params, caches, gates):
+    """gru_param_grads of a stack of the cells, summed along its leading
+    axis, as a GradSet."""
+    x, h_prev, rh = (np.stack([c[i] for c in caches]) for i in (0, 1, 4))
+    g = GradSet(params)
+    for name, stack in gru_grads_by_name(*gru_param_grads(x, h_prev, rh, np.stack(gates))).items():
+        g.add_stack("g." + name, stack)
+    return g
 
 
 def test_gru_cell_batched_gradients_match_finite_differences():
@@ -126,10 +141,33 @@ def test_gru_cell_batched_gradients_match_finite_differences():
     def f(p):
         h, cache = gru_cell(x, h0, fuse_gru(p, "g."))
         value = float((v * h).sum())
-        _, _, grads = gru_cell_backward(v, cache)
-        g = GradSet(p)
-        g.add_all(grads)
-        return value, g
+        _, _, da = gru_cell_backward(v, cache)
+        return value, _param_grads(p, [cache], [da])
+
+    report = finite_diff_check(f, params, tolerance=UNIT_TOL)
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["1-D", "2-D"])
+def test_a_stack_of_gru_cells_sums_its_gradients_along_the_leading_axis(batch):
+    """Five cells, each with its own input, state and output weights: the
+    stack's parameter gradients, added item by item, are the gradient of the
+    summed outputs."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(5, *batch, 3))
+    h0 = rng.normal(size=(5, *batch, 4)) * 0.5
+    v = rng.normal(size=(5, *batch, 4))
+    params = ParamSet(init_gru_params(3, 4, rng, prefix="g."))
+
+    def f(p):
+        w = fuse_gru(p, "g.")
+        caches, gates, value = [], [], 0.0
+        for i in range(5):
+            h, cache = gru_cell(x[i], h0[i], w)
+            value += float((v[i] * h).sum())
+            caches.append(cache)
+            gates.append(gru_cell_backward(v[i], cache)[2])
+        return value, _param_grads(p, caches, gates)
 
     report = finite_diff_check(f, params, tolerance=UNIT_TOL)
     assert report.passed, str(report)
@@ -146,9 +184,7 @@ def test_gru_input_and_state_gradients_match_finite_differences():
         h, cache = gru_cell(p["x"], p["h0"], gru)
         value = float(v @ h)
         dx, dh0, _ = gru_cell_backward(v, cache)
-        g = GradSet(p)
-        g.add_all({"x": dx, "h0": dh0})
-        return value, g
+        return value, grad_set(p, {"x": dx, "h0": dh0})
 
     report = finite_diff_check(f, params, tolerance=UNIT_TOL)
     assert report.passed, str(report)
@@ -235,7 +271,7 @@ def test_fused_gru_cell_is_bit_identical_to_per_gate_products(shape):
         params = _random_gru(shape[-1], 32, rng, "g.")
         x = rng.normal(size=shape)
         h = np.tanh(rng.normal(size=h_shape))
-        h_new, (_, _, z, r, _, hbar, _, _) = gru_cell(x, h, fuse_gru(params, "g."))
+        h_new, (_, _, z, r, _, hbar, _) = gru_cell(x, h, fuse_gru(params, "g."))
         for got, want in zip((h_new, z, r, hbar), reference_gru(x, h, params, "g.")):
             assert got.tobytes() == want.tobytes()
 
@@ -299,7 +335,7 @@ def test_gru_cell_keeps_the_out_of_place_bytes_of_h_new_and_every_cache(shape):
         h_new, cache = gru_cell(x, h, w)
         want_h, want_cache = out_of_place_gru(x, h, params, "g.")
         assert h_new.tobytes() == want_h.tobytes()
-        assert cache[6] is w.params and cache[7] == "g."
+        assert cache[6] is w
         for got, want in zip(cache[:6], want_cache):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert not np.shares_memory(h_new, got)
@@ -401,6 +437,98 @@ def test_gathering_after_the_product_keeps_each_rows_bits():
 
 
 # ---------------------------------------------------------------------------
+# the episode backward's stacks: each item keeps the bits of its own step,
+# and each sum adds the items in order
+
+def test_sum_in_order_adds_one_item_at_a_time():
+    """Byte-equal to a loop of start + item, over item shapes where numpy's
+    own sum adds pairwise ((T,) and (T, 1)) and where it does not, with
+    magnitudes from 1e-8 to 1e8 and signed zeros; a running sum carried from
+    one stack into the next gives the sum over both, a 0.0 start the bytes
+    of a zero array's, and an empty stack its start."""
+    rng = np.random.default_rng(30)
+    pairwise = 0
+    for shape in [(200,), (200, 1), (200, 1, 2), (40, 3), (40, 42, 32), (5, 3, 32, 96)]:
+        for _ in range(10):
+            stack = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            stack[rng.random(shape) < 0.2] = -0.0
+            start = rng.normal(size=shape[1:])
+            want = start.copy()
+            for item in stack:
+                want = want + item
+            pairwise += stack.sum(axis=0).tobytes() != (want - start).tobytes()
+            assert sum_in_order(start, stack.copy()).tobytes() == want.tobytes()
+            carried = sum_in_order(start, stack[:7].copy())
+            assert sum_in_order(carried, stack[7:].copy()).tobytes() == want.tobytes()
+            zero = np.zeros(shape[1:])
+            assert sum_in_order(0.0, stack.copy()).tobytes() == sum_in_order(zero, stack).tobytes()
+        assert sum_in_order(start, stack[:0]).tobytes() == start.tobytes()
+    assert pairwise > 0  # numpy's sum does differ somewhere, so the check has teeth
+
+
+def test_grad_set_adds_a_stack_in_order():
+    p = ParamSet({"w": np.zeros((2, 3)), "b": np.zeros(1)})
+    g = grad_set(p, {"w": np.full((2, 3), 0.5)})
+    g.add_stack("w", np.stack([np.ones((2, 3)), -np.ones((2, 3)) * 2]))
+    g.add_stack("b", np.array([[1e16], [1.0], [-1e16]]))
+    assert np.array_equal(g["w"], np.full((2, 3), -0.5))
+    assert g["b"].tolist() == [((0.0 + 1e16) + 1.0) - 1e16]
+
+
+# 1-D decoder steps and (S, n, H) encoder stacks
+BACKWARD_SHAPES = [(42,), (32,), (1, 12, 32), (5, 12, 32), (3, 15, 32)]
+
+
+@pytest.mark.parametrize("shape", BACKWARD_SHAPES, ids=str)
+def test_split_gru_backward_keeps_each_cells_bytes(shape):
+    """Byte-equal to the backward that formed each cell's parameter
+    gradients on its own, on this numpy build: grad_x and grad_h_prev of
+    gru_cell_backward, and each item's slices of gru_param_grads over a
+    stack of eight cells; and, for 1-D cells, the rows of gru_input_grad over
+    an (L, 1, 3H) stack of their gates."""
+    rng = np.random.default_rng(sum(shape) + 2)
+    h_shape = shape[:-1] + (32,)
+    for _ in range(5):
+        params = _random_gru(shape[-1], 32, rng, "g.")
+        w = fuse_gru(params, "g.")
+        caches, gates, refs = [], [], []
+        for _ in range(8):
+            _, cache = gru_cell(rng.normal(size=shape), np.tanh(rng.normal(size=h_shape)), w)
+            grad = rng.normal(size=h_shape)
+            dx, dh, da = gru_cell_backward(grad, cache)
+            ref_dx, ref_dh, ref_grads = reference_gru_cell_backward(grad, cache, params, "g.")
+            assert dx.tobytes() == ref_dx.tobytes() and dh.tobytes() == ref_dh.tobytes()
+            caches.append(cache)
+            gates.append(da)
+            refs.append(ref_grads)
+        x, h_prev, rh = (np.stack([c[i] for c in caches]) for i in (0, 1, 4))
+        grads = gru_grads_by_name(*gru_param_grads(x, h_prev, rh, np.stack(gates)))
+        assert {"g." + name for name in grads} == refs[0].keys()
+        for i, ref in enumerate(refs):
+            for name, value in ref.items():
+                assert grads[name[2:]][i].tobytes() == value.tobytes(), name
+        if len(shape) == 1:
+            rows = gru_input_grad(np.stack(gates)[:, None, :], w)[:, 0]
+            for row, da in zip(rows, gates):
+                assert row.tobytes() == gru_input_grad(da, w).tobytes()
+
+
+def test_batched_sigmoid_elements_equal_one_element_calls():
+    """episode_gradients takes every process decision's sigmoid in one call,
+    where _greedy_action takes one 1-element call per step: on this numpy
+    build each element has the bytes of the 1-element call, at lengths and
+    offsets that cover every SIMD remainder and at magnitudes up to 800."""
+    rng = np.random.default_rng(31)
+    for scale in (1e-3, 1.0, 10.0, 40.0, 800.0):
+        x = rng.normal(scale=scale, size=300)
+        x[:len(SIGMOID_EDGES)] = SIGMOID_EDGES
+        for lo, hi in [(0, 300), *((o, o + n) for n in range(1, 18) for o in (0, 1, 3))]:
+            batched = sigmoid(x[lo:hi])
+            for i in range(lo, hi):
+                assert batched[i - lo].tobytes() == sigmoid(x[i : i + 1])[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # masked softmax
 
 def _masked_softmax_1d(logits, mask):
@@ -467,9 +595,7 @@ def test_log_prob_grad_matches_finite_differences():
     def f(p):
         probs = masked_softmax(p["logits"], mask)
         value = float(np.log(probs[index]))
-        g = GradSet(p)
-        g.add("logits", log_prob_grad(probs, index))
-        return value, g
+        return value, grad_set(p, {"logits": log_prob_grad(probs, index)})
 
     report = finite_diff_check(f, params, tolerance=UNIT_TOL)
     assert report.passed, str(report)
@@ -486,8 +612,7 @@ def test_log_prob_grad_rejects_masked_index():
 
 def test_sgd_update_ascends():
     p = ParamSet({"w": np.array([1.0, 2.0])})
-    g = GradSet(p)
-    g.add("w", np.array([10.0, -10.0]))
+    g = grad_set(p, {"w": np.array([10.0, -10.0])})
     up = sgd_update(p, g, alpha=0.1)
     assert np.allclose(up["w"], [2.0, 1.0])
     # input untouched
@@ -496,8 +621,7 @@ def test_sgd_update_ascends():
 
 def test_sgd_update_rejects_non_finite_gradients():
     p = ParamSet({"w": np.zeros(2)})
-    g = GradSet(p)
-    g.add("w", np.array([1.0, np.inf]))
+    g = grad_set(p, {"w": np.array([1.0, np.inf])})
     with pytest.raises(NonFiniteGradientError):
         sgd_update(p, g, alpha=0.1)
 
@@ -513,8 +637,7 @@ def test_sgd_update_validates_arguments():
 
 def test_sgd_update_refuses_a_step_that_overflows():
     p = ParamSet({"w": np.array([1e308, 0.0])})
-    g = GradSet(p)
-    g.add("w", np.array([1e308, 0.0]))
+    g = grad_set(p, {"w": np.array([1e308, 0.0])})
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="'w' has non-finite"):
         sgd_update(p, g, alpha=10.0)
 
@@ -531,8 +654,7 @@ def test_flat_sgd_update_is_bit_identical_to_per_tensor_steps():
             x.reshape(-1)[: len(specials)] = specials
             return x
         p = ParamSet({name: draw(shape) for name, shape in shapes.items()})
-        g = GradSet(p)
-        g.add_all({name: draw(shape) for name, shape in shapes.items()})
+        g = grad_set(p, {name: draw(shape) for name, shape in shapes.items()})
         alpha = float(10.0 ** rng.uniform(-9, -1))
         new = sgd_update(p, g, alpha)
         assert new.names() == p.names()
@@ -551,9 +673,7 @@ def quadratic_case():
     def f(p):
         x = p["x"]
         value = float(x @ a @ x)
-        g = GradSet(p)
-        g.add("x", (a + a.T) @ x)
-        return value, g
+        return value, grad_set(p, {"x": (a + a.T) @ x})
 
     return f, params
 
@@ -596,9 +716,7 @@ def test_finite_diff_check_subsampling_is_seeded():
 
     def f(p):
         value = float(v @ (p["w"] @ x))
-        g = GradSet(p)
-        g.add("w", np.outer(v, x))
-        return value, g
+        return value, grad_set(p, {"w": np.outer(v, x)})
 
     a = finite_diff_check(f, params, max_coords_per_tensor=10,
                           rng=np.random.default_rng(1))
