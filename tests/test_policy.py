@@ -20,7 +20,7 @@ from ggsfc.environment import (
     total_delay,
 )
 from ggsfc import nn, policy
-from ggsfc.nn import GradSet, ParamSet, fuse_gru
+from ggsfc.nn import ParamSet, fuse_gru
 from ggsfc.oracle import solve_optimal
 from ggsfc.policy import (
     BACKWARD_STACK,
