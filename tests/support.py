@@ -385,27 +385,34 @@ def reference_decode_step_backward(coeff, action, cache, params, grad_hidden_out
 def reference_episode_gradients(trace, coeffs, every_segment=False) -> GradSet:
     """The episode backward step by step: each decode step's gradients
     added as one dict, then the encoder's round by round, each reached
-    segment's added as one dict in segment order.  With every_segment the
-    encoder backward runs over the unreached segments too."""
+    segment's added as one dict in segment order, every sum starting from
+    0.0.  With every_segment the encoder backward runs over the unreached
+    segments too."""
     params, steps = trace.params, trace.steps
     reached = steps[-1].segment + 1
     segments = len(trace.request.chain) + 1 if every_segment else reached
-    grads = GradSet(params)
+    sums: dict[str, np.ndarray] = {}
+
+    def add(grads):
+        for name, value in grads.items():
+            sums[name] = sums.get(name, 0.0) + value
+
     grad_enc = np.zeros((segments, trace.topology.num_nodes, len(params["score.v"])))
     dh = np.zeros(len(params["score.v"]))
     for step, coeff in zip(reversed(steps), reversed(np.asarray(coeffs, dtype=np.float64))):
         genc, dh, gnode, step_grads = reference_decode_step_backward(
             coeff, step.action, step.cache, params, dh)
-        for name, value in step_grads.items():
-            grads.add_stack(name, np.array(value)[None])
+        add(step_grads)
         grad_enc[step.segment] += genc
         grad_enc[step.segment][step.node] += gnode
     encoder = [(a, (*(c[:segments] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]
     _, enc_grads = reference_encode_backward(grad_enc, encoder, params)
     for seg in range(reached):
-        for name, g in enc_grads.items():
-            grads.add_stack(name, g[seg : seg + 1].copy())
+        add({name: g[seg] for name, g in enc_grads.items()})
+    grads = GradSet(params)
+    for name, value in sums.items():
+        grads[name][...] = value
     return grads
 
 
