@@ -125,24 +125,21 @@ class GradSet:
         self._flat = np.zeros_like(params._flat)
         self._layout = params._layout
         self._tensors = _views(self._flat, self._layout)
-        self._zero = set(self._tensors)  # slots never added to nor handed out
 
     def __getitem__(self, name: str) -> np.ndarray:
-        self._zero.discard(name)
         return self._tensors[name]
 
     def items(self):
-        self._zero.clear()
         return self._tensors.items()
 
     def add_stack(self, name: str, stack: np.ndarray) -> None:
-        """Add a stack's items along its leading axis, in order."""
-        start = 0.0 if name in self._zero else self._tensors[name]
-        slot = self[name]
+        """Add a stack's items along its leading axis, in order.  The stack
+        is taken over: its first item is overwritten (see sum_in_order)."""
+        slot = self._tensors[name]
         if stack.shape[1:] != slot.shape:
             raise ValueError(f"gradient stack for {name!r} has shape {stack.shape}, "
                              f"expected items of {slot.shape}")
-        slot[...] = sum_in_order(start, stack, out=slot)
+        slot[...] = sum_in_order(slot, stack)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self._flat).all())
@@ -154,17 +151,14 @@ def uniform_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
     return rng.uniform(-s, s, size=shape)
 
 
-def sum_in_order(start, stack: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """start (0.0, or an array, added into stack[0]) + stack[0] + stack[1] +
-    ..., one item at a time: numpy reduces the leading axis item by item
-    unless each item has one element, which it sums pairwise."""
+def sum_in_order(start: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """start + stack[0] + stack[1] + ..., one item at a time: numpy reduces
+    the leading axis item by item unless each item has one element, which
+    it sums pairwise.  start is added into stack[0], in place."""
     if stack.size == len(stack):
-        acc = np.concatenate([np.full((1,) + stack.shape[1:], start), stack])
-        return np.add.accumulate(acc, axis=0)[-1]
-    if isinstance(start, np.ndarray):
-        stack[0] += start
-        return np.add.reduce(stack, axis=0, out=out)
-    return np.add.reduce(stack, axis=0, initial=start, out=out)
+        return np.add.accumulate(np.concatenate([start[None], stack]), axis=0)[-1]
+    stack[0] += start
+    return np.add.reduce(stack, axis=0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -202,8 +196,11 @@ def gru_param_shapes(d_in: int, d_hidden: int) -> dict[str, tuple[int, ...]]:
 @dataclass(frozen=True)
 class GruWeights:
     """One GRU's gate matrices fused for the forward pass (see the module
-    docstring); the backward reads each gate's columns.  The fused arrays
-    are copies: build them again after the parameters change."""
+    docstring); the backward reads each gate's columns.
+
+    The fused arrays are copies: build them again after the parameters
+    change, e.g. once per episode.
+    """
 
     W_zr: np.ndarray  # [W_z | W_r]
     U_zr: np.ndarray  # [U_z | U_r]

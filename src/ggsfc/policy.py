@@ -31,17 +31,21 @@ one stack, added in step order, so every gradient keeps the bytes of the
 per-step backward (see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
-many requests greedily together, in slices of at most LOCKSTEP_SLICE walks
-on graphs of one node count.  A slice encodes each distinct segment once,
-in stacks of at most ENCODE_STACK: an encoding depends only on the graph
-object (never its content), the endpoints and the pending type.  Each
-decode step is one ``decode_step`` over the (L, ...) stack of the live
-walks, its input gathered from a per-segment table, and each walk keeps
-the bits of its own ``rollout`` (see ``nn``).  The environment steps stay
-per walk, with masks kept per graph object, node and pending type.  A
-walk keeps no caches or log-probs: evaluation and the holdout read only
-its success and delay, so it is its ``PathResult``, which
-``rollout(..., lockstep=)`` takes.
+many requests greedily together instead, in slices of at most
+LOCKSTEP_SLICE walks on graphs of one node count.  A slice encodes each
+distinct segment once, in stacks of at most ENCODE_STACK: a segment's
+encoding depends only on its graph object, the request's endpoints and the
+pending type, so segments that share those share one encoding (graphs are
+told apart by identity, never by content).  Each decode step is one
+``decode_step`` over the (L, ...) stack of the live episodes, its input one
+gather from a per-segment table of decoder inputs.  Each walk keeps the
+bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
+rules).  The environment steps stay per episode; the masks depend only on
+the current node and the pending type, so they are kept once per graph
+object.  A lockstep keeps no caches and computes no log-probs: evaluation
+and the holdout read only whether a walk succeeded and its delay, so a
+lockstep walk is its ``PathResult``.  ``rollout(..., lockstep=)`` takes one
+request's walk from a lockstep.
 """
 
 from __future__ import annotations
@@ -75,10 +79,10 @@ ENCODE_STACK = 16
 # the most walks a Lockstep advances together: a fixed cap on its decoder
 # table and encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
-# episode_gradients' stacks: at most this many decode steps (a fixture
-# episode's budget fits) and node rows (kept in cache), and the steps whose
-# GRU products it holds at once (a cap on memory)
-BACKWARD_STACK, SCORER_ROWS, PRODUCT_STACK = 64, 1024, 16
+# the most decode steps episode_gradients stacks at once: a fixed cap on
+# its per-stack arrays, and so on peak memory; a fixture episode's step
+# budget (44) fits in one stack
+BACKWARD_STACK = 48
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -248,14 +252,20 @@ def decode_step(
     gru: nn.GruWeights,
 ) -> tuple[ActionDistribution, np.ndarray, tuple]:
     """One decoder step: advance the fused ``dec.`` GRU, score nodes, mask,
-    normalize; returns the action distribution, the advanced hidden state
-    and a cache for the backward.  enc_scores is enc_h @ score.W_emb, and x
-    is [v_all | v_now | node_embedding]: the remaining chain as a multi-hot,
-    the pending type as a one-hot, and the current node's encoder row.  The
-    masks are kept, not copied.  Every argument may carry a leading axis of
-    L episodes, enc_scores (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks
-    (L, n), each row with its own 1-D step's bits (see ``nn``); such a step
-    has no backward and passes None for enc_h."""
+    normalize.
+
+    enc_scores is enc_h @ score.W_emb, which changes only with the encoder
+    segment.  x is the step input [v_all | v_now | node_embedding]: the
+    remaining chain as a multi-hot, the pending type as a one-hot, and the
+    encoder row of the current node.  The masks are kept, not copied.
+    Returns the action distribution, the advanced hidden state, and a cache
+    for the backward pass.
+
+    Every argument may carry a leading batch axis of L episodes: enc_scores
+    (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks (L, n).  Each row then
+    gets the bits of its own 1-D step (see the ``nn`` docstring).  enc_h is
+    read only by the backward, so a batched step, which has none, passes None.
+    """
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
     s = enc_scores + hidden @ params["score.W_hid"]
     np.tanh(s, out=s)
@@ -432,9 +442,11 @@ def rollout(
     epsilon_greedy: with probability epsilon take a uniform valid action,
     otherwise the greedy one; log-probs always record the policy's own
     probability of the taken action.  It needs both an rng and an epsilon.
-    With a lockstep that holds (t, req), the greedy walk is taken from it,
-    advancing its walks together until this one ends, and returned as its
-    ``PathResult``, equal to the trace's path.
+
+    With a lockstep that holds (t, req), the greedy walk is taken from it:
+    this call advances the lockstep's walks together until this one ends.
+    That walk keeps no caches and records no rewards or log-probs, so it is
+    returned as its ``PathResult``, equal to the trace's path.
     """
     if mode not in ROLLOUT_MODES:
         raise ValueError(f"unknown rollout mode {mode!r}")
@@ -465,11 +477,14 @@ class Lockstep:
     ``walk(t, req)`` returns the path of that pair's walk.  Pairs are
     grouped by node count, not by topology, since a pool test spreads its
     requests over many variants of one size, and each group is cut, in
-    order, into slices.  The first walk asked for in a slice advances the
-    whole slice to its end and keeps the paths, so one slice's encodings
-    and decoder table are alive at a time.  Walk i has the path of its own
-    ``rollout(params, cfg, *pairs[i])``, whichever walks share its slice.
-    Every request is validated here, before any walk.
+    order, into slices of at most LOCKSTEP_SLICE.  The first walk asked for
+    in a slice advances the whole slice together, one ``decode_step`` per
+    step, to its end, and keeps the paths for their own calls; so one
+    slice's encodings and decoder table are alive at a time.  Each row of
+    every step's batched distribution has the bytes of that walk's own
+    ``rollout(params, cfg, *pairs[i], mode="greedy")`` step, and so walk i
+    has that rollout's path, whichever walks share its slice.  Every request
+    is validated here, before any walk.
     """
 
     def __init__(
@@ -628,9 +643,8 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
     dproc = np.zeros(len(steps))
     dproc[decided] = coeffs[decided] * np.where(processed, 1.0 - sig, -sig)
     dh = np.zeros(len(params["score.v"]))
-    per_stack = min(BACKWARD_STACK, max(1, SCORER_ROWS // trace.topology.num_nodes))
-    for hi in range(len(steps), 0, -per_stack):
-        last = np.arange(hi - 1, max(hi - per_stack, 0) - 1, -1)  # last first
+    for hi in range(len(steps), 0, -BACKWARD_STACK):
+        last = np.arange(hi - 1, max(hi - BACKWARD_STACK, 0) - 1, -1)  # last first
         dh = _decoder_stack_backward([steps[k] for k in last], coeffs[last], nodes[last],
                                      decided[last], dproc[last], params, grads, grad_enc, dh)
     # each round's GRU cache arrays, cut to the reached segments
@@ -672,13 +686,12 @@ def _decoder_stack_backward(steps, coeffs, nodes, decided, dproc, params, grads,
         grad_enc[step.segment] += genc[k]
         grad_enc[step.segment][step.node] += gnode[k]
     del s, ds, genc  # before the products
-    for lo in range(0, len(steps), PRODUCT_STACK):
-        gru = [c[3] for c in caches[lo : lo + PRODUCT_STACK]]  # (x, h_prev, z, r, rh, ...)
-        for name, g in nn.gru_grads_by_name(*nn.gru_param_grads(
-                *(np.stack([c[i] for c in gru]) for i in (0, 1, 4)),
-                gates[lo : lo + PRODUCT_STACK])).items():
-            grads.add_stack("dec." + name, g)
-        del g  # frees this block's products before the next block forms its own
+    gru = [c[3] for c in caches]  # (x, h_prev, z, r, rh, ...)
+    products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)), gates)
+    # add_stack overwrites each stack's first item, the dec.b_* stacks' in
+    # gates, so nothing reads gates after this
+    for name, g in nn.gru_grads_by_name(*products).items():
+        grads.add_stack("dec." + name, g)
     return dh
 
 

@@ -444,8 +444,8 @@ def test_sum_in_order_adds_one_item_at_a_time():
     """Byte-equal to a loop of start + item, over item shapes where numpy's
     own sum adds pairwise ((T,) and (T, 1)) and where it does not, with
     magnitudes from 1e-8 to 1e8 and signed zeros; a running sum carried from
-    one stack into the next gives the sum over both, a 0.0 start the bytes
-    of a zero array's, and an empty stack its start."""
+    one stack into the next gives the sum over both, a zero-array start the
+    bytes of a loop from 0.0, and an empty stack its start."""
     rng = np.random.default_rng(30)
     pairwise = 0
     for shape in [(200,), (200, 1), (200, 1, 2), (40, 3), (40, 42, 32), (5, 3, 32, 96)]:
@@ -460,8 +460,10 @@ def test_sum_in_order_adds_one_item_at_a_time():
             assert sum_in_order(start, stack.copy()).tobytes() == want.tobytes()
             carried = sum_in_order(start, stack[:7].copy())
             assert sum_in_order(carried, stack[7:].copy()).tobytes() == want.tobytes()
-            zero = np.zeros(shape[1:])
-            assert sum_in_order(0.0, stack.copy()).tobytes() == sum_in_order(zero, stack).tobytes()
+            from_zero = 0.0
+            for item in stack:
+                from_zero = from_zero + item
+            assert sum_in_order(np.zeros(shape[1:]), stack).tobytes() == from_zero.tobytes()
         assert sum_in_order(start, stack[:0]).tobytes() == start.tobytes()
     assert pairwise > 0  # numpy's sum does differ somewhere, so the check has teeth
 
