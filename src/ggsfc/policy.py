@@ -79,10 +79,11 @@ ENCODE_STACK = 16
 # the most walks a Lockstep advances together: a fixed cap on its decoder
 # table and encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
-# the most decode steps episode_gradients stacks at once: a fixed cap on
-# its per-stack arrays, and so on peak memory; a fixture episode's step
-# budget (44) fits in one stack
-BACKWARD_STACK = 48
+# the most decode steps episode_gradients stacks at once (a fixture
+# episode's step budget, 44, fits), and the most whose GRU parameter
+# products it holds at once: fixed caps on peak memory (the products of a
+# whole 44-step stack raised the train bench's peak RSS by 1.2 MiB)
+BACKWARD_STACK, PRODUCT_STACK = 48, 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -686,12 +687,15 @@ def _decoder_stack_backward(steps, coeffs, nodes, decided, dproc, params, grads,
         grad_enc[step.segment] += genc[k]
         grad_enc[step.segment][step.node] += gnode[k]
     del s, ds, genc  # before the products
-    gru = [c[3] for c in caches]  # (x, h_prev, z, r, rh, ...)
-    products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)), gates)
     # add_stack overwrites each stack's first item, the dec.b_* stacks' in
     # gates, so nothing reads gates after this
-    for name, g in nn.gru_grads_by_name(*products).items():
-        grads.add_stack("dec." + name, g)
+    for lo in range(0, len(steps), PRODUCT_STACK):
+        gru = [c[3] for c in caches[lo : lo + PRODUCT_STACK]]  # (x, h_prev, z, r, rh, ...)
+        products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)),
+                                      gates[lo : lo + PRODUCT_STACK])
+        for name, g in nn.gru_grads_by_name(*products).items():
+            grads.add_stack("dec." + name, g)
+        del products, g  # before the next block forms its own
     return dh
 
 

@@ -27,6 +27,7 @@ from ggsfc.policy import (
     ENCODE_STACK,
     LOCKSTEP_SLICE,
     MAX_T_PROP,
+    PRODUCT_STACK,
     ActionDistribution,
     Lockstep,
     PolicyConfig,
@@ -582,11 +583,11 @@ def test_episode_gradients_equal_the_per_step_reference_byte_for_byte(pair, seed
 def test_every_kind_of_episode_keeps_the_per_step_reference_bytes():
     """Byte-equal gradients for chains of 0-4 entries, one-step episodes,
     walks with and without process decisions, walks over several backward
-    stacks, and coefficients with zeros, negatives and
+    stacks and product stacks, and coefficients with zeros, negatives and
     values near 1e4."""
     cfg = PolicyConfig()
     rng = np.random.default_rng(8)
-    kinds = {"one step": 0, "decided": 0, "undecided": 0, "stacks": 0}
+    kinds = {"one step": 0, "decided": 0, "undecided": 0, "stacks": 0, "product stacks": 0}
     chains = set()
     for n in (5, 9, 40):
         t = fixture_like_graph(n, 1, n)
@@ -605,6 +606,7 @@ def test_every_kind_of_episode_keeps_the_per_step_reference_bytes():
                     kinds["one step"] += len(forced.steps) == 1
                     kinds["decided" if decided else "undecided"] += 1
                     kinds["stacks"] += len(forced.steps) > BACKWARD_STACK
+                    kinds["product stacks"] += len(forced.steps) > PRODUCT_STACK
                     chains.add(length)
     assert min(kinds.values()) > 0 and chains == set(range(5)), kinds
 
