@@ -122,11 +122,12 @@ def evaluate_requests(
     return _evaluate_tests([pairs], lambda feasible: (actor(*pair) for pair in feasible))[0]
 
 
-def _greedy_walks(
+def greedy_walks(
     params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
 ) -> Iterator[tuple[bool, int]]:
-    """Each pair's greedy walk, its rollout taken from one ``Lockstep``, so a
-    long failing walk shares its steps with the others."""
+    """(success, delay) of each pair's greedy walk, in order, its rollout
+    taken from one ``Lockstep``, so a long failing walk shares its steps with
+    the others; the SL holdout reads them too."""
     lockstep = Lockstep(params, cfg, pairs)
     for pair in pairs:
         path = rollout(params, cfg, *pair, lockstep=lockstep)
@@ -139,7 +140,7 @@ def evaluate_policy(
     """The greedy policy on each (topology, request) pair, measured as
     evaluate_requests measures an actor, the feasible pairs walked together,
     each as its own rollout would."""
-    return _evaluate_tests([pairs], partial(_greedy_walks, params, cfg))[0]
+    return _evaluate_tests([pairs], partial(greedy_walks, params, cfg))[0]
 
 
 def oracle_actor() -> Actor:
@@ -234,7 +235,7 @@ def run_experiment(
     pairs3 = _pool_pairs(pools["cs2"], request_count, chain_len_range, rng)
 
     tests = (pairs1, pairs2, pairs3)
-    rows = [_row(label, _evaluate_tests(tests, partial(_greedy_walks, params, cfg)))
+    rows = [_row(label, _evaluate_tests(tests, partial(greedy_walks, params, cfg)))
             for label, params, cfg in checkpoints]
     rows += [_row(label, [evaluate_requests(actor, pairs) for pairs in tests])
              for label, actor in actors]

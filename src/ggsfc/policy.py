@@ -25,10 +25,11 @@ from a label.  The trace carries the params and the caches of that pass,
 and ``episode_gradients(trace, coeffs)`` backpropagates sum_t c_t log pi(a_t)
 through them alone; SL ascends it with c_t = 1 along a label, REINFORCE
 with c_t = G_t along a rollout.  It takes the decode steps last first, in
-stacks, each in two passes: the scorer, which needs no recurrence, over the
-stack, then the GRU step by step.  Each parameter's per-step products form
-one stack, added in step order, so every gradient keeps the bytes of the
-per-step backward (see ``nn``).
+stacks of at most BACKWARD_STACK, each in two passes: the scorer, which
+needs no recurrence, over the stack, then the GRU step by step.  Each
+parameter's per-step products of a stack are formed at once and added in
+step order, so every gradient keeps the bytes of the per-step backward
+(see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
 many requests greedily together instead, in slices of at most
@@ -79,11 +80,11 @@ ENCODE_STACK = 16
 # the most walks a Lockstep advances together: a fixed cap on its decoder
 # table and encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
-# the most decode steps episode_gradients stacks at once (a fixture
-# episode's step budget, 44, fits), and the most whose GRU parameter
-# products it holds at once: fixed caps on peak memory (the products of a
-# whole 44-step stack raised the train bench's peak RSS by 1.2 MiB)
-BACKWARD_STACK, PRODUCT_STACK = 48, 16
+# the most decode steps episode_gradients stacks at once: a fixed cap on
+# its peak memory.  Of the 465 episodes one bench train pass backpropagates,
+# 464 have at most 15 steps and one has 38, so nearly every episode is one
+# stack
+BACKWARD_STACK = 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
 MAX_T_PROP = 100
@@ -634,20 +635,11 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
     reached = steps[-1].segment + 1
     grads = GradSet(params)
     grad_enc = np.zeros((reached, trace.topology.num_nodes, len(params["score.v"])))
-    # each process decision's sigmoid, in one call whose elements have the
-    # bits of _greedy_action's 1-element calls
-    taken = [(step.cache[4], step.action.next_node) for step in steps]
-    nodes = np.array([i for _, i in taken])
-    decided = np.array([d.process_mask[i] for d, i in taken])
-    sig = nn.sigmoid(np.array([d.process_logits[i] for d, i in taken])[decided])
-    processed = np.array([step.action.process for step in steps])[decided]
-    dproc = np.zeros(len(steps))
-    dproc[decided] = coeffs[decided] * np.where(processed, 1.0 - sig, -sig)
     dh = np.zeros(len(params["score.v"]))
     for hi in range(len(steps), 0, -BACKWARD_STACK):
         last = np.arange(hi - 1, max(hi - BACKWARD_STACK, 0) - 1, -1)  # last first
-        dh = _decoder_stack_backward([steps[k] for k in last], coeffs[last], nodes[last],
-                                     decided[last], dproc[last], params, grads, grad_enc, dh)
+        dh = _decoder_stack_backward([steps[k] for k in last], coeffs[last], params, grads,
+                                     grad_enc, dh)
     # each round's GRU cache arrays, cut to the reached segments
     encoder = [(a, (*(c[:reached] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]
@@ -656,16 +648,23 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
     return grads
 
 
-def _decoder_stack_backward(steps, coeffs, nodes, decided, dproc, params, grads, grad_enc, dh):
+def _decoder_stack_backward(steps, coeffs, params, grads, grad_enc, dh):
     """One stack of decode steps, given last first: adds its gradients to
     grads and grad_enc; returns the gradient on the hidden state before it."""
     caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
+    nodes = [step.action.next_node for step in steps]
+    # each process decision's sigmoid, in one call whose elements have the
+    # bits of _greedy_action's 1-element calls
+    rows = [k for k, (c, u) in enumerate(zip(caches, nodes)) if c[4].process_mask[u]]
+    at = [nodes[k] for k in rows]
+    sig = nn.sigmoid(np.array([caches[k][4].process_logits[u] for k, u in zip(rows, at)]))
+    processed = np.array([steps[k].action.process for k in rows], dtype=bool)
+    dp = (coeffs[rows] * np.where(processed, 1.0 - sig, -sig))[:, None]
     s = np.stack([c[2] for c in caches])
     dlogits = nn.log_prob_grad(np.stack([c[4].node_probs for c in caches]), nodes)
     dlogits *= coeffs[:, None]
     grads.add_stack("score.v", (np.swapaxes(s, 1, 2) @ dlogits[:, :, None])[:, :, 0])
     ds = dlogits[:, :, None] * params["score.v"]
-    rows, at, dp = np.flatnonzero(decided), nodes[decided], dproc[decided][:, None]
     ds[rows, at] += dp * params["proc.w"]
     grads.add_stack("proc.w", dp * s[rows, at])
     grads.add_stack("proc.b", dp)
@@ -689,13 +688,10 @@ def _decoder_stack_backward(steps, coeffs, nodes, decided, dproc, params, grads,
     del s, ds, genc  # before the products
     # add_stack overwrites each stack's first item, the dec.b_* stacks' in
     # gates, so nothing reads gates after this
-    for lo in range(0, len(steps), PRODUCT_STACK):
-        gru = [c[3] for c in caches[lo : lo + PRODUCT_STACK]]  # (x, h_prev, z, r, rh, ...)
-        products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)),
-                                      gates[lo : lo + PRODUCT_STACK])
-        for name, g in nn.gru_grads_by_name(*products).items():
-            grads.add_stack("dec." + name, g)
-        del products, g  # before the next block forms its own
+    gru = [c[3] for c in caches]  # (x, h_prev, z, r, rh, ...)
+    products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)), gates)
+    for name, g in nn.gru_grads_by_name(*products).items():
+        grads.add_stack("dec." + name, g)
     return dh
 
 

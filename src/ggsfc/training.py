@@ -30,7 +30,8 @@ from .environment import (
 )
 from .nn import NonFiniteGradientError, ParamSet, sgd_update
 from .oracle import LabeledDataset, check_topology_ids
-from .policy import EpisodeTrace, Lockstep, PolicyConfig, episode_gradients, rollout, teacher_force
+from .evaluation import greedy_walks
+from .policy import EpisodeTrace, PolicyConfig, episode_gradients, rollout, teacher_force
 from .topology import Topology, TopologyPool, as_topology_list
 
 logger = logging.getLogger(__name__)
@@ -126,21 +127,13 @@ def greedy_failure_ratio(
     cfg: PolicyConfig,
     pairs: Sequence[tuple[Topology, SfcRequest]],
 ) -> tuple[float, float]:
-    """(failure ratio, mean success delay) of greedy rollouts over the pairs,
-    each taken from one ``Lockstep`` that walks them all together."""
+    """(failure ratio, mean success delay) of the pairs' greedy walks, taken
+    together by ``evaluation.greedy_walks``."""
     if not pairs:
         return float("nan"), float("nan")
-    lockstep = Lockstep(params, cfg, pairs)
-    failures = 0
-    delays = []
-    for t, req in pairs:
-        path = rollout(params, cfg, t, req, lockstep=lockstep)
-        if path.success:
-            delays.append(path.total_delay)
-        else:
-            failures += 1
+    delays = [delay for success, delay in greedy_walks(params, cfg, pairs) if success]
     mean_delay = float(np.mean(delays)) if delays else float("nan")
-    return failures / len(pairs), mean_delay
+    return (len(pairs) - len(delays)) / len(pairs), mean_delay
 
 
 def train_sl(

@@ -27,7 +27,6 @@ from ggsfc.policy import (
     ENCODE_STACK,
     LOCKSTEP_SLICE,
     MAX_T_PROP,
-    PRODUCT_STACK,
     ActionDistribution,
     Lockstep,
     PolicyConfig,
@@ -583,11 +582,10 @@ def test_episode_gradients_equal_the_per_step_reference_byte_for_byte(pair, seed
 def test_every_kind_of_episode_keeps_the_per_step_reference_bytes():
     """Byte-equal gradients for chains of 0-4 entries, one-step episodes,
     walks with and without process decisions, walks over several backward
-    stacks and product stacks, and coefficients with zeros, negatives and
-    values near 1e4."""
+    stacks, and coefficients with zeros, negatives and values near 1e4."""
     cfg = PolicyConfig()
     rng = np.random.default_rng(8)
-    kinds = {"one step": 0, "decided": 0, "undecided": 0, "stacks": 0, "product stacks": 0}
+    kinds = {"one step": 0, "decided": 0, "undecided": 0, "stacks": 0}
     chains = set()
     for n in (5, 9, 40):
         t = fixture_like_graph(n, 1, n)
@@ -606,7 +604,6 @@ def test_every_kind_of_episode_keeps_the_per_step_reference_bytes():
                     kinds["one step"] += len(forced.steps) == 1
                     kinds["decided" if decided else "undecided"] += 1
                     kinds["stacks"] += len(forced.steps) > BACKWARD_STACK
-                    kinds["product stacks"] += len(forced.steps) > PRODUCT_STACK
                     chains.add(length)
     assert min(kinds.values()) > 0 and chains == set(range(5)), kinds
 
@@ -614,8 +611,8 @@ def test_every_kind_of_episode_keeps_the_per_step_reference_bytes():
 def test_a_long_walks_backward_runs_in_bounded_memory():
     """The backward of a 608-step greedy walk on a 200-node graph stacks a
     bounded number of steps at a time: its tracemalloc peak stays small
-    (5.7 MiB measured, against 70 MiB for one stack of the whole walk), and
-    it keeps the per-step reference's bytes."""
+    (2.0 MiB measured, against 5.8 MiB for 48-step stacks and 70 MiB for one
+    stack of the whole walk), and it keeps the per-step reference's bytes."""
     cfg = PolicyConfig()
     params = init_policy_params(cfg, 0)
     t = fixture_like_graph(200, 33, 1)
@@ -630,7 +627,7 @@ def test_a_long_walks_backward_runs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    assert peak <= 4 * 2**20
     _assert_reference_bytes(trace, coeffs)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ggsfc.evaluation as evaluation
 import ggsfc.training as training
 from ggsfc.environment import RewardConfig, SfcRequest, generate_requests
 from ggsfc.nn import NonFiniteGradientError, ParamSet
@@ -324,18 +325,26 @@ def test_greedy_failure_ratio_empty_pairs():
 def test_greedy_failure_ratio_equals_a_per_request_rollout_loop():
     """The lockstep FR and mean delay equal a per-request rollout loop's,
     bit for bit, for a briefly trained policy on pairs on the fixture and
-    on cs2 variants, some of which it walks to success and some not."""
+    on cs2 variants, some of which it walks to success and some not, and
+    for untrained params on the fixture, which fail every pair: FR 1.0 and
+    a NaN mean delay."""
     fixture = internet2_fixture()
     params, cfg = briefly_trained_policy()
     rng = np.random.default_rng(9)
     graphs = [fixture, *generate_pool(fixture, "cs2", pool_size=3, seed=1).variants]
     pairs = [(t, req) for t in graphs for req in generate_requests(t, 8, (1, 3), rng)]
-    fr, mean_delay = greedy_failure_ratio(params, cfg, pairs)
-    traces = [rollout(params, cfg, t, req) for t, req in pairs]
-    delays = [trace.total_delay for trace in traces if trace.success]
-    assert 0 < len(delays) < len(pairs)
-    assert fr.hex() == ((len(pairs) - len(delays)) / len(pairs)).hex()
-    assert mean_delay.hex() == float(np.mean(delays)).hex()
+    untrained = init_policy_params(cfg, seed=0)
+    all_fail = [(fixture, req) for req in generate_requests(fixture, 8, (2, 4), rng)]
+    for params, pairs, mixed in ((params, pairs, True), (untrained, all_fail, False)):
+        fr, mean_delay = greedy_failure_ratio(params, cfg, pairs)
+        traces = [rollout(params, cfg, t, req) for t, req in pairs]
+        delays = [trace.total_delay for trace in traces if trace.success]
+        assert fr.hex() == ((len(pairs) - len(delays)) / len(pairs)).hex()
+        if mixed:
+            assert 0 < len(delays) < len(pairs)
+            assert mean_delay.hex() == float(np.mean(delays)).hex()
+        else:
+            assert not delays and fr == 1.0 and np.isnan(mean_delay)
 
 
 def test_a_large_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(monkeypatch):
@@ -348,13 +357,13 @@ def test_a_large_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(monk
     pairs = [(fixture, req)
              for req in generate_requests(fixture, 500, (1, 4), np.random.default_rng(0))]
     walks = []
-    real_rollout = training.rollout
+    real_rollout = evaluation.rollout
 
     def spy(*args, **kwargs):
         walks.append(real_rollout(*args, **kwargs))
         return walks[-1]
 
-    monkeypatch.setattr(training, "rollout", spy)
+    monkeypatch.setattr(evaluation, "rollout", spy)
     tracemalloc.start()
     try:
         fr, _ = greedy_failure_ratio(params, cfg, pairs)
@@ -370,18 +379,18 @@ def test_a_large_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(monk
 
 
 def test_each_holdout_walk_is_one_rollout_from_the_epochs_lockstep(monkeypatch):
-    """train_sl takes each holdout walk with one training.rollout call, all
+    """train_sl takes each holdout walk with one evaluation.rollout call, all
     of an epoch's from one lockstep under that epoch's params."""
     t, dataset = fixture_sl_setup(6)
     holdout = label_dataset(t, generate_requests(t, 5, (1, 2), np.random.default_rng(3)))
     calls = []
-    real_rollout = training.rollout
+    real_rollout = evaluation.rollout
 
     def spy(params, cfg, graph, req, *args, **kwargs):
         calls.append((params, graph, req, kwargs.get("lockstep")))
         return real_rollout(params, cfg, graph, req, *args, **kwargs)
 
-    monkeypatch.setattr(training, "rollout", spy)
+    monkeypatch.setattr(evaluation, "rollout", spy)
     cfg = PolicyConfig()
     train_sl(init_policy_params(cfg, seed=0), cfg, t, dataset, HyperParams(sl_epochs=2),
              holdout=holdout)
