@@ -41,6 +41,16 @@ on the hot paths, where speed is bought only with bit-identical results:
 - Sums keep their order.  A parameter's per-step products are added one
   at a time, in step order, the running sum carried from stack to stack
   (``sum_in_order``): numpy's own sum adds a (T,) or (T, 1) stack pairwise.
+  An outer-product gradient over T steps is one ``einsum("ti,tj->ij")``
+  (``outer_sum``): over rows that follow one another in memory it adds each
+  step's products to each element in step order, from 0.0, so it has the
+  bytes of the per-step ``np.outer`` loop, where ``a.T @ b`` (BLAS) does
+  not.  It runs with einsum's default ``optimize=False``, since True hands
+  it to BLAS.  einsum may reorder the steps of a column-major or reversed
+  input, and it sums a 1x1 result, a dot product, with several
+  accumulators, so those are refused.  einsum raises no floating-point
+  warning where the elementwise product did; the values are the same, and
+  ``sgd_update`` still refuses non-finite gradients.
 - ``ParamSet`` and ``GradSet`` keep their tensors as views into one flat
   buffer, so ``sgd_update`` is one elementwise step and one finiteness
   check on each side; elementwise arithmetic gives the same bits whatever
@@ -159,6 +169,19 @@ def sum_in_order(start: np.ndarray, stack: np.ndarray) -> np.ndarray:
         return np.add.accumulate(np.concatenate([start[None], stack]), axis=0)[-1]
     stack[0] += start
     return np.add.reduce(stack, axis=0)
+
+
+def outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.0 + outer(a[0], b[0]) + outer(a[1], b[1]) + ..., one step at a time,
+    as one einsum (see the module docstring), into out if given.  The rows
+    of a and b must follow one another in memory, as in a row-major array
+    or its column slice, and the result may not be 1x1."""
+    if a.shape[1] * b.shape[1] == 1:
+        raise ValueError("a 1x1 outer sum is a dot product, which einsum does not add in order")
+    for x in (a, b):
+        if not 0 < x.strides[1] * x.shape[1] <= x.strides[0]:
+            raise ValueError(f"rows with strides {x.strides} do not follow one another")
+    return np.einsum("ti,tj->ij", a, b, out=out)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -26,10 +26,13 @@ and ``episode_gradients(trace, coeffs)`` backpropagates sum_t c_t log pi(a_t)
 through them alone; SL ascends it with c_t = 1 along a label, REINFORCE
 with c_t = G_t along a rollout.  It takes the decode steps last first, in
 stacks of at most BACKWARD_STACK, each in two passes: the scorer, which
-needs no recurrence, over the stack, then the GRU step by step.  Each
-parameter's per-step products of a stack are formed at once and added in
-step order, so every gradient keeps the bytes of the per-step backward
-(see ``nn``).
+needs no recurrence, over the stack, then the GRU step by step.  The
+stacks keep each step's gate gradients and its scorer gradient summed over
+the nodes; from these, each outer-product gradient (dec.W_*, dec.U_* and
+score.W_hid) is one in-order einsum over the whole episode, and the
+dec.b_* gradients are one ordered sum.  Every other parameter's per-step
+products of a stack are formed at once and added in step order, so every
+gradient keeps the bytes of the per-step backward (see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
 many requests greedily together instead, in slices of at most
@@ -81,9 +84,10 @@ ENCODE_STACK = 16
 # table and encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
 # the most decode steps episode_gradients stacks at once: a fixed cap on
-# its peak memory.  Of the 465 episodes one bench train pass backpropagates,
-# 464 have at most 15 steps and one has 38, so nearly every episode is one
-# stack
+# its scorer's (T, n, H) arrays, the only ones that grow with the node
+# count (the outer products' inputs take one row per step of the episode).
+# Of the 465 episodes one bench train pass backpropagates, 464 have at most
+# 15 steps and one has 38, so nearly every episode is one stack
 BACKWARD_STACK = 16
 # every encode runs t_prop GRU rounds, so a checkpoint or flag asking for
 # more than this is refused rather than run (the default is 5)
@@ -634,12 +638,28 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
         raise ValueError(f"{len(steps)} steps but {len(coeffs)} coefficients")
     reached = steps[-1].segment + 1
     grads = GradSet(params)
-    grad_enc = np.zeros((reached, trace.topology.num_nodes, len(params["score.v"])))
-    dh = np.zeros(len(params["score.v"]))
-    for hi in range(len(steps), 0, -BACKWARD_STACK):
-        last = np.arange(hi - 1, max(hi - BACKWARD_STACK, 0) - 1, -1)  # last first
-        dh = _decoder_stack_backward([steps[k] for k in last], coeffs[last], params, grads,
-                                     grad_enc, dh)
+    h = len(params["score.v"])
+    grad_enc = np.zeros((reached, trace.topology.num_nodes, h))
+    dh = np.zeros(h)
+    # the steps, and the decoder's gate and summed scorer gradients of each, last first
+    steps, coeffs = steps[::-1], coeffs[::-1]
+    gates, ds_sum = np.empty((len(steps), 3 * h)), np.empty((len(steps), h))
+    for lo in range(0, len(steps), BACKWARD_STACK):
+        at = slice(lo, lo + BACKWARD_STACK)
+        dh = _decoder_stack_backward(steps[at], coeffs[at], params, grads, grad_enc, dh,
+                                     gates[at], ds_sum[at])
+    # each outer-product gradient in one einsum over the episode, from its
+    # inputs gathered out of the step caches
+    caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
+    nn.outer_sum(np.stack([c[1] for c in caches]), ds_sum, out=grads["score.W_hid"])
+    x, h_prev, rh = (np.stack([c[3][i] for c in caches]) for i in (0, 1, 4))
+    for k, gate in enumerate("zrh"):
+        cols = gates[:, k * h : (k + 1) * h]
+        nn.outer_sum(x, cols, out=grads[f"dec.W_{gate}"])
+        nn.outer_sum(rh if gate == "h" else h_prev, cols, out=grads[f"dec.U_{gate}"])
+    db = nn.sum_in_order(np.zeros(3 * h), gates)  # overwrites gates[0], so it comes last
+    for k, gate in enumerate("zrh"):
+        grads[f"dec.b_{gate}"][...] = db[k * h : (k + 1) * h]
     # each round's GRU cache arrays, cut to the reached segments
     encoder = [(a, (*(c[:reached] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]
@@ -648,9 +668,13 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
     return grads
 
 
-def _decoder_stack_backward(steps, coeffs, params, grads, grad_enc, dh):
-    """One stack of decode steps, given last first: adds its gradients to
-    grads and grad_enc; returns the gradient on the hidden state before it."""
+def _decoder_stack_backward(steps, coeffs, params, grads, grad_enc, dh, gates, ds_sum):
+    """One stack of decode steps, given last first: adds its scorer and
+    process-head gradients to grads and its encoder gradients to grad_enc,
+    writes each step's GRU gate gradients into the rows of gates and its
+    scorer gradient summed over the nodes into those of ds_sum, for
+    episode_gradients' outer products; returns the gradient on the hidden
+    state before it."""
     caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
     nodes = [step.action.next_node for step in steps]
     # each process decision's sigmoid, in one call whose elements have the
@@ -670,28 +694,16 @@ def _decoder_stack_backward(steps, coeffs, params, grads, grad_enc, dh):
     grads.add_stack("proc.b", dp)
     np.multiply(s, s, out=s)
     ds *= np.subtract(1.0, s, out=s)  # ds_pre = ds * (1 - s*s)
-    ds_sum = ds.sum(axis=1)
-    hidden = np.stack([c[1] for c in caches])
-    grads.add_stack("score.W_hid", hidden[:, :, None] * ds_sum[:, None, :])
+    ds_sum[...] = ds.sum(axis=1)
     grads.add_stack("score.W_emb", np.stack([c[0].T @ d for c, d in zip(caches, ds)]))
     genc = np.matmul(ds, params["score.W_emb"].T, out=s)
     grad_hidden = (ds_sum[:, None, :] @ params["score.W_hid"].T)[:, 0]
-    gates = []
     for k, cache in enumerate(caches):
-        dh, da = decode_step_backward(grad_hidden[k], cache, dh)
-        gates.append(da)
-    gates = np.stack(gates)
+        dh, gates[k] = decode_step_backward(grad_hidden[k], cache, dh)
     gnode = nn.gru_input_grad(gates[:, None, :], caches[0][3][6])[:, 0, -len(dh) :]
     for k, step in enumerate(steps):
         grad_enc[step.segment] += genc[k]
         grad_enc[step.segment][step.node] += gnode[k]
-    del s, ds, genc  # before the products
-    # add_stack overwrites each stack's first item, the dec.b_* stacks' in
-    # gates, so nothing reads gates after this
-    gru = [c[3] for c in caches]  # (x, h_prev, z, r, rh, ...)
-    products = nn.gru_param_grads(*(np.stack([c[i] for c in gru]) for i in (0, 1, 4)), gates)
-    for name, g in nn.gru_grads_by_name(*products).items():
-        grads.add_stack("dec." + name, g)
     return dh
 
 

@@ -16,6 +16,7 @@ from ggsfc.nn import (
     gru_param_shapes,
     log_prob_grad,
     masked_softmax,
+    outer_sum,
     sgd_update,
     sigmoid,
     sum_in_order,
@@ -466,6 +467,40 @@ def test_sum_in_order_adds_one_item_at_a_time():
             assert sum_in_order(np.zeros(shape[1:]), stack).tobytes() == from_zero.tobytes()
         assert sum_in_order(start, stack[:0]).tobytes() == start.tobytes()
     assert pairwise > 0  # numpy's sum does differ somewhere, so the check has teeth
+
+
+def test_outer_sum_adds_each_steps_outer_product_in_order():
+    """Byte-equal, on this numpy build, to acc = 0.0 + outer(a[0], b[0]) +
+    outer(a[1], b[1]) + ..., for 1-40, 608 and 2001 steps, widths 1-8 and
+    the backward's (42, 96), (32, 64) and (32, 32), with zeros, signed
+    zeros, row scales from 1e-8 to 1e4 and b a column slice of a wider
+    gates array, returned or written into a GradSet-like slot; a 1x1 result
+    and rows that do not follow one another are refused."""
+    rng = np.random.default_rng(31)
+    widths = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n > 1]
+    blas = 0
+    for steps in [*range(1, 41), 608, 2001]:
+        for m, n in widths + [(42, 96), (32, 64), (32, 32)]:
+            a = rng.normal(size=(steps, m)) * 10.0 ** rng.integers(-8, 5, size=(steps, 1))
+            gates = rng.normal(size=(steps, n + 3)) * 10.0 ** rng.integers(-8, 5, size=(steps, 1))
+            a[rng.random(a.shape) < 0.1] = 0.0
+            gates[rng.random(gates.shape) < 0.1] = -0.0
+            b = gates[:, 2 : 2 + n]
+            want = 0.0
+            for t in range(steps):
+                want = want + np.outer(a[t], b[t])
+            flat = np.ones(m * n + 2)
+            out = flat[1:-1].reshape(m, n)
+            assert outer_sum(a, b).tobytes() == want.tobytes()
+            assert outer_sum(a, b, out=out) is out and out.tobytes() == want.tobytes()
+            blas += (a.T @ b).tobytes() != want.tobytes()
+    assert blas > 0  # a matrix product does differ somewhere, so the check has teeth
+    with pytest.raises(ValueError, match="1x1"):
+        outer_sum(np.ones((5, 1)), np.ones((5, 1)))
+    for a, b in [(np.asfortranarray(np.ones((5, 3))), np.ones((5, 4))),
+                 (np.ones((5, 3)), np.ones((5, 4))[::-1])]:
+        with pytest.raises(ValueError, match="follow"):
+            outer_sum(a, b)
 
 
 def test_grad_set_adds_a_stack_in_order():
