@@ -653,13 +653,12 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
     caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
     nn.outer_sum(np.stack([c[1] for c in caches]), ds_sum, out=grads["score.W_hid"])
     x, h_prev, rh = (np.stack([c[3][i] for c in caches]) for i in (0, 1, 4))
+    db = nn.sum_in_order(np.zeros(3 * h), gates.copy())
     for k, gate in enumerate("zrh"):
-        cols = gates[:, k * h : (k + 1) * h]
-        nn.outer_sum(x, cols, out=grads[f"dec.W_{gate}"])
-        nn.outer_sum(rh if gate == "h" else h_prev, cols, out=grads[f"dec.U_{gate}"])
-    db = nn.sum_in_order(np.zeros(3 * h), gates)  # overwrites gates[0], so it comes last
-    for k, gate in enumerate("zrh"):
-        grads[f"dec.b_{gate}"][...] = db[k * h : (k + 1) * h]
+        cols = slice(k * h, (k + 1) * h)
+        nn.outer_sum(x, gates[:, cols], out=grads[f"dec.W_{gate}"])
+        nn.outer_sum(rh if gate == "h" else h_prev, gates[:, cols], out=grads[f"dec.U_{gate}"])
+        grads[f"dec.b_{gate}"][...] = db[cols]
     # each round's GRU cache arrays, cut to the reached segments
     encoder = [(a, (*(c[:reached] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]
