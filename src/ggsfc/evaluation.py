@@ -134,15 +134,6 @@ def greedy_walks(
         yield path.success, path.total_delay
 
 
-def evaluate_policy(
-    params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
-) -> TestOutcome:
-    """The greedy policy on each (topology, request) pair, measured as
-    evaluate_requests measures an actor, the feasible pairs walked together,
-    each as its own rollout would."""
-    return _evaluate_tests([pairs], partial(greedy_walks, params, cfg))[0]
-
-
 def oracle_actor() -> Actor:
     """The exact solver posing as a policy (failure ratio 0, delay ratio 1)."""
 
@@ -220,7 +211,8 @@ def run_experiment(
 
     pools maps 'cs1' to the structural-mutation pool (Random Topo. test) and
     'cs2' to the relocation pool (Random Topo.+VNFs test).  Each checkpoint's
-    row is its evaluate_policy on each test.  Extra non-model actors (like
+    row is one _evaluate_tests over the three tests, the feasible requests
+    of all three answered by its greedy_walks.  Extra non-model actors (like
     oracle_actor) may ride along for reference rows, each measured by
     evaluate_requests.
     """

@@ -21,7 +21,9 @@ on the hot paths, where speed is bought only with bit-identical results:
   W_z^T + da_r W_r^T`` keeps its three, in order, where one product over
   the concatenated gates would sum all 3H terms in one pass and change
   every trained bit.  The gates' parameter gradients share one product
-  per input, ``x^T [da_z|da_r|da_h]``, whose column slices keep each bit.
+  per input, ``x^T [da_z|da_r|da_h]``, whose column slices keep each bit:
+  per 2-D batch for the encoder (``gru_param_grads``), one ``outer_sum``
+  over an episode's steps for the decoder (``gru_step_grads``).
 - Stacking keeps bits only along a leading axis.  numpy runs an
   ``(S, n, h) @ (h, k)`` stack as one BLAS product per 2-D slice, so each
   slice gets the bits of the 2-D product on its own; likewise a
@@ -44,13 +46,14 @@ on the hot paths, where speed is bought only with bit-identical results:
   An outer-product gradient over T steps is one ``einsum("ti,tj->ij")``
   (``outer_sum``): over rows that follow one another in memory it adds each
   step's products to each element in step order, from 0.0, so it has the
-  bytes of the per-step ``np.outer`` loop, where ``a.T @ b`` (BLAS) does
-  not.  It runs with einsum's default ``optimize=False``, since True hands
-  it to BLAS.  einsum may reorder the steps of a column-major or reversed
-  input, and it sums a 1x1 result, a dot product, with several
-  accumulators, so those are refused.  einsum raises no floating-point
-  warning where the elementwise product did; the values are the same, and
-  ``sgd_update`` still refuses non-finite gradients.
+  bytes of the per-step ``np.outer`` loop, and each column block the bytes
+  of its own einsum, where ``a.T @ b`` (BLAS) does not.  It runs with
+  einsum's default ``optimize=False``, since True hands it to BLAS.  einsum
+  may reorder the steps of a column-major or reversed input, and it sums a
+  1x1 result, a dot product, with several accumulators, so those are
+  refused.  einsum raises no floating-point warning where the elementwise
+  product did; the values are the same, and ``sgd_update`` still refuses
+  non-finite gradients.
 - ``ParamSet`` and ``GradSet`` keep their tensors as views into one flat
   buffer, so ``sgd_update`` is one elementwise step and one finiteness
   check on each side; elementwise arithmetic gives the same bits whatever
@@ -305,20 +308,27 @@ def gru_input_grad(da: np.ndarray, w: GruWeights) -> np.ndarray:
 
 def gru_param_grads(x: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
                     da: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(dW, dU_zr, dU_h, db) of each cell of a stack along the leading axis,
-    gates side by side, each item with its own cell's bits.  x, h_prev, r*h
-    and da stack 1-D cells, (L, d), whose weight gradients are outer
-    products, or 2-D batches, (L, ..., n, d): 2-D products, column sums."""
+    """(dW, dU_zr, dU_h, db) of each 2-D batch of a stack, gates side by
+    side: x, h_prev, r*h and da are (..., n, d), and each (n, d) batch gets
+    its own 2-D products and column sums, with the bits it gets alone."""
     d = da.shape[-1] // 3
-    if x.ndim == 2:
-        return (x[:, :, None] * da[:, None, :], h_prev[:, :, None] * da[:, None, : 2 * d],
-                rh[:, :, None] * da[:, None, 2 * d :], da)
     return (np.swapaxes(x, -1, -2) @ da, np.swapaxes(h_prev, -1, -2) @ da[..., : 2 * d],
             np.swapaxes(rh, -1, -2) @ da[..., 2 * d :], da.sum(axis=-2))
 
 
+def gru_step_grads(x: np.ndarray, h_prev: np.ndarray, rh: np.ndarray,
+                   da: np.ndarray) -> dict[str, np.ndarray]:
+    """The named parameter gradients of T 1-D cells, from (T, d) stacks of
+    their x, h_prev, r*h and gates da, each summed over the steps from 0.0
+    in step order."""
+    d = da.shape[-1] // 3
+    return gru_grads_by_name(outer_sum(x, da), outer_sum(h_prev, da[:, : 2 * d]),
+                             outer_sum(rh, da[:, 2 * d :]),
+                             sum_in_order(np.zeros(3 * d), da.copy()))
+
+
 def gru_grads_by_name(w, u_zr, u_h, b) -> dict[str, np.ndarray]:
-    """The slices of ``gru_param_grads`` by parameter name, without prefix."""
+    """The gate slices of fused (dW, dU_zr, dU_h, db) by parameter name."""
     d, grads = u_h.shape[-1], {}
     for k, gate in enumerate("zrh"):
         c = slice(k * d, (k + 1) * d)
@@ -339,8 +349,9 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if logits.shape != mask.shape:
         raise ValueError(f"logits shape {logits.shape} vs mask shape {mask.shape}")
     e = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
+    # exp(-inf) is exactly 0, and a masked logit never reaches exp to overflow
+    np.copyto(e, -np.inf, where=~mask)
     np.exp(e, out=e)
-    np.copyto(e, 0.0, where=~mask)
     total = e.sum(axis=-1, keepdims=True)
     # a row with an unmasked entry sums exp(0) = 1 at its max (or a NaN)
     if not total.all():

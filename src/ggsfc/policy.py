@@ -28,11 +28,12 @@ with c_t = G_t along a rollout.  It takes the decode steps last first, in
 stacks of at most BACKWARD_STACK, each in two passes: the scorer, which
 needs no recurrence, over the stack, then the GRU step by step.  The
 stacks keep each step's gate gradients and its scorer gradient summed over
-the nodes; from these, each outer-product gradient (dec.W_*, dec.U_* and
-score.W_hid) is one in-order einsum over the whole episode, and the
-dec.b_* gradients are one ordered sum.  Every other parameter's per-step
-products of a stack are formed at once and added in step order, so every
-gradient keeps the bytes of the per-step backward (see ``nn``).
+the nodes; from these, score.W_hid is one in-order einsum over the whole
+episode, and the decoder GRU's gradients are one ``nn.gru_step_grads``:
+an einsum per input over the fused gate columns, and one ordered sum for
+the biases.  Every other parameter's per-step products of a stack are
+formed at once and added in step order, so every gradient keeps the bytes
+of the per-step backward (see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
 many requests greedily together instead, in slices of at most
@@ -205,9 +206,8 @@ def encode_backward(
     dh = grad_h
     for a, gru_cache in reversed(caches):
         dmsg, dh_prev, da = nn.gru_cell_backward(dh, gru_cache)
-        # the round as a one-item stack, of one segment or S
-        products = nn.gru_param_grads(*(gru_cache[i][None] for i in (0, 1, 4)), da[None])
-        grads = [g + p[0] for g, p in zip(grads, products)]
+        products = nn.gru_param_grads(*(gru_cache[i] for i in (0, 1, 4)), da)
+        grads = [g + p for g, p in zip(grads, products)]
         dh = a.T @ dmsg + dh_prev
     names = nn.gru_grads_by_name(*grads) if caches else {}
     return dh, {"enc." + name: g for name, g in names.items()}
@@ -648,17 +648,13 @@ def episode_gradients(trace: EpisodeTrace, coeffs: np.ndarray | list[float]) -> 
         at = slice(lo, lo + BACKWARD_STACK)
         dh = _decoder_stack_backward(steps[at], coeffs[at], params, grads, grad_enc, dh,
                                      gates[at], ds_sum[at])
-    # each outer-product gradient in one einsum over the episode, from its
-    # inputs gathered out of the step caches
+    # the outer-product gradients over the whole episode, from their inputs
+    # gathered out of the step caches
     caches = [step.cache for step in steps]  # (enc_h, hidden, s, gru_cache, dist)
     nn.outer_sum(np.stack([c[1] for c in caches]), ds_sum, out=grads["score.W_hid"])
     x, h_prev, rh = (np.stack([c[3][i] for c in caches]) for i in (0, 1, 4))
-    db = nn.sum_in_order(np.zeros(3 * h), gates.copy())
-    for k, gate in enumerate("zrh"):
-        cols = slice(k * h, (k + 1) * h)
-        nn.outer_sum(x, gates[:, cols], out=grads[f"dec.W_{gate}"])
-        nn.outer_sum(rh if gate == "h" else h_prev, gates[:, cols], out=grads[f"dec.U_{gate}"])
-        grads[f"dec.b_{gate}"][...] = db[cols]
+    for name, grad in nn.gru_step_grads(x, h_prev, rh, gates).items():
+        grads["dec." + name][...] = grad
     # each round's GRU cache arrays, cut to the reached segments
     encoder = [(a, (*(c[:reached] for c in gru_cache[:6]), gru_cache[6]))
                for a, gru_cache in trace.encoder]

@@ -198,7 +198,6 @@ def train_rl(
     topologies: Topology | TopologyPool | Sequence[Topology],
     hp: HyperParams,
     cfg: PolicyConfig,
-    chain_len_range: tuple[int, int] = DEFAULT_CHAIN_LEN_RANGE,
     rolling_window: int = DEFAULT_ROLLING_WINDOW,
     stop_success_rate: float | None = None,
     progress: Callable[[HistoryRow], None] | None = None,
@@ -206,8 +205,9 @@ def train_rl(
     """REINFORCE over random episodes.
 
     Each episode draws a topology uniformly (from the pool's variants, or
-    the single given topology), draws a fresh request on it, rolls out with
-    epsilon-greedy exploration, and applies one return-weighted update.
+    the single given topology), draws a fresh request on it with a chain
+    length in DEFAULT_CHAIN_LEN_RANGE, rolls out with epsilon-greedy
+    exploration, and applies one return-weighted update.
     History rows carry the rolling success rate and rolling mean success
     delay over the trailing window, plus the episode's surrogate loss
     -sum_t G_t log pi(a_t).  stop_success_rate ends training early once the
@@ -227,7 +227,7 @@ def train_rl(
 
     for episode in range(1, hp.episodes + 1):
         t = topos[int(rng.integers(len(topos)))]
-        req = generate_requests(t, 1, chain_len_range, rng)[0]
+        req = generate_requests(t, 1, DEFAULT_CHAIN_LEN_RANGE, rng)[0]
         trace = rollout(
             params, cfg, t, req, reward_cfg,
             mode="epsilon_greedy", rng=rng, epsilon=hp.epsilon,

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from ggsfc import nn, policy
+from ggsfc import evaluation, nn, policy
 from ggsfc.environment import (
     Action,
     PathResult,
@@ -242,6 +242,14 @@ def briefly_trained_policy() -> tuple[ParamSet, PolicyConfig]:
     is trained once per session; each caller gets its own copy."""
     params, cfg = _briefly_trained()
     return params.copy(), cfg
+
+
+def evaluate_greedy(params: ParamSet, cfg: PolicyConfig, pairs) -> evaluation.TestOutcome:
+    """The greedy policy on each (topology, request) pair, measured as one
+    test of the evaluation protocol: unservable requests excluded and
+    counted, the feasible pairs walked together by ``greedy_walks``."""
+    return evaluation._evaluate_tests(
+        [pairs], functools.partial(evaluation.greedy_walks, params, cfg))[0]
 
 
 def walk_lockstep(params: ParamSet, cfg: PolicyConfig, pairs, order=None):

@@ -21,7 +21,6 @@ from ggsfc.experiment import Table1Config, run_table1
 from ggsfc.evaluation import (
     delay_ratio,
     deterioration_rate,
-    evaluate_policy,
     failure_ratio,
 )
 from ggsfc.nn import ParamSet
@@ -45,6 +44,7 @@ from ggsfc.topology import (
 )
 from support import (
     deploy_vnfs,
+    evaluate_greedy,
     finite_diff_check,
     grad_set,
     init_gru_params,
@@ -113,8 +113,8 @@ def _assert_sound(t):
 
 
 def _deterioration_on(pairs, params, cfg):
-    fr_orig = failure_ratio(evaluate_policy(params, cfg, pairs.fixture).outcomes)
-    fr_rand = failure_ratio(evaluate_policy(params, cfg, pairs.pool).outcomes)
+    fr_orig = failure_ratio(evaluate_greedy(params, cfg, pairs.fixture).outcomes)
+    fr_rand = failure_ratio(evaluate_greedy(params, cfg, pairs.pool).outcomes)
     if fr_orig == 0.0:
         # a flawless original-topology run would make the ratio undefined;
         # score it as half a failure so the ordering stays comparable
@@ -232,8 +232,8 @@ def test_c02_analytic_gradients_match_finite_differences():
     def f_gru(ps):
         h_new, cache = nn.gru_cell(ps["x"], ps["h"], nn.fuse_gru(ps))
         dx, dh, da = nn.gru_cell_backward(vg, cache)
-        grads = nn.gru_param_grads(ps["x"][None], ps["h"][None], cache[4][None], da[None])
-        grads = {name: value[0] for name, value in nn.gru_grads_by_name(*grads).items()}
+        # one-step stacks: np.stack gives them a row stride that outer_sum takes
+        grads = nn.gru_step_grads(*(np.stack([v]) for v in (ps["x"], ps["h"], cache[4], da)))
         return float(vg @ h_new), grad_set(ps, dict(grads, x=dx, h=dh))
 
     report = finite_diff_check(f_gru, p_gru, tolerance=UNIT_GRAD_TOL)
@@ -378,7 +378,7 @@ def test_c08_delay_penalty_shortens_successful_paths(sl_run, fixture_topo,
                                   episodes=RL_EPISODE_LIMIT, seed=17)
         params, _ = training.train_rl(sl_run.params.copy(), fixture_topo, hp,
                                       sl_run.cfg, stop_success_rate=RL_TARGET)
-        outcome = evaluate_policy(params, sl_run.cfg, eval_pairs.fixture)
+        outcome = evaluate_greedy(params, sl_run.cfg, eval_pairs.fixture)
         delays = [o.generated_delay for o in outcome.outcomes if o.success]
         by_lam[lam] = (float(np.mean(delays)), delay_ratio(outcome.outcomes),
                        failure_ratio(outcome.outcomes))

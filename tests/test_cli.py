@@ -489,6 +489,25 @@ def test_eval_refuses_zero_requests_naming_the_count(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_eval_of_extreme_but_finite_weights_keeps_stderr_clean(tmp_path, capsys):
+    """A score.v entry of -2**63 is finite, so the checkpoint is accepted; the
+    masked logits it makes huge give no numpy warning."""
+    pool, ckpt, out = tmp_path / "pool", tmp_path / "extreme.ckpt", tmp_path / "out"
+    assert run("topo", "pool", "--fixture", "--strategy", "cs1", "--count", "1",
+               "--seed", "3", "--out", str(pool)) == 0
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg)
+    params["score.v"][0] = -2.0**63
+    save_policy(params, cfg, ckpt, seed=0, training_stage="sl")
+    capsys.readouterr()
+    rc = run("eval", "--fixture", "--pool-cs1", str(pool), "--pool-cs2", str(pool),
+             "--checkpoint", str(ckpt), "--requests", "5", "--out", str(out))
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "report.csv").exists()
+
+
 CHECKPOINT_METADATA = {"hidden_dim": 32, "K": 5, "propagation_steps": 5, "seed": 0,
                        "training_stage": "sl", "scorer_variant": "additive-tanh"}
 

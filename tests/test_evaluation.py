@@ -15,7 +15,6 @@ from ggsfc.evaluation import (
     TEST_RANDOM_VNFS,
     delay_ratio,
     deterioration_rate,
-    evaluate_policy,
     evaluate_requests,
     failure_ratio,
     format_report,
@@ -30,6 +29,7 @@ from ggsfc.topology import VnfInstance, generate_pool, internet2_fixture
 from support import (
     briefly_trained_policy,
     counted,
+    evaluate_greedy,
     fixture_like_graph,
     tiny_cfg,
     tiny_topology,
@@ -91,7 +91,7 @@ def rollout_actor(params, cfg):
     return act
 
 
-def test_evaluate_policy_matches_per_request_rollouts():
+def test_greedy_walks_of_a_test_match_per_request_rollouts():
     cfg = tiny_cfg()
     t = tiny_topology()
     no_type_1 = tiny_topology(instances=(VnfInstance(1, 0, 7),))
@@ -100,10 +100,10 @@ def test_evaluate_policy_matches_per_request_rollouts():
              (t, SfcRequest(1, 2, ()))]
     for seed in range(8):
         params = init_policy_params(cfg, seed=seed)
-        got = evaluate_policy(params, cfg, pairs)
+        got = evaluate_greedy(params, cfg, pairs)
         assert got == evaluate_requests(rollout_actor(params, cfg), pairs)
         assert got.infeasible == 1 and len(got.outcomes) == 4
-    assert evaluate_policy(params, cfg, []) == evaluate_requests(rollout_actor(params, cfg), [])
+    assert evaluate_greedy(params, cfg, []) == evaluate_requests(rollout_actor(params, cfg), [])
 
 
 def test_oracle_actor_is_exact():

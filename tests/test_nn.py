@@ -14,6 +14,7 @@ from ggsfc.nn import (
     gru_input_grad,
     gru_param_grads,
     gru_param_shapes,
+    gru_step_grads,
     log_prob_grad,
     masked_softmax,
     outer_sum,
@@ -123,10 +124,15 @@ def test_gru_cell_gradients_match_finite_differences():
 
 
 def _param_grads(params, caches, gates):
-    """gru_param_grads of a stack of the cells, summed along its leading
-    axis, as a GradSet."""
+    """The parameter gradients of a stack of the cells, summed along its
+    leading axis, as a GradSet: gru_step_grads of 1-D cells, or
+    gru_param_grads of 2-D batches."""
     x, h_prev, rh = (np.stack([c[i] for c in caches]) for i in (0, 1, 4))
     g = GradSet(params)
+    if x.ndim == 2:
+        for name, grad in gru_step_grads(x, h_prev, rh, np.stack(gates)).items():
+            g["g." + name][...] = grad
+        return g
     for name, stack in gru_grads_by_name(*gru_param_grads(x, h_prev, rh, np.stack(gates))).items():
         g.add_stack("g." + name, stack)
     return g
@@ -475,12 +481,16 @@ def test_outer_sum_adds_each_steps_outer_product_in_order():
     the backward's (42, 96), (32, 64) and (32, 32), with zeros, signed
     zeros, row scales from 1e-8 to 1e4 and b a column slice of a wider
     gates array, returned or written into a GradSet-like slot; a 1x1 result
-    and rows that do not follow one another are refused."""
+    and rows that do not follow one another are refused.  For the fused
+    GRU gate layouts, (42, 96) and (3, 12) in three blocks and (32, 64) and
+    (4, 8) in two, each column block of the result is the outer_sum of its
+    own column slice of b."""
     rng = np.random.default_rng(31)
-    widths = [(m, n) for m in range(1, 9) for n in range(1, 9) if m * n > 1]
+    widths = [(m, n, 1) for m in range(1, 9) for n in range(1, 9) if m * n > 1]
+    fused = [(42, 96, 3), (32, 64, 2), (32, 32, 1), (3, 12, 3), (4, 8, 2)]
     blas = 0
     for steps in [*range(1, 41), 608, 2001]:
-        for m, n in widths + [(42, 96), (32, 64), (32, 32)]:
+        for m, n, blocks in widths + fused:
             a = rng.normal(size=(steps, m)) * 10.0 ** rng.integers(-8, 5, size=(steps, 1))
             gates = rng.normal(size=(steps, n + 3)) * 10.0 ** rng.integers(-8, 5, size=(steps, 1))
             a[rng.random(a.shape) < 0.1] = 0.0
@@ -493,6 +503,9 @@ def test_outer_sum_adds_each_steps_outer_product_in_order():
             out = flat[1:-1].reshape(m, n)
             assert outer_sum(a, b).tobytes() == want.tobytes()
             assert outer_sum(a, b, out=out) is out and out.tobytes() == want.tobytes()
+            for k in range(blocks):
+                cols = slice(k * n // blocks, (k + 1) * n // blocks)
+                assert outer_sum(a, b[:, cols]).tobytes() == want[:, cols].tobytes()
             blas += (a.T @ b).tobytes() != want.tobytes()
     assert blas > 0  # a matrix product does differ somewhere, so the check has teeth
     with pytest.raises(ValueError, match="1x1"):
@@ -520,9 +533,10 @@ BACKWARD_SHAPES = [(42,), (32,), (1, 12, 32), (5, 12, 32), (3, 15, 32)]
 def test_split_gru_backward_keeps_each_cells_bytes(shape):
     """Byte-equal to the backward that formed each cell's parameter
     gradients on its own, on this numpy build: grad_x and grad_h_prev of
-    gru_cell_backward, and each item's slices of gru_param_grads over a
-    stack of eight cells; and, for 1-D cells, the rows of gru_input_grad over
-    an (L, 1, 3H) stack of their gates."""
+    gru_cell_backward; over a stack of eight cells, for 2-D batches each
+    item's slices of gru_param_grads, and for 1-D cells gru_step_grads,
+    each the cells' own gradients added from 0.0 in step order, and the
+    rows of gru_input_grad over an (L, 1, 3H) stack of their gates."""
     rng = np.random.default_rng(sum(shape) + 2)
     h_shape = shape[:-1] + (32,)
     for _ in range(5):
@@ -539,12 +553,20 @@ def test_split_gru_backward_keeps_each_cells_bytes(shape):
             gates.append(da)
             refs.append(ref_grads)
         x, h_prev, rh = (np.stack([c[i] for c in caches]) for i in (0, 1, 4))
-        grads = gru_grads_by_name(*gru_param_grads(x, h_prev, rh, np.stack(gates)))
-        assert {"g." + name for name in grads} == refs[0].keys()
-        for i, ref in enumerate(refs):
-            for name, value in ref.items():
-                assert grads[name[2:]][i].tobytes() == value.tobytes(), name
-        if len(shape) == 1:
+        if len(shape) > 1:
+            grads = gru_grads_by_name(*gru_param_grads(x, h_prev, rh, np.stack(gates)))
+            assert {"g." + name for name in grads} == refs[0].keys()
+            for i, ref in enumerate(refs):
+                for name, value in ref.items():
+                    assert grads[name[2:]][i].tobytes() == value.tobytes(), name
+        else:
+            grads = gru_step_grads(x, h_prev, rh, np.stack(gates))
+            assert {"g." + name for name in grads} == refs[0].keys()
+            for name in refs[0]:
+                want = 0.0
+                for ref in refs:
+                    want = want + ref[name]
+                assert grads[name[2:]].tobytes() == want.tobytes(), name
             rows = gru_input_grad(np.stack(gates)[:, None, :], w)[:, 0]
             for row, da in zip(rows, gates):
                 assert row.tobytes() == gru_input_grad(da, w).tobytes()
@@ -614,6 +636,22 @@ def test_masked_softmax_single_entry_and_extremes():
     p = masked_softmax(np.array([1e6, -1e6, 0.0]), np.ones(3, dtype=bool))
     assert np.all(np.isfinite(p))
     assert p[0] == pytest.approx(1.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_masked_softmax_is_silent_on_masked_logits_that_would_overflow():
+    """Masked entries far above the unmasked max (a score.v entry of -2**63
+    gives such logits), inf or NaN give no floating-point warning, and the
+    bytes are those of the out-of-place formula."""
+    big = 2.0**63
+    for logits, mask in [
+        (np.array([-big, big, 0.3 * big, -0.5 * big]), np.array([True, False, False, True])),
+        (np.array([[1.0, np.inf, np.nan, -np.inf, 1e308], [-1e308, 2.0, big, 0.0, -big]]),
+         np.array([[True, False, False, False, False], [True, False, False, True, True]])),
+    ]:
+        with np.errstate(over="ignore"):
+            want = out_of_place_masked_softmax(logits, mask)
+        assert masked_softmax(logits, mask).tobytes() == want.tobytes()
 
 
 def test_masked_softmax_rejects_degenerate_inputs():

@@ -414,7 +414,6 @@ def test_train_rl_history_covers_every_episode():
     params, history = train_rl(
         init_policy_params(cfg, seed=0), t,
         HyperParams(episodes=30, seed=0), cfg,
-        chain_len_range=(1, 2),
     )
     assert [r.index for r in history] == list(range(1, 31))
     assert all(0.0 <= r.success_rate <= 1.0 for r in history)
@@ -428,7 +427,7 @@ def test_train_rl_early_stop_waits_for_a_full_window():
     params, history = train_rl(
         init_policy_params(cfg, seed=0), t,
         HyperParams(episodes=50, seed=0), cfg,
-        chain_len_range=(1, 1), rolling_window=5, stop_success_rate=0.0,
+        rolling_window=5, stop_success_rate=0.0,
     )
     assert len(history) == 5  # any rate passes 0.0 once the window fills
 
@@ -466,7 +465,7 @@ def test_train_rl_draws_from_pool_variants(monkeypatch):
 
     monkeypatch.setattr(training, "generate_requests", spy_requests)
     train_rl(init_policy_params(cfg, seed=0), pool,
-             HyperParams(episodes=25, seed=4), cfg, chain_len_range=(1, 1))
+             HyperParams(episodes=25, seed=4), cfg)
     assert len(seen) == 25
     assert len({id(t) for t in seen}) > 1  # more than one variant drawn
 
@@ -479,7 +478,6 @@ def test_train_rl_is_deterministic():
         params, history = train_rl(
             init_policy_params(cfg, seed=1), t,
             HyperParams(episodes=40, seed=7), cfg,
-            chain_len_range=(1, 2),
         )
         runs.append((params, [(r.success_rate, r.loss) for r in history]))
     assert runs[0][1] == runs[1][1]
@@ -494,7 +492,7 @@ def test_train_rl_progress_callback_sees_every_row():
     _, history = train_rl(
         init_policy_params(cfg, seed=0), t,
         HyperParams(episodes=10, seed=0), cfg,
-        chain_len_range=(1, 1), progress=rows.append,
+        progress=rows.append,
     )
     assert rows == history
 
