@@ -12,9 +12,11 @@ original topology, a pool of structurally mutated topologies, and a pool
 mutated with relocated VNF instances.  Requests are generated once per test
 from the experiment seed, so every checkpoint answers the same questions
 and reruns are byte-identical.  A checkpoint's greedy walks of all three
-tests advance in one ``policy.Lockstep``, and each request's walk is its
-``rollout`` taken from it, the path its own rollout gives, so the report is
-the one per-request walks would give.
+tests advance in one ``policy.Lockstep``, in slices taken in size-sorted
+order, so the fixture's requests and those on pool variants of several node
+counts share a slice.  Each request's walk is its ``rollout`` taken from
+it, the path its own rollout gives, so the report is the one per-request
+walks would give.
 """
 
 from __future__ import annotations

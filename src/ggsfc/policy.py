@@ -37,14 +37,20 @@ of the per-step backward (see ``nn``).
 
 Evaluation and the SL holdout need no backward, so a ``Lockstep`` walks
 many requests greedily together instead, in slices of at most
-LOCKSTEP_SLICE walks on graphs of one node count.  A slice encodes each
-distinct segment once, in stacks of at most ENCODE_STACK: a segment's
+LOCKSTEP_SLICE walks taken in size-sorted order, so one slice may hold
+graphs of several node counts.  A slice encodes each distinct segment once,
+in stacks of at most ENCODE_STACK segments of one node count: a segment's
 encoding depends only on its graph object, the request's endpoints and the
 pending type, so segments that share those share one encoding (graphs are
-told apart by identity, never by content).  Each decode step is one
-``decode_step`` over the (L, ...) stack of the live episodes, its input one
-gather from a per-segment table of decoder inputs.  Each walk keeps the
-bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
+told apart by identity, never by content).  The encodings of every node
+count are kept in one flat (encoding * node, H) array.  Each decode step
+gathers every live walk's input from it and from a per-segment table of
+[v_all | v_now], advances all live walks with one ``nn.gru_cell`` on their
+(L, 1, d) stack, and runs ``score``, the scorer ``decode_step`` calls too,
+once per node count on that count's contiguous rows: padded to a larger
+node count, a graph's rows would lose their bits, since both the scorer's
+products and the softmax's sum depend on the row length.  Each walk keeps
+the bits of its own ``rollout`` (see the ``nn`` docstring for the stacking
 rules).  The environment steps stay per episode; the masks depend only on
 the current node and the pending type, so they are kept once per graph
 object.  A lockstep keeps no caches and computes no log-probs: evaluation
@@ -81,8 +87,8 @@ ROLLOUT_MODES = ("greedy", "epsilon_greedy")
 # the most encoder segments a Lockstep propagates as one stack: a fixed
 # cap on its per-round GRU arrays, and so on peak memory
 ENCODE_STACK = 16
-# the most walks a Lockstep advances together: a fixed cap on its decoder
-# table and encodings, and so on peak memory
+# the most walks a Lockstep advances together: a fixed cap on its
+# encodings, and so on peak memory
 LOCKSTEP_SLICE = 64
 # the most decode steps episode_gradients stacks at once: a fixed cap on
 # its scorer's (T, n, H) arrays, the only ones that grow with the node
@@ -247,6 +253,31 @@ def action_log_prob(dist: ActionDistribution, a: Action) -> float:
     return logp
 
 
+def score(
+    enc_scores: np.ndarray,
+    hidden: np.ndarray,
+    move_mask: np.ndarray,
+    process_mask: np.ndarray,
+    params: ParamSet,
+) -> tuple[ActionDistribution, np.ndarray]:
+    """Score the nodes from an advanced hidden state, mask, normalize;
+    returns the action distribution and the scorer's activations s.
+
+    enc_scores is enc_h @ score.W_emb, which changes only with the encoder
+    segment.  The masks are kept, not copied.  Every argument may carry a
+    leading batch axis of L episodes on graphs of one node count n:
+    enc_scores (L, n, H), hidden (L, 1, H) and masks (L, n).  Each row then
+    gets the bits of its own 1-D call (see the ``nn`` docstring); rows of
+    another node count would not, so a lockstep scores each count apart.
+    """
+    s = enc_scores + hidden @ params["score.W_hid"]
+    np.tanh(s, out=s)
+    node_probs = nn.masked_softmax(s @ params["score.v"], move_mask)
+    process_logits = s @ params["proc.w"]
+    process_logits += params["proc.b"][0]
+    return ActionDistribution(node_probs, move_mask, process_mask, process_logits), s
+
+
 def decode_step(
     enc_h: np.ndarray,
     enc_scores: np.ndarray,
@@ -257,36 +288,19 @@ def decode_step(
     params: ParamSet,
     gru: nn.GruWeights,
 ) -> tuple[ActionDistribution, np.ndarray, tuple]:
-    """One decoder step: advance the fused ``dec.`` GRU, score nodes, mask,
-    normalize.
+    """One decoder step: advance the fused ``dec.`` GRU, then ``score``.
 
-    enc_scores is enc_h @ score.W_emb, which changes only with the encoder
-    segment.  x is the step input [v_all | v_now | node_embedding]: the
-    remaining chain as a multi-hot, the pending type as a one-hot, and the
-    encoder row of the current node.  The masks are kept, not copied.
-    Returns the action distribution, the advanced hidden state, and a cache
-    for the backward pass.
-
-    Every argument may carry a leading batch axis of L episodes: enc_scores
-    (L, n, H), hidden (L, 1, H), x (L, 1, d) and masks (L, n).  Each row then
-    gets the bits of its own 1-D step (see the ``nn`` docstring).  enc_h is
-    read only by the backward, so a batched step, which has none, passes None.
+    x is the step input [v_all | v_now | node_embedding]: the remaining
+    chain as a multi-hot, the pending type as a one-hot, and the encoder row
+    of the current node.  Returns the action distribution, the advanced
+    hidden state, and a cache for the backward pass.  hidden (L, 1, H) and
+    x (L, 1, d) may carry the batch axis that score's arguments do; enc_h is
+    read only by the backward, so a batched step, which has none, passes
+    None.
     """
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
-    s = enc_scores + hidden @ params["score.W_hid"]
-    np.tanh(s, out=s)
-    node_logits = s @ params["score.v"]
-    node_probs = nn.masked_softmax(node_logits, move_mask)
-    process_logits = s @ params["proc.w"]
-    process_logits += params["proc.b"][0]
-    dist = ActionDistribution(
-        node_probs=node_probs,
-        move_mask=move_mask,
-        process_mask=process_mask,
-        process_logits=process_logits,
-    )
-    cache = (enc_h, hidden, s, gru_cache, dist)
-    return dist, hidden, cache
+    dist, s = score(enc_scores, hidden, move_mask, process_mask, params)
+    return dist, hidden, (enc_h, hidden, s, gru_cache, dist)
 
 
 def decode_step_backward(
@@ -480,45 +494,46 @@ class Lockstep:
     """The greedy walks of many (topology, request) pairs, advanced in
     lockstep (see the module docstring).
 
-    ``walk(t, req)`` returns the path of that pair's walk.  Pairs are
-    grouped by node count, not by topology, since a pool test spreads its
-    requests over many variants of one size, and each group is cut, in
-    order, into slices of at most LOCKSTEP_SLICE.  The first walk asked for
-    in a slice advances the whole slice together, one ``decode_step`` per
-    step, to its end, and keeps the paths for their own calls; so one
-    slice's encodings and decoder table are alive at a time.  Each row of
-    every step's batched distribution has the bytes of that walk's own
-    ``rollout(params, cfg, *pairs[i], mode="greedy")`` step, and so walk i
-    has that rollout's path, whichever walks share its slice.  Every request
-    is validated here, before any walk.
+    ``walk(t, req)`` returns the path of that pair's walk.  The pairs are
+    sorted by node count, stably, and cut in that order into slices of at
+    most LOCKSTEP_SLICE, so one slice may hold several node counts: a pool
+    test spreads its requests over variants of several sizes.  The first
+    walk asked for in a slice advances the whole slice together to its end,
+    and keeps the paths for their own calls; so one slice's encodings are
+    alive at a time.  Each step advances the decoder GRU
+    of every live walk as one stack, then runs one ``score`` per node count
+    on that count's rows.  Each row of every step has the bytes of that
+    walk's own ``rollout(params, cfg, *pair, mode="greedy")`` step, and so
+    each walk has that rollout's path, whichever walks share its slice.
+    Every request is validated here, in order, before any walk.
     """
 
     def __init__(
         self, params: ParamSet, cfg: PolicyConfig, pairs: Sequence[tuple[Topology, SfcRequest]]
     ) -> None:
         self.params, self.cfg = params, cfg
-        self._pairs = list(pairs)  # keeps the ids of the index alive
-        self._states = [reset(t, req) for t, req in self._pairs]  # validates each request first
-        self._walks: list[PathResult | None] = [None] * len(self._pairs)
+        pairs = list(pairs)
+        states = [reset(t, req) for t, req in pairs]  # validates each request first
+        order = sorted(range(len(pairs)), key=lambda i: pairs[i][0].num_nodes)
+        # in size-sorted order from here on; the pairs keep the ids of the index alive
+        self._pairs = [pairs[i] for i in order]
+        self._states = [states[i] for i in order]
+        self._walks: list[PathResult | None] = [None] * len(pairs)
         # a pair is found by the identity of the objects passed; a repeated
         # pair is found at its first position, its walks being equal
         self._index: dict[tuple[int, int], int] = {}
-        for i, (t, req) in enumerate(self._pairs):
-            self._index.setdefault((id(t), id(req)), i)
+        for p, (t, req) in enumerate(self._pairs):
+            self._index.setdefault((id(t), id(req)), p)
 
     def walk(self, t: Topology, req: SfcRequest) -> PathResult:
-        i = self._index.get((id(t), id(req)))
-        if i is None:
+        p = self._index.get((id(t), id(req)))
+        if p is None:
             raise ValueError("the lockstep holds no walk of this (topology, request) pair")
-        if self._walks[i] is None:
-            group = [j for j, (u, _) in enumerate(self._pairs) if u.num_nodes == t.num_nodes]
-            lo = group.index(i) // LOCKSTEP_SLICE * LOCKSTEP_SLICE
-            group = group[lo : lo + LOCKSTEP_SLICE]
-            walks = _lockstep(self.params, self.cfg, [self._pairs[j] for j in group],
-                              [self._states[j] for j in group])
-            for j, walk in zip(group, walks):
-                self._walks[j] = walk
-        return self._walks[i]
+        if self._walks[p] is None:
+            lo = p // LOCKSTEP_SLICE * LOCKSTEP_SLICE
+            at = slice(lo, lo + LOCKSTEP_SLICE)
+            self._walks[at] = _lockstep(self.params, self.cfg, self._pairs[at], self._states[at])
+        return self._walks[p]
 
 
 def _lockstep(
@@ -527,81 +542,103 @@ def _lockstep(
     pairs: list[tuple[Topology, SfcRequest]],
     states: list[EnvState],
 ) -> list[PathResult]:
-    """The paths of the greedy walks of pairs whose topologies share one
-    node count, from their reset states."""
+    """The paths of the greedy walks of pairs, whose topologies of one node
+    count are contiguous, from their reset states."""
     enc_gru = nn.fuse_gru(params, "enc.")
     dec_gru = nn.fuse_gru(params, "dec.")
-    k = cfg.vnf_type_count
-    n = pairs[0][0].num_nodes
-    # segment g = first[j] + i is chain index i of pair j; its encoding is
-    # row enc_row[g] of one per distinct segment, keyed by all that annotate
-    # and adjacency_matrix read: the graph object (never its content), the
-    # endpoints and the pending type
+    k, hd = cfg.vnf_type_count, cfg.hidden_dim
+    nodes = [t.num_nodes for t, _ in pairs]
+    runs = _runs(nodes)
+    # chain index i of pair j is segment g = seg[j] + i.  Segments of one
+    # node count that agree in all that annotate and adjacency_matrix read,
+    # the graph object (never its content), the endpoints and the pending
+    # type, share one encoding: row enc_row[g] of those of its node count
+    seg = np.cumsum([0] + [len(req.chain) + 1 for _, req in pairs]).tolist()
+    heads = np.array([_decoder_head(req, i, k) for _, req in pairs
+                      for i in range(len(req.chain) + 1)])
     distinct: dict[tuple, int] = {}
-    encoded: list[tuple[int, int]] = []  # (pair, chain index) of each encoding
-    first, enc_row, heads = [], [], []
-    for j, (t, req) in enumerate(pairs):
-        first.append(len(enc_row))
-        for i in range(len(req.chain) + 1):
-            pending = req.chain[i] if i < len(req.chain) else None
-            key = (id(t), req.source, req.destination, pending)
-            if key not in distinct:
-                distinct[key] = len(encoded)
-                encoded.append((j, i))
-            enc_row.append(distinct[key])
-            heads.append(_decoder_head(req, i, k))
-    enc_h = np.empty((len(encoded), n, cfg.hidden_dim))
-    for lo in range(0, len(encoded), ENCODE_STACK):
-        stack = encoded[lo : lo + ENCODE_STACK]
-        h0 = np.stack([annotate(*pairs[j], i, cfg) for j, i in stack])
-        a = np.stack([adjacency_matrix(pairs[j][0]) for j, _ in stack])
-        enc_h[lo : lo + len(stack)], _ = encode(h0, a, cfg.t_prop, enc_gru, keep_caches=False)
-    enc_scores = enc_h @ params["score.W_emb"]
-    # the decoder input [v_all | v_now | embedding] of segment g at node u
-    # is row g * n + u of one table
-    table = np.empty((len(enc_row), n, 2 * k + cfg.hidden_dim))
-    table[:, :, : 2 * k] = np.array(heads)[:, None, :]
-    # the rows are all in range; mode="clip" writes them into the table
-    # directly, where the default mode would first build an (S, n, H) copy
-    np.take(enc_h, enc_row, axis=0, out=table[:, :, 2 * k :], mode="clip")
-    table = table.reshape(len(enc_row) * n, -1)
-    del enc_h
+    encoded: list[list[tuple[int, int]]] = []  # per run, (pair, chain index) of each encoding
+    enc_row: list[int] = []
+    for lo, hi in runs:
+        encoded.append([])
+        for j in range(lo, hi):
+            t, req = pairs[j]
+            for i in range(len(req.chain) + 1):
+                key = (id(t), req.source, req.destination, req.chain[i : i + 1])
+                if key not in distinct:
+                    distinct[key] = len(encoded[-1])
+                    encoded[-1].append((j, i))
+                enc_row.append(distinct[key])
+    # every node count's encodings in one flat (encoding * node, H) array:
+    # segment g's node u is row enc_at[g] + u; and per node count, enc_scores
+    base = np.cumsum([0] + [len(e) * nodes[lo] for e, (lo, _) in zip(encoded, runs)]).tolist()
+    enc = np.empty((base[-1], hd))
+    enc_scores, enc_at = [], []
+    for (lo, hi), stacks, b in zip(runs, encoded, base):
+        n = nodes[lo]
+        enc_h = enc[b : b + len(stacks) * n].reshape(len(stacks), n, hd)
+        for s0 in range(0, len(stacks), ENCODE_STACK):
+            stack = stacks[s0 : s0 + ENCODE_STACK]
+            h0 = np.stack([annotate(*pairs[j], i, cfg) for j, i in stack])
+            a = np.stack([adjacency_matrix(pairs[j][0]) for j, _ in stack])
+            enc_h[s0 : s0 + len(stack)], _ = encode(h0, a, cfg.t_prop, enc_gru, keep_caches=False)
+        enc_scores.append(enc_h @ params["score.W_emb"])
+        enc_at += [b + r * n for r in enc_row[seg[lo] : seg[hi]]]
 
     reward_cfg = RewardConfig()
     graph_masks: dict[int, dict] = {}  # per graph object, by (current node, pending type)
     masks = [graph_masks.setdefault(id(t), {}) for t, _ in pairs]
+    counts = [hi - lo for lo, hi in runs]  # the live walks of each node count
+    run_of = [run for run, (lo, hi) in enumerate(runs) for _ in range(lo, hi)]
     live = list(range(len(pairs)))
-    hidden = np.zeros((len(pairs), 1, cfg.hidden_dim))
+    hidden = np.zeros((len(pairs), 1, hd))
     while live:
-        cells, enc_rows, step_masks = [], [], []
+        segments, cells, score_rows, step_masks = [], [], [], []
         for j in live:
             s = states[j]
             key = (s.current_node, s.pending_type)
             if key not in masks[j]:
                 masks[j][key] = _masks(s, pairs[j][0])
             step_masks.append(masks[j][key])
-            g = first[j] + s.chain_index
-            cells.append(g * n + s.current_node)
-            enc_rows.append(enc_row[g])
-        move = np.array([m[0] for m in step_masks])
-        proc = np.array([m[1] for m in step_masks])
-        x = table.take(cells, axis=0)[:, None, :]
-        dist, hidden, _ = decode_step(None, enc_scores.take(enc_rows, axis=0), hidden, x,
-                                      move, proc, params, dec_gru)
+            g = seg[j] + s.chain_index
+            segments.append(g)
+            cells.append(enc_at[g] + s.current_node)
+            score_rows.append(enc_row[g])
+        # the decoder inputs [v_all | v_now | embedding], gathered from heads and enc
+        x = np.concatenate([heads.take(segments, axis=0), enc.take(cells, axis=0)], axis=1)
+        hidden, _ = nn.gru_cell(x[:, None, :], hidden, dec_gru)
 
         # _greedy_action of each row, its logit gathered after the product
-        rows = np.arange(len(live))
-        chosen = dist.node_probs.argmax(axis=1)
-        process = proc[rows, chosen] & (nn.sigmoid(dist.process_logits[rows, chosen]) >= 0.5)
+        chosen, allowed, logits, lo = [], [], [], 0
+        for run, count in enumerate(counts):
+            if count:
+                at = slice(lo, lo + count)
+                proc = np.array([m[1] for m in step_masks[at]])
+                dist, _ = score(enc_scores[run].take(score_rows[at], axis=0), hidden[at],
+                                np.array([m[0] for m in step_masks[at]]), proc, params)
+                rows = np.arange(count)
+                chosen.append(dist.node_probs.argmax(axis=1))
+                allowed.append(proc[rows, chosen[-1]])
+                logits.append(dist.process_logits[rows, chosen[-1]])
+                lo += count
+        process = np.concatenate(allowed) & (nn.sigmoid(np.concatenate(logits)) >= 0.5)
         kept = []
-        for r, (j, u, p) in enumerate(zip(live, chosen.tolist(), process.tolist())):
+        for r, (j, u, p) in enumerate(zip(live, np.concatenate(chosen).tolist(), process.tolist())):
             states[j], _, done = env_step(states[j], Action(u, p), pairs[j][0], reward_cfg)
-            if not done:
+            if done:
+                counts[run_of[j]] -= 1
+            else:
                 kept.append(r)
         if len(kept) < len(live):
             live = [live[r] for r in kept]
             hidden = hidden[kept]
     return [s.path_so_far for s in states]
+
+
+def _runs(values: list) -> list[tuple[int, int]]:
+    """The (start, stop) of each run of equal values, in order."""
+    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+    return list(zip([0] + cuts, cuts + [len(values)]))
 
 
 def teacher_force(

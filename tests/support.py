@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import functools
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -36,7 +37,14 @@ from ggsfc.environment import (
 )
 from ggsfc.nn import GradSet, ParamSet, gru_param_shapes, uniform_init
 from ggsfc.oracle import INFEASIBLE, OracleResult, label_dataset
-from ggsfc.policy import ActionDistribution, Lockstep, PolicyConfig, init_policy_params, rollout
+from ggsfc.policy import (
+    ActionDistribution,
+    Lockstep,
+    PolicyConfig,
+    action_log_prob,
+    init_policy_params,
+    rollout,
+)
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
     Topology,
@@ -254,62 +262,95 @@ def evaluate_greedy(params: ParamSet, cfg: PolicyConfig, pairs) -> evaluation.Te
 
 def walk_lockstep(params: ParamSet, cfg: PolicyConfig, pairs, order=None):
     """Walk a ``Lockstep`` of pairs with one ``rollout(..., lockstep=)`` call
-    per pair of order (by default pairs itself), with ``policy.decode_step``
+    per pair of order (by default pairs itself), with the decoder's
+    ``nn.gru_cell`` calls (those outside ``policy.encode``), ``policy.score``
     and ``nn.sigmoid`` spied on.  Returns the lockstep and, per call, the
-    walks that call filled, in slice order, with each ``decode_step`` it
-    made: its distribution and the logits of the next sigmoid call, the
-    process decision's.  ``check_lockstep_rows`` maps the rows to walks."""
+    walks that call filled, by their positions in the lockstep's size-sorted
+    order, with each batched step it made: the hidden states of its decoder
+    GRU call, the distribution of each ``score`` call, and the logits of the
+    sigmoid call after them, the process decisions'.  ``check_lockstep_rows``
+    maps the rows to walks."""
     lockstep = Lockstep(params, cfg, pairs)
-    calls, steps = [], []
-    real_decode_step, real_sigmoid = policy.decode_step, nn.sigmoid
+    calls, steps, encoding = [], [], []
+    real = policy.encode, nn.gru_cell, policy.score, nn.sigmoid
 
-    def decode_step(*args):
-        out = real_decode_step(*args)
-        steps.append([out[0], None])
+    def encode(*args, **kwargs):
+        encoding.append(True)
+        try:
+            return real[0](*args, **kwargs)
+        finally:
+            encoding.pop()
+
+    def gru_cell(*args):
+        out = real[1](*args)
+        if not encoding:
+            steps.append([out[0], [], None])
+        return out
+
+    def score(*args):
+        out = real[2](*args)
+        steps[-1][1].append(out[0])
         return out
 
     def sigmoid(x):
-        if steps and steps[-1][1] is None:
-            steps[-1][1] = np.array(x)
-        return real_sigmoid(x)
+        if steps and steps[-1][1] and steps[-1][2] is None:
+            steps[-1][2] = np.array(x)
+        return real[3](x)
 
-    policy.decode_step, nn.sigmoid = decode_step, sigmoid
+    policy.encode, nn.gru_cell, policy.score, nn.sigmoid = encode, gru_cell, score, sigmoid
     try:
         for t, req in pairs if order is None else order:
-            unwalked = [j for j, w in enumerate(lockstep._walks) if w is None]
+            unwalked = [p for p, w in enumerate(lockstep._walks) if w is None]
             rollout(params, cfg, t, req, lockstep=lockstep)
-            calls.append(([j for j in unwalked if lockstep._walks[j] is not None], steps[:]))
+            calls.append(([p for p in unwalked if lockstep._walks[p] is not None], steps[:]))
             steps.clear()
     finally:
-        policy.decode_step, nn.sigmoid = real_decode_step, real_sigmoid
+        policy.encode, nn.gru_cell, policy.score, nn.sigmoid = real
     return lockstep, calls
 
 
 def check_lockstep_rows(lockstep: Lockstep, calls) -> int:
-    """Check a ``walk_lockstep`` run against each walk's own greedy rollout:
-    at a slice's k-th step its rows are its walks still running, in slice
-    order, and each row's distribution (node probabilities, masks, process
-    logits) has the bytes of step k of that walk's rollout, and its process
-    decision read the bytes of the rollout's logit at the chosen node, so
-    its action and log-prob are the rollout's; each walk's path is the
+    """Check a ``walk_lockstep`` run against each walk's own greedy rollout.
+    A slice's k-th step makes one decoder GRU call over its walks still
+    running, in slice order, one ``score`` call per node count among them,
+    in order, on that count's rows, and one sigmoid call over their process
+    decisions.  Each row's hidden state and distribution (node
+    probabilities, masks, process logits) have the bytes of step k of that
+    walk's rollout, its process decision read the bytes of the rollout's
+    logit at the chosen node, and the row's greedy action and its
+    log-prob's float.hex are the rollout's; each walk's path is the
     rollout's.  Returns the number of rows checked."""
     rows = 0
     for filled, steps in calls:
-        traces = {j: rollout(lockstep.params, lockstep.cfg, *lockstep._pairs[j]) for j in filled}
+        traces = {p: rollout(lockstep.params, lockstep.cfg, *lockstep._pairs[p]) for p in filled}
         assert len(steps) == max((len(tr.steps) for tr in traces.values()), default=0)
-        for k, (dist, decided) in enumerate(steps):
-            live = [j for j in filled if len(traces[j].steps) > k]
-            assert len(dist.node_probs) == len(decided) == len(live), (k, live)
-            for r, j in enumerate(live):
-                want = traces[j].steps[k]
-                for name in ActionDistribution._fields:
-                    got = getattr(dist, name)[r].tobytes()
-                    assert got == getattr(want.cache[4], name).tobytes(), (j, k, name)
+        for k, (hidden, scored, decided) in enumerate(steps):
+            live = [p for p in filled if len(traces[p].steps) > k]
+            assert len(hidden) == len(decided) == len(live), (k, live)
+            for r, p in enumerate(live):
+                want = traces[p].steps[k]
+                assert hidden[r, 0].tobytes() == want.cache[1].tobytes(), (p, k)
                 chosen = want.cache[4].process_logits[want.action.next_node]
-                assert decided[r].tobytes() == chosen.tobytes(), (j, k, "decision")
+                assert decided[r].tobytes() == chosen.tobytes(), (p, k, "decision")
+            groups = [list(g) for _, g in
+                      itertools.groupby(live, key=lambda p: lockstep._pairs[p][0].num_nodes)]
+            assert len(scored) == len(groups) == len({lockstep._pairs[g[0]][0].num_nodes
+                                                      for g in groups}), (k, live)
+            for group, dist in zip(groups, scored):
+                assert len(dist.node_probs) == len(group), (k, group)
+                for r, p in enumerate(group):
+                    want = traces[p].steps[k]
+                    for name in ActionDistribution._fields:
+                        got = getattr(dist, name)[r].tobytes()
+                        assert got == getattr(want.cache[4], name).tobytes(), (p, k, name)
+                    row = ActionDistribution(*(getattr(dist, name)[r]
+                                               for name in ActionDistribution._fields))
+                    action = policy._greedy_action(row)
+                    assert action == want.action, (p, k)
+                    assert action_log_prob(row, action).hex() == want.log_prob.hex(), (p, k)
             rows += len(live)
-        for j in filled:
-            assert lockstep._walks[j] == traces[j].path, j
+        for p in filled:
+            assert lockstep._walks[p] == traces[p].path, p
     return rows
 
 

@@ -637,13 +637,14 @@ def test_a_long_walks_backward_runs_in_bounded_memory():
 
 @st.composite
 def mixed_size_pairs(draw):
-    """Requests on random connected graphs of two node counts, in a drawn
-    order, with chains of 0-4 entries: 17 requests on graphs of the first
-    count, so that its segments cross an encoder stack boundary, and 1-8 on
-    the second."""
-    sizes = draw(st.lists(st.integers(3, 14), min_size=2, max_size=2, unique=True))
+    """Requests on random connected graphs of three or four node counts, in
+    a drawn order, with chains of 0-4 entries: ENCODE_STACK + 1 requests on
+    graphs of the first count, so that its segments cross an encoder stack
+    boundary, and 1-8 on each other; at most 41 requests, one slice."""
+    sizes = draw(st.lists(st.integers(3, 14), min_size=3, max_size=4, unique=True))
+    counts = [ENCODE_STACK + 1] + [draw(st.integers(1, 8)) for _ in sizes[1:]]
     pairs = []
-    for n, count in zip(sizes, (ENCODE_STACK + 1, draw(st.integers(1, 8)))):
+    for n, count in zip(sizes, counts):
         graphs = [fixture_like_graph(n, draw(st.integers(1, 2)), draw(st.integers(0, 2**16)))
                   for _ in range(draw(st.integers(1, 3)))]
         node = st.integers(0, n - 1)
@@ -657,18 +658,23 @@ def mixed_size_pairs(draw):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(mixed_size_pairs(), st.integers(0, 2**16))
 def test_lockstep_walks_equal_per_request_rollouts_row_by_row(pairs, seed):
+    """All node counts share one slice; every row of every step, and so each
+    walk's actions, log-probs (float.hex) and path, equal its own rollout's."""
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=seed)
     lockstep, calls = walk_lockstep(params, cfg, pairs)
+    assert calls[0][0] == list(range(len(pairs)))
     assert check_lockstep_rows(lockstep, calls) >= len(pairs)
-    for (t, _), walk in zip(pairs, lockstep._walks):
+    for t, req in pairs:
+        walk = lockstep.walk(t, req)
+        assert walk == rollout(params, cfg, t, req).path
         assert walk.total_delay == total_delay(walk, t)
 
 
 def test_rollout_takes_its_walk_from_a_lockstep():
     """Asked in any order, and twice for a repeated pair, each walk a
-    lockstep gives rollout equals that request's own rollout; the walks of
-    the other node count are not started."""
+    lockstep gives rollout equals that request's own rollout; both node
+    counts share one slice, so the first call walks every pair."""
     big, small = internet2_fixture(), fixture_like_graph(7, 2, seed=3)
     rng = np.random.default_rng(5)
     pairs = ([(big, r) for r in generate_requests(big, 5, (1, 3), rng)]
@@ -676,31 +682,81 @@ def test_rollout_takes_its_walk_from_a_lockstep():
     pairs.append(pairs[1])
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=2)
-    order = [pairs[3], pairs[1], pairs[0], pairs[-1], pairs[4], pairs[2]]
+    order = [pairs[3], pairs[1], pairs[0], pairs[-1], pairs[4], pairs[2], pairs[6]]
     lockstep, calls = walk_lockstep(params, cfg, pairs, order)
     assert check_lockstep_rows(lockstep, calls) > 0
-    assert [filled for filled, _ in calls] == [[0, 1, 2, 3, 4, 9], [], [], [], [], []]
-    for t, req in order:
+    # size-sorted: the 7-node walks first, then the fixture's, the repeat last
+    assert [filled for filled, _ in calls] == [list(range(10))] + [[]] * 6
+    assert lockstep._pairs == pairs[5:9] + pairs[:5] + pairs[9:]
+    for t, req in pairs:
         assert rollout(params, cfg, t, req, lockstep=lockstep) == rollout(params, cfg, t, req).path
-    assert lockstep._walks[5:9] == [None] * 4
 
 
 def test_a_lockstep_walks_only_the_slice_that_holds_the_pair():
-    """A node-count group is cut, in order, into slices of LOCKSTEP_SLICE
-    walks (other node counts skipped); asking for one walk advances its
-    slice alone, and the walks of a slice equal their own rollouts."""
+    """The pairs, sorted by node count, are cut into slices of
+    LOCKSTEP_SLICE walks; asking for one walk advances its slice alone, a
+    slice may hold two node counts, and the walks of a slice equal their own
+    rollouts."""
     big, small = internet2_fixture(), fixture_like_graph(7, 2, seed=3)
     rng = np.random.default_rng(8)
-    pairs = [(small, generate_requests(small, 1, (1, 2), rng)[0])]
-    pairs += [(big, r) for r in generate_requests(big, LOCKSTEP_SLICE + 6, (1, 2), rng)]
+    pairs = [(big, r) for r in generate_requests(big, LOCKSTEP_SLICE + 6, (1, 2), rng)]
+    pairs.append((small, generate_requests(small, 1, (1, 2), rng)[0]))
     cfg = PolicyConfig()
     params = init_policy_params(cfg, seed=1)
-    lockstep, calls = walk_lockstep(params, cfg, pairs, pairs[LOCKSTEP_SLICE + 1 :])
+    # sorted, the small pair comes first, so the last seven fixture pairs
+    # make the second slice
+    order = pairs[LOCKSTEP_SLICE - 1 : LOCKSTEP_SLICE + 6] + [pairs[-1]]
+    lockstep, calls = walk_lockstep(params, cfg, pairs, order)
     assert check_lockstep_rows(lockstep, calls) > 0
-    assert calls[0][0] == list(range(LOCKSTEP_SLICE + 1, len(pairs)))
-    assert lockstep._walks[: LOCKSTEP_SLICE + 1] == [None] * (LOCKSTEP_SLICE + 1)
-    rollout(params, cfg, *pairs[1], lockstep=lockstep)
-    assert lockstep._walks[0] is None and None not in lockstep._walks[1:]
+    second = list(range(LOCKSTEP_SLICE, len(pairs)))
+    assert [filled for filled, _ in calls] == [second] + [[]] * 6 + [list(range(LOCKSTEP_SLICE))]
+    assert lockstep._pairs[:LOCKSTEP_SLICE] == [pairs[-1]] + pairs[: LOCKSTEP_SLICE - 1]
+    assert {t.num_nodes for t, _ in lockstep._pairs[:LOCKSTEP_SLICE]} == {7, 12}
+    assert None not in lockstep._walks
+
+
+def test_a_slice_over_k_node_counts_makes_one_decoder_gru_call_per_step(monkeypatch):
+    """A slice over three node counts advances all its live walks with one
+    decoder ``nn.gru_cell`` call per step and scores them with at most three
+    ``score`` calls, one per node count still walking; it encodes in one
+    ``encode`` per ENCODE_STACK distinct segments of one node count."""
+    graphs = [internet2_fixture(), fixture_like_graph(7, 2, seed=3),
+              fixture_like_graph(9, 2, seed=4)]
+    rng = np.random.default_rng(11)
+    pairs = [(t, r) for t, count in zip(graphs, (24, 5, 3))
+             for r in generate_requests(t, count, (1, 4), rng)]
+    distinct = {t.num_nodes: {(r.source, r.destination, r.chain[i : i + 1])
+                              for u, r in pairs if u is t for i in range(len(r.chain) + 1)}
+                for t in graphs}
+    assert len(distinct[12]) > 2 * ENCODE_STACK
+    encoded = []
+    real_encode = policy.encode
+
+    def spy_encode(annotations, *args, **kwargs):
+        encoded.append(annotations.shape[:2])
+        return real_encode(annotations, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "encode", spy_encode)
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=6)
+    lockstep, calls = walk_lockstep(params, cfg, pairs)
+    monkeypatch.undo()
+
+    assert check_lockstep_rows(lockstep, calls) > 0
+    (filled, steps), = [call for call in calls if call[0]]
+    assert filled == list(range(len(pairs)))
+    walks = {p: rollout(params, cfg, *lockstep._pairs[p]) for p in filled}
+    # the walks do not all end together, so some steps score fewer counts
+    assert len(steps) == max(len(tr.steps) for tr in walks.values())
+    for k, (_, scored, _) in enumerate(steps):
+        live = {lockstep._pairs[p][0].num_nodes for p in filled if len(walks[p].steps) > k}
+        assert len(scored) == len(live) <= len(graphs)
+    assert min(len(scored) for _, scored, _ in steps) < len(graphs) == len(steps[0][1])
+    for n, segments in distinct.items():
+        stacks = [s for s, m in encoded if m == n]
+        assert len(stacks) == -(-len(segments) // ENCODE_STACK)
+        assert sum(stacks) == len(segments)
+        assert all(s == ENCODE_STACK for s in stacks[:-1])
 
 
 def test_lockstep_encodes_each_distinct_segment_once_and_shares_masks_per_graph(monkeypatch):

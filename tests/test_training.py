@@ -10,10 +10,16 @@ import pytest
 
 import ggsfc.evaluation as evaluation
 import ggsfc.training as training
-from ggsfc.environment import RewardConfig, SfcRequest, generate_requests
+from ggsfc.environment import (
+    RewardConfig,
+    SfcRequest,
+    generate_pool_requests,
+    generate_requests,
+)
 from ggsfc.nn import NonFiniteGradientError, ParamSet
 from ggsfc.oracle import label_dataset
 from ggsfc.policy import (
+    LOCKSTEP_SLICE,
     PolicyConfig,
     episode_gradients,
     init_policy_params,
@@ -349,9 +355,8 @@ def test_greedy_failure_ratio_equals_a_per_request_rollout_loop():
 
 def test_a_large_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(monkeypatch):
     """500 fixture requests are one node-count group; walked in slices of
-    LOCKSTEP_SLICE, the holdout's tracemalloc peak stays small (3.4 MiB
-    measured, against 16.9 MiB for the whole group at once and 0.9 MiB for
-    per-request walks), and each walk equals its own rollout row by row."""
+    LOCKSTEP_SLICE, the holdout's tracemalloc peak stays small (2.3 MiB
+    measured, against 0.9 MiB for per-request walks), and each walk equals its own rollout row by row."""
     params, cfg, _ = load_policy(ROOT / "bench" / "checkpoints" / "sl.ckpt")
     fixture = internet2_fixture()
     pairs = [(fixture, req)
@@ -376,6 +381,42 @@ def test_a_large_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(monk
     lockstep, calls = walk_lockstep(params, cfg, pairs)
     assert check_lockstep_rows(lockstep, calls) > len(pairs)
     assert walks == lockstep._walks
+
+
+def test_a_large_mixed_size_holdout_walks_in_bounded_memory_and_keeps_every_walks_bits(
+        monkeypatch):
+    """500 requests over 20 cs1 pool variants of several node counts are
+    walked in size-sorted slices of LOCKSTEP_SLICE, several of them over
+    more than one node count; the holdout's tracemalloc peak stays under the
+    fixture holdout's bound (3.1 MiB measured), and each walk equals its own
+    rollout row by row."""
+    params, cfg, _ = load_policy(ROOT / "bench" / "checkpoints" / "sl.ckpt")
+    pool = generate_pool(internet2_fixture(), "cs1", pool_size=20, seed=7)
+    pairs = [(pool.variants[i], req) for i, req in
+             generate_pool_requests(pool.variants, 500, (1, 4), np.random.default_rng(0))]
+    walks = []
+    real_rollout = evaluation.rollout
+
+    def spy(*args, **kwargs):
+        walks.append(real_rollout(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(evaluation, "rollout", spy)
+    tracemalloc.start()
+    try:
+        fr, _ = greedy_failure_ratio(params, cfg, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert len(walks) == len(pairs) and 0 < fr < 1
+    # the rows are checked on a second lockstep, outside the measured window
+    lockstep, calls = walk_lockstep(params, cfg, pairs)
+    assert check_lockstep_rows(lockstep, calls) > len(pairs)
+    assert walks == [lockstep.walk(t, req) for t, req in pairs]
+    sizes = [{lockstep._pairs[p][0].num_nodes for p in filled} for filled, _ in calls if filled]
+    assert len(sizes) == -(-len(pairs) // LOCKSTEP_SLICE)
+    assert sum(len(s) > 1 for s in sizes) > 1
 
 
 def test_each_holdout_walk_is_one_rollout_from_the_epochs_lockstep(monkeypatch):
