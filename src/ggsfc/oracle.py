@@ -11,55 +11,56 @@ environment verbatim with that exact delay.
 Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
 
-The search reads the tables the environment's moves come from:
+The solver reads the tables the environment's moves come from:
 ``Topology.arcs`` (each node's neighbor -> edge delay mapping, in ascending
 neighbor order) and ``Topology.proc_delays`` (each node's best processing
-delay per VNF type, or None), plus ``Topology.distances_from`` (the
-destination's and the chain's sites' shortest edge delays).  A state is
-the int ``layer * n + node`` and an action the int ``2 * node + process``,
-which sorts in the same order as the (node, process) pair.
+delay per VNF type, or None), plus ``Topology.least_walks_from`` (the
+destination's and the chain's sites' rows of least walks).
 
-The search is A* (Hart, Nilsson & Raphael 1968): the heap key of a walk
-reaching state s is (delay + h(s), steps, actions), where h (delay_bound)
-is a lower bound on the delay from s to the goal.  At the last layer h is
-the shortest edge delay to the destination.  Below it, h(l, u) is the least,
-over the sites x hosting chain type l, of u's shortest edge delay to x plus
-x's processing delay plus h(l + 1, x).  A chain type with no site makes the
-request infeasible before any search.  A layer's row starts as its first
+Costs are (delay, steps) pairs packed into one exact int, delay * B + steps
+(``topology.B``, 2**32).  Both parts are non-negative integers, so while
+steps stays below B, int order is (delay, steps) order and a sum of packed
+costs packs the sums of their parts.  A move costs w * B + 1 for edge delay
+w, plus p * B when it processes at delay p.  Within one layer a least walk
+takes at most n steps on n nodes (a shortest path at most n - 1, a way out
+and back at most n), so every cost the solver forms for a chain of length L
+holds at most (L + 1) * n steps; a request where that reaches B is refused
+rather than packed inexactly.
+
+The cost-to-go V(l, u) (cost_to_go) is the least packed cost from layered
+state (l, u) to the goal (L, destination).  At the last layer it is the
+least walk to the destination: 0 there, the shortest path elsewhere.
+Below it, a walk from (l, u) walks in layer l to some site x of chain type
+l, arrives there with processing, then goes on from (l + 1, x).  A walk
+processes only on arrival, so the stretch from u to x is at least one step:
+its least cost A(u, x) is the shortest path for u != x and, for u == x, the
+cheapest way to leave x and come back.  So
+
+    V(l, u) = min over sites x of type l of A(u, x) + p_x * B + V(l + 1, x),
+
+exactly, as each term is the least cost of the walks through that
+processing move.  ``least_walks_from(x)`` holds A(., x) (edges are
+undirected, so A(u, x) = A(x, u)).  A chain type with no site, or a
+one-node graph, where no move exists, leaves the request with no walk, so
+it is infeasible before any row is read.  A layer's row starts as its first
 site's terms and folds in each further site's with one comparison per node,
 keeping the smaller: exact integers, so the row is the per-node minimum.
 
-h is consistent on both kinds of move.  A plain move u -> v of edge delay w
-keeps the layer, and h(l, u) <= w + h(l, v), because each term of h(l, u)
-is at most w plus the same term of h(l, v) (triangle inequality).  A
-processing move to v, of edge delay w and processing delay p, climbs, and
-h(l, u) <= dist(u, v) + p + h(l + 1, v) <= w + p + h(l + 1, v), because v
-is one of the sites h(l, u) minimizes over.  At the goal, h = 0.
-
-So the results are those of plain Dijkstra on (delay, steps, actions), tie
-breaks included.  Consistency makes every move's reduced delay
-w + h(s') - h(s) non-negative, and a walk's reduced delay is
-delay + h(s) - h(source): the search is Dijkstra on reduced delays.  Ordering
-two walks to one state by key and then extending both by the same move
-keeps their order, and every move raises the key, since steps grows.  So
-the first entry popped for a state is the least key among all walks
-reaching it.  For one state h is one integer, so that entry is also its
-least (delay, steps, actions) walk, exactly.  At the goal h = 0, so the
-label is the least (delay, steps, actions) walk, as before.
-
-That total order also justifies the dominance pruning.  A relaxation is
-pushed only when its (delay, steps) is no worse than the best pushed for
-that state so far.  A strictly worse entry could only pop after a better
-one had settled its state, because the keys of one state differ by their
-delays alone.  So dropping it leaves the sequence of settled states, and
-the result, unchanged.
+The label is read off V by descent (Bellman 1958).  From the source at
+layer 0, take the first action in ascending (node, process) order whose
+cost plus its successor's V equals the current state's V, until V is 0,
+which holds at the goal alone.  Every such action starts a least walk from
+its state, and every move costs at least one step, so the descent ends at
+the goal on a least (delay, steps) walk.  All least walks have the same
+length, and the completions from a state do not depend on how the walk got
+there, so taking the least first action at each step gives the least
+action sequence among them: the least (delay, steps, actions) walk, the
+order the labels are defined by.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -75,6 +76,7 @@ from .environment import (
     valid_actions,
     validate_request,
 )
+from . import topology
 from .topology import Topology, TopologyPool, as_topology_list, json_int
 
 DEFAULT_WORK_CAP = 10_000_000
@@ -129,24 +131,32 @@ def _result_from_actions(
     return OracleResult(path=p, actions=actions)
 
 
-def delay_bound(t: Topology, req: SfcRequest) -> list[Sequence[int]] | None:
-    """The search's lower bound h, as h[layer][node], on the delay still to
-    come from each layered state; None when a chain type has no site."""
-    if not set(req.chain).issubset(t.deployed_types):
+def cost_to_go(t: Topology, req: SfcRequest) -> list[list[int]] | None:
+    """The packed cost-to-go V, as V[layer][node], from each layered state to
+    the goal; None when no walk serves the request.  A request whose walks
+    may take B steps or more is refused."""
+    chain = req.chain
+    base = topology.B
+    if (len(chain) + 1) * t.num_nodes >= base:
+        raise ValueError(
+            f"a chain of length {len(chain)} on {t.num_nodes} nodes may need "
+            f"{(len(chain) + 1) * t.num_nodes} steps, not below the packing bound B = {base}")
+    if not set(chain).issubset(t.deployed_types) or (chain and t.num_nodes == 1):
         return None
-    dist = t.distances_from
-    row = dist(req.destination)
-    bound = [row]
-    for k in reversed(req.chain):
-        # per site x of type k: processing there plus the bound beyond it
-        sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
+    walks = t.least_walks_from
+    row = list(walks(req.destination))
+    row[req.destination] = 0
+    rows = [row]
+    for k in reversed(chain):
+        # per site x of type k: processing there plus the cost beyond it
+        sites = [(x, p * base + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
         (x, c), rest = sites[0], sites[1:]
-        row = [d + c for d in dist(x)]
+        row = [d + c for d in walks(x)]
         for x, c in rest:
-            row = [a if a <= d + c else d + c for a, d in zip(row, dist(x))]
-        bound.append(row)
-    bound.reverse()
-    return bound
+            row = [a if a <= d + c else d + c for a, d in zip(row, walks(x))]
+        rows.append(row)
+    rows.reverse()
+    return rows
 
 
 def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
@@ -156,56 +166,38 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     length = len(chain)
     if length == 0 and req.source == req.destination:
         return OracleResult(path=PathResult((), (), 0, True), actions=())
-    bound = delay_bound(t, req)
-    if bound is None:
+    rows = cost_to_go(t, req)
+    if rows is None:
         return INFEASIBLE
 
-    n = t.num_nodes
+    base = topology.B
     arcs = t.arcs
+    # the last layer has no pending type and no layer above
     procs = [t.proc_delays[k] for k in chain] + [None]
-    goal = length * n + req.destination
-    size = (length + 1) * n
-    settled = bytearray(size)
-    # best (delay, steps) pushed per state, packed as delay * size + steps:
-    # a walk that settles a state never repeats one, so steps < size
-    best: list[float] = [math.inf] * size
-    # (delay + h, steps, actions, state, delay)
-    heap: list[tuple[int, int, tuple[int, ...], int, int]] = [
-        (bound[0][req.source], 0, (), req.source, 0)]
-    pop, push = heapq.heappop, heapq.heappush
-    while heap:
-        _, steps, acts, state, delay = pop(heap)
-        if settled[state]:
-            continue
-        settled[state] = 1
-        if state == goal:
-            # decoded as environment.step builds its records
-            actions = tuple([tuple.__new__(Action, (c >> 1, bool(c & 1))) for c in acts])
-            return _result_from_actions(t, req, actions, delay)
-        layer, node = divmod(state, n)
-        proc = procs[layer]
-        here = bound[layer]
-        if proc is not None:
-            above = bound[layer + 1]
-        steps += 1
-        base = state - node
+    rows.append(None)
+    layer, node = 0, req.source
+    here, above, proc = rows[0], rows[1], procs[0]
+    value = here[node]
+    actions: list[Action] = []
+    while value:
         for v, w in arcs[node].items():
-            d = delay + w
-            key = d * size + steps
-            s2 = base + v
-            if key <= best[s2]:
-                best[s2] = key
-                push(heap, (d + here[v], steps, acts + (2 * v,), s2, d))
-            if proc is not None:
-                p = proc[v]
-                if p is not None:
-                    d += p
-                    key = d * size + steps
-                    s2 += n
-                    if key <= best[s2]:
-                        best[s2] = key
-                        push(heap, (d + above[v], steps, acts + (2 * v + 1,), s2, d))
-    return INFEASIBLE
+            c = w * base + 1
+            if c + here[v] == value:
+                # decoded as environment.step builds its records
+                actions.append(tuple.__new__(Action, (v, False)))
+                break
+            if proc is not None and proc[v] is not None:
+                c += proc[v] * base
+                if c + above[v] == value:
+                    actions.append(tuple.__new__(Action, (v, True)))
+                    layer += 1
+                    here, above, proc = above, rows[layer + 1], procs[layer]
+                    break
+        else:
+            raise AssertionError("the cost-to-go has no move that attains it")
+        value -= c
+        node = v
+    return _result_from_actions(t, req, tuple(actions), rows[0][req.source] // base)
 
 
 # ---------------------------------------------------------------------------

@@ -293,10 +293,9 @@ def decode_step(
     x is the step input [v_all | v_now | node_embedding]: the remaining
     chain as a multi-hot, the pending type as a one-hot, and the encoder row
     of the current node.  Returns the action distribution, the advanced
-    hidden state, and a cache for the backward pass.  hidden (L, 1, H) and
-    x (L, 1, d) may carry the batch axis that score's arguments do; enc_h is
-    read only by the backward, so a batched step, which has none, passes
-    None.
+    hidden state, and a cache for the backward pass; enc_h is read only by
+    the backward.  Every argument is one episode's (1-D hidden and x); a
+    lockstep advances its stack with ``nn.gru_cell`` and calls ``score``.
     """
     hidden, gru_cache = nn.gru_cell(x, hidden, gru)
     dist, s = score(enc_scores, hidden, move_mask, process_mask, params)

@@ -14,8 +14,9 @@ Each topology indexes its graph once, on first use: ``arcs`` (per node, a
 read-only mapping from each neighbor to its edge delay, in ascending
 neighbor order) and ``proc_delays`` (per VNF type, each node's cheapest
 processing delay or None).  The environment and the exact solver both read
-these two tables and no other index; the solver's search bound also reads
-``distances_from(u)`` (node u's shortest edge delays, kept once found).
+these two tables and no other index; the solver's cost-to-go also reads
+``least_walks_from(u)`` (node u's least walk of at least one step to each
+node, kept once found).
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ import numpy as np
 # Delay range (inclusive, ms) used for the bundled fixture and for edges
 # created during mutation.
 EDGE_DELAY_RANGE = (1, 10)
+
+# A walk's (delay, steps) cost packed into one exact int as delay * B + steps,
+# so comparing ints compares (delay, steps) lexicographically while every
+# steps count stays below B.
+B = 2**32
 
 DEFAULT_POOL_SIZE = 100
 
@@ -88,8 +94,8 @@ class Topology:
         object.__setattr__(self, "edges", canon)
         object.__setattr__(self, "instances", tuple(sorted(self.instances)))
         self._validate()
-        # node -> its distances_from row, filled as rows are asked for
-        object.__setattr__(self, "_distance_rows", {})
+        # node -> its least_walks_from row, filled as rows are asked for
+        object.__setattr__(self, "_walk_rows", {})
 
     def _validate(self) -> None:
         if self.num_nodes < 1:
@@ -175,21 +181,27 @@ class Topology:
                 row[inst.node] = inst.proc_delay
         return tuple(tuple(row) for row in table)
 
-    def distances_from(self, u: int) -> tuple[int, ...]:
-        """Node u's shortest edge delay to every node, by Dijkstra over
-        ``arcs`` in exact Python ints; found on first use, then kept."""
-        row = self._distance_rows.get(u)
+    def least_walks_from(self, u: int) -> tuple[int | None, ...]:
+        """Per node v, the least (delay, steps) walk of at least one step from
+        u to v, packed as delay * B + steps: the shortest path for v != u,
+        and for v == u the cheapest way to leave u and come back (None on a
+        node with no neighbor).  Dijkstra over ``arcs`` with arc cost
+        w * B + 1, seeded with u's arcs, in exact Python ints; found on first
+        use, then kept."""
+        row = self._walk_rows.get(u)
         if row is None:
-            dist: list[int | None] = [None] * self.num_nodes
-            heap = [(0, u)]
+            arcs = self.arcs
+            cost: list[int | None] = [None] * self.num_nodes
+            heap = [(w * B + 1, v) for v, w in arcs[u].items()]
+            heapq.heapify(heap)
             while heap:
-                d, x = heapq.heappop(heap)
-                if dist[x] is None:
-                    dist[x] = d
-                    for y, w in self.arcs[x].items():
-                        if dist[y] is None:
-                            heapq.heappush(heap, (d + w, y))
-            row = self._distance_rows[u] = tuple(dist)
+                c, x = heapq.heappop(heap)
+                if cost[x] is None:
+                    cost[x] = c
+                    for y, w in arcs[x].items():
+                        if cost[y] is None:
+                            heapq.heappush(heap, (c + w * B + 1, y))
+            row = self._walk_rows[u] = tuple(cost)
         return row
 
     @cached_property

@@ -3,8 +3,8 @@ random GRU parameters, random VNF placement, what the suites share (the
 tiny 4-node graph and its policy config, seeded random connected graphs and
 small random instances, a briefly SL-trained fixture policy, and a call
 counter for spies), the seeded generator the bundled internet2 fixture was
-frozen from (at any size), a plain-Dijkstra reference solver and the
-search bound's reference rows, a row-by-row check of lockstep walks against
+frozen from (at any size), a plain-Dijkstra reference solver, plain
+shortest edge delays and the solver's cost-to-go as reference rows, a row-by-row check of lockstep walks against
 their own rollouts, the per-step episode backward as a byte reference, and
 hypothesis strategies for random requests and for artifact documents with
 one fuzzed value."""
@@ -47,6 +47,7 @@ from ggsfc.policy import (
 )
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
+    B,
     Topology,
     TopologyError,
     VnfInstance,
@@ -505,21 +506,37 @@ def graph_requests(draw, nodes=(8, 48)):
     return t, SfcRequest(draw(node), draw(node), tuple(chain))
 
 
-def reference_delay_bound(t: Topology, req: SfcRequest) -> list[list[int]] | None:
-    """oracle.delay_bound's rows by their first formula: one row per site of
+def reference_cost_to_go(t: Topology, req: SfcRequest) -> list[list[int]] | None:
+    """oracle.cost_to_go's rows by their first formula: one row per site of
     a chain type, then the per-node min() over them; the reference the
     solver's folded rows must equal."""
-    if not set(req.chain).issubset(t.deployed_types):
+    if not set(req.chain).issubset(t.deployed_types) or (req.chain and t.num_nodes == 1):
         return None
-    row = t.distances_from(req.destination)
-    bound = [row]
+    row = list(t.least_walks_from(req.destination))
+    row[req.destination] = 0
+    rows = [row]
     for k in reversed(req.chain):
-        sites = [(x, p + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
-        rows = [[d + c for d in t.distances_from(x)] for x, c in sites]
-        row = rows[0] if len(rows) == 1 else list(map(min, *rows))
-        bound.append(row)
-    bound.reverse()
-    return bound
+        sites = [(x, p * B + row[x]) for x, p in enumerate(t.proc_delays[k]) if p is not None]
+        per_site = [[d + c for d in t.least_walks_from(x)] for x, c in sites]
+        row = per_site[0] if len(per_site) == 1 else list(map(min, *per_site))
+        rows.append(row)
+    rows.reverse()
+    return rows
+
+
+def distances_from(t: Topology, u: int) -> list[int]:
+    """Node u's shortest edge delay to every node, by plain Dijkstra over
+    ``arcs`` in exact Python ints."""
+    dist: list[int | None] = [None] * t.num_nodes
+    heap = [(0, u)]
+    while heap:
+        d, x = heapq.heappop(heap)
+        if dist[x] is None:
+            dist[x] = d
+            for y, w in t.arcs[x].items():
+                if dist[y] is None:
+                    heapq.heappush(heap, (d + w, y))
+    return dist
 
 
 def dijkstra_optimal(t: Topology, req: SfcRequest) -> OracleResult:

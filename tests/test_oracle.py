@@ -23,14 +23,16 @@ from ggsfc.oracle import (
     INFEASIBLE,
     brute_force_optimal,
     check_labels,
-    delay_bound,
+    cost_to_go,
     label_dataset,
     load_dataset,
     load_dataset_file,
     save_dataset,
     solve_optimal,
 )
+from ggsfc import topology
 from ggsfc.topology import (
+    B,
     Topology,
     VnfInstance,
     generate_pool,
@@ -40,12 +42,13 @@ from support import (
     FUZZ,
     counted,
     dijkstra_optimal,
+    distances_from,
     fixture_like_graph,
     graph_requests,
     one_leaf_replaced,
     random_connected_graph,
     random_instance,
-    reference_delay_bound,
+    reference_cost_to_go,
     small_requests,
     tiny_topology,
 )
@@ -87,6 +90,15 @@ def test_empty_chain_at_destination_is_the_empty_walk():
     assert res.feasible
     assert res.optimal_delay == 0
     assert res.actions == ()
+
+
+def test_a_one_node_graph_has_no_walk_for_a_chain():
+    # the walk would have to leave node 0 and come back to process, and node 0
+    # has no neighbor; the empty chain there is the empty walk
+    t = Topology(1, (), (VnfInstance(0, 0, 3),), 1)
+    assert solve_optimal(t, SfcRequest(0, 0, (0,))) == INFEASIBLE
+    assert solve_optimal(t, SfcRequest(0, 0, (0, 0))) == INFEASIBLE
+    assert solve_optimal(t, SfcRequest(0, 0, ())).actions == ()
 
 
 def test_infeasible_when_a_type_is_deployed_nowhere():
@@ -176,27 +188,34 @@ def test_solver_breaks_dense_ties_as_exhaustive_search_does(case):
 
 
 # ---------------------------------------------------------------------------
-# the A* bound, and the solver vs. plain Dijkstra on graphs too large for
+# the cost-to-go, and the solver vs. plain Dijkstra on graphs too large for
 # exhaustive search
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.one_of(small_requests(), graph_requests(nodes=(12, 48))))
-def test_the_delay_bound_is_consistent_and_zero_at_the_goal(case):
+def test_the_cost_to_go_is_exact_and_zero_at_the_goal(case):
+    # Bellman's equation: with every move costing at least one step, its one
+    # solution is the least packed cost to the goal
     t, req = case
-    h = delay_bound(t, req)
-    if h is None:
-        assert any(not any(t.proc_delays[k]) for k in req.chain)
+    v = cost_to_go(t, req)
+    if v is None:
+        assert (any(not any(t.proc_delays[k]) for k in req.chain)
+                or (req.chain and t.num_nodes == 1))
         assert solve_optimal(t, req) == INFEASIBLE
         return
     length = len(req.chain)
-    assert h[length][req.destination] == 0
+    assert v[length][req.destination] == 0
     for layer in range(length + 1):
         procs = t.proc_delays[req.chain[layer]] if layer < length else None
         for u in range(t.num_nodes):
-            for v, w in t.arcs[u].items():
-                assert h[layer][u] <= w + h[layer][v]
-                if procs is not None and procs[v] is not None:
-                    assert h[layer][u] <= w + procs[v] + h[layer + 1][v]
+            if (layer, u) == (length, req.destination):
+                continue
+            moves = []
+            for x, w in t.arcs[u].items():
+                moves.append(w * B + 1 + v[layer][x])
+                if procs is not None and procs[x] is not None:
+                    moves.append((w + procs[x]) * B + 1 + v[layer + 1][x])
+            assert v[layer][u] == min(moves)
 
 
 def mixed_site_graph(num_nodes: int, seed: int) -> Topology:
@@ -219,7 +238,7 @@ def test_the_folded_bound_rows_equal_the_per_site_minimum(num_nodes):
     for i, t in enumerate(graphs):
         rng = np.random.default_rng(i)
         for req in generate_requests(t, 12, (1, 6), rng):
-            assert delay_bound(t, req) == reference_delay_bound(t, req)
+            assert cost_to_go(t, req) == reference_cost_to_go(t, req)
 
 
 def test_the_folded_bound_rows_equal_the_per_site_minimum_on_small_instances():
@@ -227,38 +246,53 @@ def test_the_folded_bound_rows_equal_the_per_site_minimum_on_small_instances():
     for _ in range(200):
         t = random_instance(rng)
         for req in generate_requests(t, 3, (1, 4), rng):
-            assert delay_bound(t, req) == reference_delay_bound(t, req)
+            assert cost_to_go(t, req) == reference_cost_to_go(t, req)
     t = internet2_fixture()
     for req in generate_requests(t, 300, (1, 4), np.random.default_rng(0)):
-        assert delay_bound(t, req) == reference_delay_bound(t, req)
+        assert cost_to_go(t, req) == reference_cost_to_go(t, req)
 
 
 def test_a_solve_keeps_only_the_distance_rows_its_bound_reads():
     t = replace(internet2_fixture())  # a fresh copy, holding no rows yet
-    assert t._distance_rows == {}
+    assert t._walk_rows == {}
     req = SfcRequest(4, 11, (0, 3, 0))
     assert solve_optimal(t, req).feasible
     # the destination's row, and the rows of type 0's sites 5 and 10 and type 3's 2 and 8
-    assert sorted(t._distance_rows) == [2, 5, 8, 10, 11]
+    assert sorted(t._walk_rows) == [2, 5, 8, 10, 11]
     # a chain type with no site is found before any row is read
     t = replace(t, instances=tuple(i for i in t.instances if i.vnf_type != 4))
     assert not solve_optimal(t, SfcRequest(0, 11, (4, 0, 3))).feasible
-    assert t._distance_rows == {}
+    assert t._walk_rows == {}
 
 
 def test_a_first_solve_on_a_large_sparse_graph_stays_small():
     # the rows one solve reads stay a few MiB; 5000 x 5000 delays would take 200 MB
     t = fixture_like_graph(5000, sites_per_type=2, seed=0)
     req = generate_requests(t, 1, (4, 4), np.random.default_rng(0))[0]
+    shortest = distances_from(t, req.destination)[req.source]
     tracemalloc.start()
     try:
-        shortest = t.distances_from(req.destination)[req.source]
         result = solve_optimal(t, req)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.feasible and result.optimal_delay >= shortest
     assert peak < 8 * 2**20
+
+
+def test_packed_costs_stay_below_the_step_base(monkeypatch):
+    # a walk for a chain of length L on n nodes may take (L + 1) * n steps,
+    # which must stay below B for the packed (delay, steps) ints to be exact
+    req = SfcRequest(0, 11, (1,))
+    monkeypatch.setattr(topology, "B", 2 * 12)
+    with pytest.raises(ValueError, match=r"^a chain of length 1 on 12 nodes may need 24 steps, "
+                                         r"not below the packing bound B = 24$"):
+        solve_optimal(replace(internet2_fixture()), req)
+    # one step of room is exact: every request agrees with plain Dijkstra
+    monkeypatch.setattr(topology, "B", 2 * 12 + 1)
+    t = replace(internet2_fixture())
+    for req in generate_requests(t, 40, (1, 1), np.random.default_rng(5)):
+        assert solve_optimal(t, req) == dijkstra_optimal(t, req)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -42,6 +42,7 @@ from ggsfc.policy import (
     load_policy,
     rollout,
     save_policy,
+    score,
     teacher_force,
 )
 from ggsfc.topology import (
@@ -244,7 +245,7 @@ def test_decode_step_masks_and_normalizes():
 
 
 def out_of_place_scorer(enc_scores, hidden, move_mask, params):
-    """decode_step's scorer as it was before it wrote in place: the cached
+    """score as it was before it wrote in place: the cached
     activations s, node probs and process logits from the advanced hidden
     state."""
     s = np.tanh(enc_scores + hidden @ params["score.W_hid"])
@@ -257,9 +258,9 @@ def out_of_place_scorer(enc_scores, hidden, move_mask, params):
 @pytest.mark.parametrize("live", [None, 1, 6, 37])
 def test_decode_step_keeps_the_out_of_place_bytes_and_its_arguments(live):
     """Byte-equal node probs, process logits, hidden state and cached scorer
-    activations for a 1-D step (live None) and an (L, ...) stack; no
-    argument is written, enc_scores being a view of a larger array as in an
-    episode."""
+    activations for 1-D steps: one (live None), or each row of an (L, ...)
+    draw taken as its own step; no argument is written, enc_scores being a
+    view of a larger array as in an episode."""
     rng = np.random.default_rng(live or 0)
     cfg = PolicyConfig()
     n, h, d = 12, cfg.hidden_dim, cfg.decoder_input_width
@@ -267,24 +268,57 @@ def test_decode_step_keeps_the_out_of_place_bytes_and_its_arguments(live):
     for seed in range(5):
         params = init_policy_params(cfg, seed=seed)
         table = rng.normal(size=(3,) + lead + (n, h))
+        hiddens = np.tanh(rng.normal(size=lead + (h,)))
+        xs = rng.normal(size=lead + (d,))
+        moves = rng.random(lead + (n,)) < 0.4
+        moves[..., seed] = True
+        procs = moves & (rng.random(lead + (n,)) < 0.5)
+        rows = [()] if live is None else [(i,) for i in range(live)]
+        for i in rows:
+            enc_scores, hidden, x, move, proc = (table[1][i], hiddens[i], xs[i], moves[i],
+                                                 procs[i])
+            args = (table, hidden, x, move, proc, params._flat)
+            before = [a.copy() for a in args]
+            dist, new_hidden, cache = decode_step(None, enc_scores, hidden, x, move, proc,
+                                                  params, fuse_gru(params, "dec."))
+            want_hidden, _ = nn.gru_cell(x, hidden, fuse_gru(params, "dec."))
+            want_s, want_probs, want_process = out_of_place_scorer(enc_scores, want_hidden,
+                                                                   move, params)
+            assert new_hidden.tobytes() == want_hidden.tobytes()
+            assert cache[2].tobytes() == want_s.tobytes()
+            assert dist.node_probs.tobytes() == want_probs.tobytes()
+            assert dist.process_logits.tobytes() == want_process.tobytes()
+            assert dist.move_mask is move and dist.process_mask is proc and cache[4] is dist
+            assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
+
+
+@pytest.mark.parametrize("live", [1, 6, 37])
+def test_score_keeps_the_out_of_place_bytes_and_its_arguments(live):
+    """Byte-equal node probs, process logits and scorer activations for an
+    (L, ...) stack of hidden states advanced by one ``nn.gru_cell`` call, as
+    a lockstep makes; no argument is written, enc_scores being a view of a
+    larger array."""
+    rng = np.random.default_rng(live)
+    cfg = PolicyConfig()
+    n, h, d = 12, cfg.hidden_dim, cfg.decoder_input_width
+    for seed in range(5):
+        params = init_policy_params(cfg, seed=seed)
+        table = rng.normal(size=(3, live, n, h))
         enc_scores = table[1]
-        hidden = np.tanh(rng.normal(size=lead + (1,) * bool(lead) + (h,)))
-        x = rng.normal(size=lead + (1,) * bool(lead) + (d,))
-        move = rng.random(lead + (n,)) < 0.4
+        hidden = np.tanh(rng.normal(size=(live, 1, h)))
+        x = rng.normal(size=(live, 1, d))
+        hidden, _ = nn.gru_cell(x, hidden, fuse_gru(params, "dec."))
+        move = rng.random((live, n)) < 0.4
         move[..., seed] = True
-        proc = move & (rng.random(lead + (n,)) < 0.5)
-        args = (table, hidden, x, move, proc, params._flat)
+        proc = move & (rng.random((live, n)) < 0.5)
+        args = (table, hidden, move, proc, params._flat)
         before = [a.copy() for a in args]
-        dist, new_hidden, cache = decode_step(None, enc_scores, hidden, x, move, proc, params,
-                                              fuse_gru(params, "dec."))
-        want_hidden, _ = nn.gru_cell(x, hidden, fuse_gru(params, "dec."))
-        want_s, want_probs, want_process = out_of_place_scorer(enc_scores, want_hidden, move,
-                                                               params)
-        assert new_hidden.tobytes() == want_hidden.tobytes()
-        assert cache[2].tobytes() == want_s.tobytes()
+        dist, s = score(enc_scores, hidden, move, proc, params)
+        want_s, want_probs, want_process = out_of_place_scorer(enc_scores, hidden, move, params)
+        assert s.tobytes() == want_s.tobytes()
         assert dist.node_probs.tobytes() == want_probs.tobytes()
         assert dist.process_logits.tobytes() == want_process.tobytes()
-        assert dist.move_mask is move and dist.process_mask is proc and cache[4] is dist
+        assert dist.move_mask is move and dist.process_mask is proc
         assert [a.tobytes() for a in args] == [a.tobytes() for a in before]
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ggsfc.topology import (
     EDGE_DELAY_RANGE,
+    B,
     Topology,
     TopologyError,
     VnfInstance,
@@ -176,21 +177,30 @@ def test_solver_tables_match_their_source_data(source):
 @given(small_requests(nodes=(1, 9)))
 def test_distances_are_the_shortest_edge_delays(case):
     t, _ = case
-    # Bellman-Ford from every node over both directions of every edge
-    dist = [[0 if u == v else None for v in range(t.num_nodes)] for u in range(t.num_nodes)]
+    # Bellman-Ford from every node over both directions of every edge, on
+    # (delay, steps) pairs, starting from the one-step walks: the least walk
+    # of at least one step, a way out and back on the diagonal
+    arcs = [(a, b, d) for u, v, d in t.edges for a, b in ((u, v), (v, u))]
+    least = [[None] * t.num_nodes for _ in range(t.num_nodes)]
+    for a, b, d in arcs:
+        least[a][b] = (d, 1)
     for _ in range(t.num_nodes):
-        for u, v, d in t.edges:
-            for row in dist:
-                for a, b in ((u, v), (v, u)):
-                    if row[a] is not None and (row[b] is None or row[a] + d < row[b]):
-                        row[b] = row[a] + d
-    assert [t.distances_from(u) for u in range(t.num_nodes)] == list(map(tuple, dist))
+        for a, b, d in arcs:
+            for row in least:
+                if row[a] is not None:
+                    walk = (row[a][0] + d, row[a][1] + 1)
+                    if row[b] is None or walk < row[b]:
+                        row[b] = walk
+    assert [[None if c is None else (c // B, c % B) for c in t.least_walks_from(u)]
+            for u in range(t.num_nodes)] == least
 
 
 def test_distances_stay_exact_past_64_bit_delays():
     t = Topology(3, ((0, 1, 2**70), (1, 2, 1), (0, 2, 2**70 + 5)), (), 0)
-    assert [t.distances_from(u) for u in range(3)] == [
-        (0, 2**70, 2**70 + 1), (2**70, 0, 1), (2**70 + 1, 1, 0)]
+    assert [t.least_walks_from(u) for u in range(3)] == [
+        (2**71 * B + 2, 2**70 * B + 1, (2**70 + 1) * B + 2),
+        (2**70 * B + 1, 2 * B + 2, B + 1),
+        ((2**70 + 1) * B + 2, B + 1, 2 * B + 2)]
 
 
 def test_adjacency_matrix_is_symmetric_binary_zero_diagonal():
