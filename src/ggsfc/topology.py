@@ -38,9 +38,8 @@ import numpy as np
 # created during mutation.
 EDGE_DELAY_RANGE = (1, 10)
 
-# A walk's (delay, steps) cost packed into one exact int as delay * B + steps,
-# so comparing ints compares (delay, steps) lexicographically while every
-# steps count stays below B.
+# walk costs pack (delay, steps) into one exact int, delay * B + steps, whose
+# order is (delay, steps) order while steps stays below B
 B = 2**32
 
 DEFAULT_POOL_SIZE = 100
@@ -182,12 +181,10 @@ class Topology:
         return tuple(tuple(row) for row in table)
 
     def least_walks_from(self, u: int) -> tuple[int | None, ...]:
-        """Per node v, the least (delay, steps) walk of at least one step from
-        u to v, packed as delay * B + steps: the shortest path for v != u,
-        and for v == u the cheapest way to leave u and come back (None on a
-        node with no neighbor).  Dijkstra over ``arcs`` with arc cost
-        w * B + 1, seeded with u's arcs, in exact Python ints; found on first
-        use, then kept."""
+        """Per node v, u's least (delay, steps) walk of at least one step to
+        v, packed: the shortest path, or for v == u the cheapest way out and
+        back (None with no neighbor).  Dijkstra over ``arcs`` with arc cost
+        w * B + 1 in exact Python ints; found on first use, then kept."""
         row = self._walk_rows.get(u)
         if row is None:
             arcs = self.arcs

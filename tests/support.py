@@ -4,8 +4,9 @@ tiny 4-node graph and its policy config, seeded random connected graphs and
 small random instances, a briefly SL-trained fixture policy, and a call
 counter for spies), the seeded generator the bundled internet2 fixture was
 frozen from (at any size), a plain-Dijkstra reference solver, plain
-shortest edge delays and the solver's cost-to-go as reference rows, a row-by-row check of lockstep walks against
-their own rollouts, the per-step episode backward as a byte reference, and
+shortest edge delays, the solver's cost-to-go as reference rows, a
+row-by-row check of lockstep walks against their own rollouts, the
+per-step episode backward as a byte reference, and
 hypothesis strategies for random requests and for artifact documents with
 one fuzzed value."""
 
