@@ -28,6 +28,7 @@ log-probs is a ``policy.EpisodeTrace``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -84,8 +85,8 @@ class RewardConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 class EnvState(NamedTuple):

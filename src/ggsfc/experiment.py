@@ -76,6 +76,8 @@ class Table1Config:
         if len(self.rl_seeds) != len(RL_ROWS):
             raise ValueError(f"rl_seeds needs {len(RL_ROWS)} comma-separated integers, "
                              f"got {','.join(map(str, self.rl_seeds))!r}")
+        training.check_stop("stop_failure_ratio", self.stop_failure_ratio)
+        training.check_stop("stop_success_rate", self.stop_success_rate)
         self.policy_config()
         self.stage_hyper_params()
 

@@ -348,10 +348,14 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if logits.shape != mask.shape:
         raise ValueError(f"logits shape {logits.shape} vs mask shape {mask.shape}")
-    e = logits - logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf)
-    # exp(-inf) is exactly 0, and a masked logit never reaches exp to overflow
-    np.copyto(e, -np.inf, where=~mask)
+    # only unmasked entries see the logits: masked ones stay 0 through the
+    # subtract, take exp(0) and are zeroed by the mask (an exp with where=
+    # costs about four times a plain one on a batch)
+    e = np.zeros(logits.shape)
+    np.subtract(logits, logits.max(axis=-1, keepdims=True, where=mask, initial=-np.inf),
+                out=e, where=mask)
     np.exp(e, out=e)
+    e *= mask
     total = e.sum(axis=-1, keepdims=True)
     # a row with an unmasked entry sums exp(0) = 1 at its max (or a NaN)
     if not total.all():

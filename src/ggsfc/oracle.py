@@ -4,9 +4,10 @@ A layered state pairs a node with the number of chain entries already
 processed.  Transitions mirror environment actions one-for-one: a plain
 move keeps the layer, a move with processing climbs one layer and is
 allowed only when the arrival node hosts the pending type.  A shortest-path
-search over this graph therefore returns the minimum delay reachable by any
-environment walk, and the returned action sequence replays through the
-environment verbatim with that exact delay.
+search over this graph therefore finds the minimum delay reachable by any
+environment walk.  The solver takes that walk through the environment
+itself, one ``step`` per action it picks, so the returned path is the
+environment's own record of the walk, checked to succeed at that delay.
 
 Ties between equal-delay optima break toward fewer steps, then the
 lexicographically smallest action sequence, so labels are deterministic.
@@ -102,14 +103,9 @@ class OracleResult:
 
 INFEASIBLE = OracleResult(path=None, actions=())
 
-# brute_force_optimal compares action sequences as tuples of
-# (node, process-as-int), which orders by node sequence first and prefers
-# not-processing on ties
-_ActionKey = tuple[tuple[int, int], ...]
 
-
-# replays read paths, not rewards, so one config serves them all
-_REPLAY_REWARD = RewardConfig()
+# walks are read for their paths, not rewards, so one config serves them all
+_WALK_REWARD = RewardConfig()
 
 
 def _replay(t: Topology, req: SfcRequest, actions: Sequence[Action]) -> PathResult:
@@ -117,18 +113,8 @@ def _replay(t: Topology, req: SfcRequest, actions: Sequence[Action]) -> PathResu
     exactly their count; an action the environment refuses raises."""
     s = reset(t, req, max_steps=len(actions))
     for a in actions:
-        s, _, _ = step(s, a, t, _REPLAY_REWARD)
+        s, _, _ = step(s, a, t, _WALK_REWARD)
     return s.path_so_far
-
-
-def _result_from_actions(
-    t: Topology, req: SfcRequest, actions: tuple[Action, ...], expected_delay: int
-) -> OracleResult:
-    """Build the PathResult by replaying the actions through the environment."""
-    p = _replay(t, req, actions)
-    if not (p.success and p.total_delay == expected_delay):
-        raise AssertionError("solver emitted a walk the environment cannot replay")
-    return OracleResult(path=p, actions=actions)
 
 
 def cost_to_go(t: Topology, req: SfcRequest) -> list[list[int]] | None:
@@ -178,26 +164,34 @@ def solve_optimal(t: Topology, req: SfcRequest) -> OracleResult:
     layer, node = 0, req.source
     here, above, proc = rows[0], rows[1], procs[0]
     value = here[node]
+    delay = value // base
+    # a least walk takes exactly its packed steps
+    s = reset(t, req, max_steps=value % base)
     actions: list[Action] = []
     while value:
         for v, w in arcs[node].items():
             c = w * base + 1
             if c + here[v] == value:
                 # decoded as environment.step builds its records
-                actions.append(tuple.__new__(Action, (v, False)))
+                a = tuple.__new__(Action, (v, False))
                 break
             if proc is not None and proc[v] is not None:
                 c += proc[v] * base
                 if c + above[v] == value:
-                    actions.append(tuple.__new__(Action, (v, True)))
+                    a = tuple.__new__(Action, (v, True))
                     layer += 1
                     here, above, proc = above, rows[layer + 1], procs[layer]
                     break
         else:
             raise AssertionError("the cost-to-go has no move that attains it")
+        actions.append(a)
+        s, _, _ = step(s, a, t, _WALK_REWARD)
         value -= c
         node = v
-    return _result_from_actions(t, req, tuple(actions), rows[0][req.source] // base)
+    path = s.path_so_far
+    if not (path.success and path.total_delay == delay):
+        raise AssertionError("the descent's walk does not reach the goal at its cost-to-go")
+    return OracleResult(path=path, actions=tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +228,21 @@ def brute_force_optimal(
             f"walk budget {walk_budget} needs ~{work} expansions, over the cap {work_cap}"
         )
 
-    cfg = RewardConfig()
     start = reset(t, req, max_steps=walk_budget)
-    # frontier at exactly s steps: (node, chain_index) -> (delay, action-key, state)
+    # frontier at exactly s steps: (node, chain_index) -> (delay, actions, state);
+    # action tuples order by node sequence first and prefer not-processing on ties
     frontier = {(start.current_node, start.chain_index): (0, (), start)}
-    best: tuple[int, int, _ActionKey] | None = None
+    best: tuple[int, int, tuple[Action, ...], PathResult] | None = None
     for depth in range(1, walk_budget + 1):
-        nxt: dict[tuple[int, int], tuple[int, _ActionKey, object]] = {}
+        nxt: dict[tuple[int, int], tuple[int, tuple[Action, ...], object]] = {}
         for delay, acts, state in frontier.values():
             for a in valid_actions(state, t):
-                s2, _, _ = step(state, a, t, cfg)
+                s2, _, _ = step(state, a, t, _WALK_REWARD)
                 d2 = s2.path_so_far.total_delay
-                acts2 = acts + ((a.next_node, int(a.process)),)
+                acts2 = acts + (a,)
                 if s2.path_so_far.success:
-                    cand = (d2, depth, acts2)
+                    # action sequences differ, so the path never decides
+                    cand = (d2, depth, acts2, s2.path_so_far)
                     if best is None or cand < best:
                         best = cand
                     continue
@@ -260,9 +255,8 @@ def brute_force_optimal(
             break
     if best is None:
         return INFEASIBLE
-    delay, _, acts = best
-    actions = tuple(Action(n, bool(p)) for n, p in acts)
-    return _result_from_actions(t, req, actions, delay)
+    _, _, actions, path = best
+    return OracleResult(path=path, actions=actions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ warning.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,16 +52,24 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha_sl) and math.isfinite(self.alpha_rl)):
+            raise ValueError("learning rates must be finite")
         if self.alpha_sl <= 0 or self.alpha_rl <= 0:
             raise ValueError("learning rates must be > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.episodes < 0 or self.sl_epochs < 0:
             raise ValueError("episodes and sl_epochs must be >= 0")
+
+
+def check_stop(name: str, value: float | None) -> None:
+    """Refuse a NaN early-stop threshold, which no rate ever reaches."""
+    if value is not None and math.isnan(value):
+        raise ValueError(f"{name} must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -155,6 +164,7 @@ def train_sl(
     stop_failure_ratio ends training early once the holdout is good enough.
     Topology ids index ``topologies`` as ``label_dataset`` assigned them.
     """
+    check_stop("stop_failure_ratio", stop_failure_ratio)
     if not dataset.examples:
         raise ValueError("dataset is empty")
     topo_list = as_topology_list(topologies)
@@ -213,6 +223,7 @@ def train_rl(
     -sum_t G_t log pi(a_t).  stop_success_rate ends training early once the
     rolling window is full and good enough.
     """
+    check_stop("stop_success_rate", stop_success_rate)
     topos = as_topology_list(topologies)
     if not topos:
         raise ValueError("no topologies to train on")

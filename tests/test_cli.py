@@ -254,6 +254,18 @@ def test_train_rl_refuses_an_architecture_its_init_checkpoint_lacks(
     assert not out.exists()
 
 
+def test_train_rl_refuses_a_non_finite_lambda(tmp_path, capsys):
+    ckpt = tmp_path / "sl.ckpt"
+    cfg = PolicyConfig()
+    save_policy(init_policy_params(cfg), cfg, ckpt, seed=0, training_stage="sl")
+    out = tmp_path / "rl"
+    rc = run("train", "rl", "--fixture", "--init", str(ckpt), "--lambda", "nan",
+             "--episodes", "40", "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: lam must be finite and >= 0, got nan\n"
+    assert not out.exists()
+
+
 def test_train_rl_needs_an_initialization(tmp_path, capsys):
     rc = run("train", "rl", "--fixture", "--episodes", "1",
              "--out", str(tmp_path / "rl"))
@@ -729,6 +741,21 @@ def test_exp_table1_refuses_a_bad_stage_setting_before_writing(tmp_path, capsys,
     rc = run("exp", "table1", "--out", str(out), *TINY_EXP, flag, "0")
     assert rc == 1
     assert capsys.readouterr().err == "error: learning rates must be > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--alpha-rl-pool", "inf", "learning rates must be finite"),
+    ("--alpha-sl", "nan", "learning rates must be finite"),
+    ("--stop-failure-ratio", "nan", "stop_failure_ratio must not be NaN"),
+    ("--stop-success-rate", "nan", "stop_success_rate must not be NaN"),
+])
+def test_exp_table1_refuses_a_non_finite_setting_before_writing(tmp_path, capsys, flag, value,
+                                                                 message):
+    out = tmp_path / "x"
+    rc = run("exp", "table1", "--out", str(out), *TINY_EXP, flag, value)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -161,6 +161,12 @@ def test_step_success_requires_destination_and_full_chain():
     assert rewards == [0.0, 0.0, 10000.0]
 
 
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+def test_reward_config_refuses_a_lam_that_is_negative_or_not_finite(lam):
+    with pytest.raises(ValueError, match="^lam must be finite and >= 0"):
+        RewardConfig(lam=lam)
+
+
 def test_step_reward_subtracts_weighted_delay():
     t = tiny_topology()
     _, rewards = walk(t, SfcRequest(0, 3, (0,)),

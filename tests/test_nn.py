@@ -644,6 +644,8 @@ def test_masked_softmax_is_silent_on_masked_logits_that_would_overflow():
         (np.array([-big, big, 0.3 * big, -0.5 * big]), np.array([True, False, False, True])),
         (np.array([[1.0, np.inf, np.nan, -np.inf, 1e308], [-1e308, 2.0, big, 0.0, -big]]),
          np.array([[True, False, False, False, False], [True, False, False, True, True]])),
+        # logits spanning more than the float range, the larger unmasked
+        (np.array([1e308, -1e308, 0.0]), np.array([True, False, True])),
     ]:
         with np.errstate(over="ignore"):
             want = out_of_place_masked_softmax(logits, mask)

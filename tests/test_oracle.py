@@ -303,20 +303,23 @@ def test_solver_matches_plain_dijkstra_on_random_graphs(case):
 
 
 def test_labels_replay_through_the_environment_exactly():
+    # each solver's actions replay to exactly the path it returned
     t = internet2_fixture()
     rng = np.random.default_rng(23)
     cfg = RewardConfig()
     for req in generate_requests(t, 25, (1, 4), rng):
-        res = solve_optimal(t, req)
-        s = reset(t, req, max_steps=len(res.actions))
-        for a in res.actions:
-            s, _, _ = step(s, a, t, cfg)
-        assert s.path_so_far.success
-        assert s.path_so_far.total_delay == res.optimal_delay
+        for res in (solve_optimal(t, req), brute_force_optimal(t, req)):
+            s = reset(t, req, max_steps=len(res.actions))
+            for a in res.actions:
+                s, _, _ = step(s, a, t, cfg)
+            assert s.path_so_far.success
+            assert s.path_so_far.total_delay == res.optimal_delay
+            assert s.path_so_far == res.path
 
 
-def test_a_feasible_solve_replays_once(monkeypatch):
-    # one reset and one step per action: the count a traced label pass checks
+def test_a_feasible_solve_walks_the_environment_once(monkeypatch):
+    # the descent's own walk: one reset and one step per action, the count
+    # a traced label pass checks
     t = internet2_fixture()
     calls = {"reset": 0, "step": 0}
     monkeypatch.setattr(oracle, "reset", counted(calls, "reset", oracle.reset))
@@ -324,6 +327,29 @@ def test_a_feasible_solve_replays_once(monkeypatch):
     res = solve_optimal(t, SfcRequest(0, 11, (1, 2)))
     assert res.feasible and len(res.actions) > 2
     assert calls == {"reset": 1, "step": len(res.actions)}
+
+
+def test_a_corrupted_cost_to_go_raises_instead_of_labelling(monkeypatch):
+    t = internet2_fixture()
+    req = SfcRequest(0, 11, (1, 2))
+    rows = cost_to_go(t, req)
+
+    # the source's value lowered by one packed step: no move attains it
+    low = [list(r) for r in rows]
+    low[0][req.source] -= 1
+    monkeypatch.setattr(oracle, "cost_to_go", lambda *_: low)
+    with pytest.raises(AssertionError, match="no move that attains it"):
+        solve_optimal(t, req)
+
+    # a stray 0 beside the source on an empty chain ends the descent there,
+    # off the goal
+    req = SfcRequest(0, 11, ())
+    x, w = next(iter(t.arcs[req.source].items()))
+    stray = list(cost_to_go(t, req)[0])
+    stray[x], stray[req.source] = 0, w * B + 1
+    monkeypatch.setattr(oracle, "cost_to_go", lambda *_: [stray])
+    with pytest.raises(AssertionError, match="walk"):
+        solve_optimal(t, req)
 
 
 def test_brute_force_budget_too_small_reports_infeasible():

@@ -61,6 +61,8 @@ ROOT = Path(__file__).resolve().parent.parent
     {"epsilon": 1.01},
     {"lam": -1.0},
     {"episodes": -1},
+    *({name: value} for name in ("alpha_sl", "alpha_rl", "lam")
+      for value in (float("nan"), float("inf"))),
 ])
 def test_hyperparams_validation(bad):
     with pytest.raises(ValueError):
@@ -204,6 +206,16 @@ def test_train_sl_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         train_sl(init_policy_params(PolicyConfig(), seed=0), PolicyConfig(),
                  t, empty, HyperParams())
+
+
+def test_a_nan_stop_threshold_is_refused():
+    t, dataset = fixture_sl_setup(2)
+    cfg = PolicyConfig()
+    params = init_policy_params(cfg, seed=0)
+    with pytest.raises(ValueError, match="^stop_failure_ratio must not be NaN$"):
+        train_sl(params, cfg, t, dataset, HyperParams(), stop_failure_ratio=float("nan"))
+    with pytest.raises(ValueError, match="^stop_success_rate must not be NaN$"):
+        train_rl(params, t, HyperParams(), cfg, stop_success_rate=float("nan"))
 
 
 def test_train_sl_loss_decreases():
